@@ -19,9 +19,7 @@ from .graph import (
     Edge,
     Graph,
     Matching,
-    Path,
     _augmenting_search,
-    apply_augmenting_path,
     edge_key,
     max_matching,
     union_graph,
@@ -109,54 +107,123 @@ class AppliedPath(NamedTuple):
     vertices: tuple[int, ...]
 
 
+def _length_histogram(applied: Iterable[AppliedPath]) -> dict[int, int]:
+    """Number of applied paths of each length 1, 3 and 5."""
+    hist = {1: 0, 3: 0, 5: 0}
+    hist.update(Counter(p.length for p in applied))
+    return hist
+
+
 @dataclass
 class AugmentationState:
-    """Matching under augmentation plus the log of applied paths."""
+    """Matching under augmentation plus the log of applied paths.
+
+    `settled_t` is the (2, b)-matching T for which M | T is known to hold
+    no augmenting path of length <= 5: phase2b_step sets it when a step
+    ends, and it stays None until then. Replacing `matching` from outside
+    must reset it.
+    """
 
     matching: Matching
     applied: list[AppliedPath] = field(default_factory=list)
+    settled_t: TwoBMatching | None = None
 
     def path_length_histogram(self) -> dict[int, int]:
-        hist = {1: 0, 3: 0, 5: 0}
-        hist.update(Counter(p.length for p in self.applied))
-        return hist
+        return _length_histogram(self.applied)
+
+
+def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
+    """Ascending free vertices that begin an augmenting path of length
+    <= 5 through `edge` (an empty tuple gives none).
+
+    On a path u x1 x2 x3 x4 w the interior vertices are matched, and one
+    end of the edge sits at an even position in either direction. From
+    position 0 that end is u itself; from position 2 or 4 the walk back to
+    u crosses a matched edge by `partner_map`, then an unmatched one by
+    `nbrs`, once or twice. The walk does not check that vertices are
+    distinct, so it may return vertices that begin no path; the search
+    discards those.
+    """
+    ends: set[int] = set()
+    for a in edge:
+        mate = partner_map.get(a)
+        if mate is None:
+            ends.add(a)
+            continue
+        for y in nbrs(mate):
+            z = partner_map.get(y)
+            if z is None:
+                ends.add(y)
+                continue
+            for w in nbrs(z):
+                if w not in partner_map:
+                    ends.add(w)
+    return sorted(ends)
 
 
 def phase2b_step(
     state: AugmentationState,
     t: TwoBMatching,
-    e: tuple[int, int],
+    e: tuple[int, int] | None,
     arrival: int | None = None,
 ) -> AugmentationState:
-    """Process one Phase II.B arrival.
+    """Process one Phase II.B arrival e, or with e None a pass over M | T.
 
     Repeatedly finds and applies augmenting paths of length up to five in
     M | T | {e} (shortest first, lowest vertex index first) until none
-    remains, then returns the updated state.
+    remains, then returns the updated state. The matching is flipped in
+    place.
+
+    The search is anchored at e when an earlier step over the same T has
+    ended (`state.settled_t is t`). That step left no augmenting path of
+    length <= 5 in M | T | {e_prev}, so M | T holds none either and every
+    path in M | T | {e} uses e. Only free vertices that begin a path
+    through e are tried, in the full search's order, so the same path is
+    found. At most one is applied: were Q another after P, P ^ Q would
+    hold two disjoint augmenting paths for the old matching, and the one
+    without e would lie in M | T and have length <= |Q| <= 5, since a path
+    through e is no shorter than P. The first step over a T (it applies
+    T's own Phase II.A paths) and steps on a fresh state search from every
+    vertex of T.
     """
-    ea, eb = edge_key(*e)
+    if e is None:
+        edge = ()
+        nbrs = t.neighbors
+    else:
+        edge = ea, eb = edge_key(*e)
 
-    def nbrs(v: int):
-        base = t.neighbors(v)
-        if v == ea:
-            merged = list(base)
-            bisect.insort(merged, eb)
-            return merged
-        if v == eb:
-            merged = list(base)
-            bisect.insort(merged, ea)
-            return merged
-        return base
+        def nbrs(v: int):
+            base = t.neighbors(v)
+            if v == ea:
+                merged = list(base)
+                bisect.insort(merged, eb)
+                return merged
+            if v == eb:
+                merged = list(base)
+                bisect.insort(merged, ea)
+                return merged
+            return base
 
-    starts = sorted(set(t.vertices) | {ea, eb})
+    partner_map = state.matching.partner_map
+    anchored = state.settled_t is t
+    if anchored:
+        starts = _path_ends_through(edge, partner_map, nbrs)
+    else:
+        starts = sorted(set(t.vertices).union(edge))
     while True:
-        verts = _augmenting_search(state.matching.partner_map, starts, nbrs, 5)
+        verts = _augmenting_search(partner_map, starts, nbrs, 5)
         if verts is None:
-            return state
-        universe = t.edge_set | state.matching.edges | {(ea, eb)}
-        path = Path(verts, universe)
-        state.matching = apply_augmenting_path(state.matching, path)
-        state.applied.append(AppliedPath(arrival, len(path.edges), path.vertices))
+            break
+        for u, v in zip(verts[::2], verts[1::2]):
+            uv = edge_key(u, v)
+            if uv != edge and uv not in t.edge_set:
+                raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
+        state.matching.augment(verts)
+        state.applied.append(AppliedPath(arrival, len(verts) - 1, tuple(verts)))
+        if anchored:
+            break
+    state.settled_t = t
+    return state
 
 
 def greedy_match(stream: EdgeStream) -> Matching:
@@ -183,9 +250,7 @@ class TrialDiagnostics:
 
     @property
     def path_length_histogram(self) -> dict[int, int]:
-        hist = {1: 0, 3: 0, 5: 0}
-        hist.update(Counter(p.length for p in self.applied))
-        return hist
+        return _length_histogram(self.applied)
 
 
 def beats23_match(
@@ -234,7 +299,9 @@ def beats23_match(
                 t = TwoBMatching(t_edges, matched, params.b)
             phase2b_step(state, t, e, arrival=pos)
     if t is None:
+        # tau covered all of Phase II: no arrival applied T's own paths
         t = TwoBMatching(t_edges, matched, params.b)
+        phase2b_step(state, t, None)
 
     hu = union_graph(g.n, h.edges, u_set, bipartition=g.bipartition)
     mu_hu = len(max_matching(hu))

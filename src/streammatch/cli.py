@@ -21,7 +21,7 @@ from .bench import (
     run_trials,
 )
 from .graph import brute_force_matching_size, max_matching
-from .sparsifier import derive_params, params_with_betas
+from .sparsifier import SafetyCapExceeded, derive_params, params_with_betas
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +96,8 @@ def _cmd_run(args) -> int:
             params = derive_params(args.eps, args.gamma, args.b)
     gen = None
     if args.gen:
+        if args.n is None:
+            raise ValueError(f"--gen {args.gen} needs --n")
         gen = GeneratorSpec(args.gen, args.n, args.p, args.plant)
     config = TrialConfig(
         algo=args.algo,
@@ -141,8 +143,14 @@ def _cmd_verify_gadgets(args) -> int:
 def _cmd_hard(args) -> int:
     if (args.base is None) == (args.trivial is None):
         raise ValueError("exactly one of --base / --trivial is required")
+    if args.trivial is not None and args.trivial < 1:
+        raise ValueError("--trivial must be at least 1")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     if args.base:
         base, matchings = instances.load_family(args.base)
+        if not matchings:
+            raise ValueError(f"{args.base!r} holds no matchings")
     else:
         base = instances.matched_base(args.trivial)
         matchings = instances.trivial_family(base)
@@ -177,7 +185,7 @@ def main(argv=None) -> int:
         if args.command == "verify-gadgets":
             return _cmd_verify_gadgets(args)
         return _cmd_hard(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, SafetyCapExceeded) as exc:
         print(f"match-bench: error: {exc}", file=sys.stderr)
         return 1
 

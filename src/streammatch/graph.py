@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -150,6 +150,34 @@ class Matching:
         self._edges.discard(e)
         del self._partner[u]
         del self._partner[v]
+
+    def augment(self, vertices: Sequence[int]) -> None:
+        """Flip an augmenting path, given as its vertex sequence, in place:
+        its matched edges leave the matching and its other edges join it,
+        so the matching grows by one edge.
+
+        Raises NotAugmentingError, leaving the matching unchanged, unless
+        the path has odd length, distinct vertices, unmatched endpoints
+        and every second edge matched.
+        """
+        vs = vertices
+        partner = self._partner
+        if not vs or len(vs) % 2:
+            raise NotAugmentingError("augmenting paths have odd length")
+        if len(set(vs)) != len(vs):
+            raise NotAugmentingError("path vertices must be pairwise distinct")
+        if vs[0] in partner or vs[-1] in partner:
+            raise NotAugmentingError("path endpoints must be unmatched")
+        matched = list(zip(vs[1:-1:2], vs[2:-1:2]))
+        for u, v in matched:
+            if partner.get(u) != v:
+                raise NotAugmentingError(f"alternation fails at edge {edge_key(u, v)}")
+        for u, v in matched:
+            self._edges.remove(edge_key(u, v))
+        for u, v in zip(vs[::2], vs[1::2]):
+            partner[u] = v
+            partner[v] = u
+            self._edges.add(edge_key(u, v))
 
     def partner(self, v: int) -> int | None:
         return self._partner.get(v)
@@ -556,15 +584,10 @@ def find_augmenting_path(
 
 def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
     """Matching obtained by flipping the path's edges in and out of the
-    matching; the result is one edge larger."""
-    if len(path.edges) % 2 == 0:
-        raise NotAugmentingError("augmenting paths have odd length")
-    if matching.is_matched(path.vertices[0]) or matching.is_matched(path.vertices[-1]):
-        raise NotAugmentingError("path endpoints must be unmatched")
-    for i, e in enumerate(path.edges):
-        if (e in matching) != (i % 2 == 1):
-            raise NotAugmentingError(f"alternation fails at edge {e}")
-    return Matching(matching.edges ^ set(path.edges))
+    matching; the result is one edge larger and `matching` is unchanged."""
+    result = matching.copy()
+    result.augment(path.vertices)
+    return result
 
 
 def symmetric_difference(m1: Matching, m2: Matching) -> Graph:
@@ -585,7 +608,8 @@ def symmetric_difference(m1: Matching, m2: Matching) -> Graph:
 
 def read_edge_list(path) -> Graph:
     """Load a graph from the edge-list format: header `n m [bipartite L]`,
-    then m lines `u v` with 0-indexed endpoints."""
+    then m lines `u v` with 0-indexed endpoints and nothing but blank
+    lines after them."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) not in (2, 4):
@@ -605,6 +629,8 @@ def read_edge_list(path) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"expected {m} edge lines in {path!r}")
             edges.append((int(parts[0]), int(parts[1])))
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path!r} has lines after the {m} declared edges")
     return Graph(n, edges, bipartition)
 
 

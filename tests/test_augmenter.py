@@ -8,9 +8,11 @@ from streammatch import (
     Graph,
     Matching,
     TwoBMatching,
+    apply_augmenting_path,
     beats23_match,
     build_t,
     edge_key,
+    find_augmenting_path,
     greedy_match,
     make_stream,
     max_matching,
@@ -119,6 +121,81 @@ def test_phase2b_no_path_leaves_state_unchanged():
     assert state.applied == []
 
 
+def _reference_phase2b(m_h, t, arrivals):
+    """Phase II.B by the definition: after each arrival e, apply the first
+    augmenting path of length <= 5 in M | T | {e} until none is left."""
+    m = m_h.copy()
+    applied = []
+    for pos, e in arrivals:
+        while True:
+            path = find_augmenting_path(m, t.edge_set | m.edges | {edge_key(*e)})
+            if path is None:
+                break
+            m = apply_augmenting_path(m, path)
+            applied.append((pos, len(path), path.vertices))
+    return m, applied
+
+
+def test_phase2b_anchored_search_matches_reference():
+    rnd = random.Random(2024)
+    lengths = set()
+    later_hits = 0
+    for trial in range(50):
+        if trial % 2:
+            g = random_general(rnd, rnd.randint(12, 30), rnd.choice([0.15, 0.25, 0.4]))
+        else:
+            side = rnd.randint(6, 15)
+            g = random_bipartite(rnd, side, side, rnd.choice([0.15, 0.25, 0.4]))
+        if len(g.edges) < 8:
+            continue
+        s = make_stream(g, trial)
+        cut = rnd.randint(1, len(s) // 3)
+        iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
+        m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
+        t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]))
+        arrivals = [(pos, s.edge_at(pos)) for pos in range(iia_end + 1, len(s) + 1)]
+
+        state = AugmentationState(matching=m_h.copy())
+        for pos, e in arrivals:
+            phase2b_step(state, t, e, arrival=pos)
+        ref_matching, ref_applied = _reference_phase2b(m_h, t, arrivals)
+
+        assert [tuple(p) for p in state.applied] == ref_applied, trial
+        assert state.matching == ref_matching, trial
+        lengths.update(p.length for p in state.applied)
+        later_hits += sum(p.arrival != iia_end + 1 for p in state.applied)
+    # the anchored search ran and found paths of every length
+    assert lengths == {1, 3, 5}
+    assert later_hits > 50
+
+
+def test_phase2b_anchored_start_four_steps_back_from_e():
+    # the first step applies 2-1=7-8 and leaves 3-4 matched; then e=(4, 19)
+    # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
+    m_h = Matching([(1, 7), (3, 4)])
+    t = build_t([(1, 2), (7, 8), (1, 10), (2, 3)], m_h, b=5)
+    state = AugmentationState(matching=m_h.copy())
+    phase2b_step(state, t, (3, 7), arrival=1)
+    assert [p.vertices for p in state.applied] == [(2, 1, 7, 8)]
+    phase2b_step(state, t, (4, 19), arrival=2)
+    assert state.applied[-1] == (2, 5, (10, 1, 2, 3, 4, 19))
+    assert state.matching.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
+
+
+def test_phase2b_searches_fully_for_a_new_t():
+    # state settled for t1; t2 adds a length-3 path 0-1-2-3 away from e
+    m_h = Matching([(1, 2)])
+    t1 = build_t([(0, 1)], m_h, b=5)
+    t2 = build_t([(0, 1), (2, 3)], m_h, b=5)
+    state = AugmentationState(matching=m_h.copy())
+    phase2b_step(state, t1, (8, 9), arrival=1)
+    assert state.settled_t is t1
+    phase2b_step(state, t1, (6, 7), arrival=2)
+    phase2b_step(state, t2, (4, 5), arrival=3)
+    assert [p.arrival for p in state.applied] == [1, 2, 3, 3]
+    assert state.matching.edges == {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
+
+
 def test_phase2b_histogram():
     state = AugmentationState(matching=Matching())
     t = build_t([], Matching(), b=2)
@@ -215,6 +292,26 @@ def test_beats23_general_graph():
     )
     assert len(out) >= diag.mu_hu
     assert len(out) <= len(max_matching(g))
+
+
+def test_beats23_boundary_pass_when_tau_covers_phase2():
+    # gamma just below 1 puts every Phase II edge into II.A, so no II.B
+    # arrival runs; the boundary pass must still apply T's own paths
+    rnd = random.Random(5)
+    params = params_with_betas(0.1, 10, 9, gamma=1.0 - 1e-12, b=4)
+    boundary = 0
+    for trial in range(10):
+        g = random_bipartite(rnd, 20, 20, 0.2)
+        s = make_stream(g, 40 + trial)
+        out, diag = beats23_match(s, params, np.random.default_rng(trial))
+        assert diag.split.tau == diag.split.m - diag.split.eps_cut
+        assert all(p.arrival is None for p in diag.applied)
+        assert len(diag.m_aug) == len(diag.m_h) + len(diag.applied)
+        allowed = diag.t.edge_set | diag.m_aug.edges
+        assert find_augmenting_path(diag.m_aug, allowed) is None
+        assert len(out) >= len(diag.m_aug)
+        boundary += len(diag.applied)
+    assert boundary > 0
 
 
 def test_beats23_safety_cap_propagates():

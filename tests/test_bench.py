@@ -177,6 +177,41 @@ def test_cli_operational_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("match-bench: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--p", "0.2"],
+    ["hard", "--trivial", "0"],
+    ["hard", "--trivial", "3", "--trials", "0"],
+])
+def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
+
+
+def test_cli_safety_cap_exits_1_without_traceback(monkeypatch, capsys):
+    import streammatch.augmenter as augmenter
+
+    monkeypatch.setattr(augmenter, "default_u_cap", lambda n: 0)
+    code = main([
+        "run", "--algo", "beats23", "--gen", "bipartite-gnp", "--n", "20", "--p", "0.3",
+        "--eps", "0.2", "--beta-plus", "10", "--beta-minus", "9", "--workers", "1",
+    ])
+    assert code == 1
+    _assert_one_line_error(capsys)
+
+
+def test_cli_extra_edge_lines_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("4 2\n0 1\n2 3\n1 2\n")
+    assert main(["run", "--algo", "greedy", "--instance", str(path), "--workers", "1"]) == 1
+    _assert_one_line_error(capsys)
+
+
 def test_worker_env_cap(monkeypatch):
     from streammatch.bench import resolve_workers
 

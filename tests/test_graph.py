@@ -235,6 +235,17 @@ def test_apply_augmenting_examples():
     assert apply_augmenting_path(m5, p5).edges == frozenset({(0, 1), (2, 3), (4, 5)})
 
 
+def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
+    m = Matching([(1, 2)])
+    for bad in ([0, 1, 2, 1], [0, 1, 3, 4], [1, 2], [0, 1, 2]):
+        with pytest.raises(NotAugmentingError):
+            m.augment(bad)
+        assert m.edges == frozenset({(1, 2)})
+    m.augment([0, 1, 2, 3])
+    assert m.edges == frozenset({(0, 1), (2, 3)})
+    assert m.partner(1) == 0 and m.partner(2) == 3
+
+
 def test_apply_augmenting_rejects_matched_endpoint():
     m = Matching([(0, 1)])
     p = Path([1, 2], [(1, 2)])
@@ -307,6 +318,15 @@ def test_edge_list_rejects_self_loop(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("3 1\n2 2\n")
     with pytest.raises(ValueError):
+        read_edge_list(path)
+
+
+def test_edge_list_rejects_lines_past_the_declared_count(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("3 2\n0 1\n1 2\n\n")  # trailing blank lines are fine
+    assert len(read_edge_list(path).edges) == 2
+    path.write_text("3 2\n0 1\n1 2\n0 2\n")
+    with pytest.raises(ValueError, match="after the 2 declared edges"):
         read_edge_list(path)
 
 
