@@ -42,13 +42,13 @@ def check_edcs(
     """Verify on the finished run that (i) every H edge has edge-degree at
     most beta_plus and (ii) U is exactly the set of suffix edges whose
     H-edge-degree is below beta_minus."""
-    u_set = {edge_key(a, b) for a, b in u}
+    u_set = {(a, b) if a < b else (b, a) for a, b in u}
     deg = h.degrees
     cap_violations = tuple(
         e for e in h.edges if deg[e[0]] + deg[e[1]] > params.beta_plus
     )
     expected = {
-        edge_key(a, b)
+        (a, b) if a < b else (b, a)
         for a, b in suffix
         if deg[a] + deg[b] < params.beta_minus
     }
@@ -158,7 +158,8 @@ def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
 
     Components of a symmetric difference are paths or even cycles; a path
     component augments m_h exactly when its end edges come from m_star,
-    which makes its length odd.
+    which makes its length odd. Cycle components are never walked: no
+    vertex of a cycle has degree one.
     """
     diff = symmetric_difference(m_star, m_h)
     star_edges = m_star.edges
@@ -187,17 +188,6 @@ def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
             first = edge_key(seq[0], seq[1])
             if first in star_edges:
                 paths.append(Path(seq, diff.edge_set))
-    # mark cycle components so nothing is silently half-visited
-    for v in range(diff.n):
-        if not visited[v] and diff.adj[v]:
-            stack = [v]
-            visited[v] = True
-            while stack:
-                x = stack.pop()
-                for w in diff.adj[x]:
-                    if not visited[w]:
-                        visited[w] = True
-                        stack.append(w)
     return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
 
 

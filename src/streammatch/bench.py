@@ -209,22 +209,29 @@ def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Trial
 
 
 def resolve_workers(max_workers: int | None = None) -> int:
+    """Worker count: `max_workers`, else MATCH_BENCH_THREADS, else the
+    CPU count. An explicit count below 1 is an error, not a clamp."""
     if max_workers is not None:
-        return max(1, max_workers)
+        if max_workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {max_workers}")
+        return max_workers
     env = os.environ.get("MATCH_BENCH_THREADS")
     if env:
-        return max(1, int(env))
+        workers = int(env)
+        if workers < 1:
+            raise ValueError(f"MATCH_BENCH_THREADS must be at least 1, got {env!r}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
 def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialReport:
     """Execute all trials; the report is byte-identical for a fixed config
     (wall-time fields excluded) no matter how many workers run."""
+    workers = resolve_workers(max_workers)
     g = load_instance(config)
     if not g.edges:
         raise ValueError("instance has no edges")
     mu_g = len(max_matching(g))
-    workers = resolve_workers(max_workers)
     fn = partial(run_one_trial, config, g, mu_g)
     if workers == 1 or config.trials == 1:
         records = [fn(i) for i in range(config.trials)]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import eq, itemgetter
+from typing import Container, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -28,6 +29,22 @@ class NotAugmentingError(ValueError):
 def edge_key(u: int, v: int) -> Edge:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
+
+
+def _first_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
+    """Error for the first edge, in input order, that is a self-loop, out
+    of range for n vertices, or a repeat of an earlier edge."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        e = edge_key(u, v)
+        if e in seen:
+            return ValueError(f"parallel edge {e}")
+        seen.add(e)
+    raise AssertionError("no offending edge found")
 
 
 class Graph:
@@ -48,28 +65,33 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[Edge] = set()
-        norm: list[Edge] = []
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        norm = [(u, v) if u < v else (v, u) for u, v in edges]
+        edge_set = frozenset(norm)
+        if norm:
+            # not zip(*norm): it allocates an iterator per edge, which makes
+            # the garbage collector run more often
+            lows = list(map(itemgetter(0), norm))
+            highs = list(map(itemgetter(1), norm))
+            if (
+                len(edge_set) != len(norm)
+                or min(lows) < 0
+                or max(highs) >= n
+                or any(map(eq, lows, highs))
+            ):
+                raise _first_edge_error(n, edges)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = edge_key(u, v)
-            if e in seen:
-                raise ValueError(f"parallel edge {e}")
-            seen.add(e)
-            norm.append(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+        for a, b in norm:
+            adj[a].append(b)
+            adj[b].append(a)
         for lst in adj:
             lst.sort()
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(norm)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in adj)
-        self.edge_set: frozenset[Edge] = frozenset(norm)
-        self.degrees: tuple[int, ...] = tuple(len(lst) for lst in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self.edge_set: frozenset[Edge] = edge_set
+        self.degrees: tuple[int, ...] = tuple(map(len, adj))
         if bipartition is None:
             self.bipartition = None
         else:
@@ -79,8 +101,11 @@ class Graph:
                 raise ValueError("bipartition sides overlap")
             if left | right != frozenset(range(n)):
                 raise ValueError("bipartition must cover all vertices")
+            side = bytearray(n)
+            for v in left:
+                side[v] = 1
             for a, b in norm:
-                if (a in left) == (b in left):
+                if side[a] == side[b]:
                     raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
             self.bipartition = (left, right)
 
@@ -116,10 +141,7 @@ def union_graph(
     bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
 ) -> Graph:
     """Graph on the union of the given edge collections, deduplicated."""
-    merged: set[Edge] = set()
-    for group in edge_groups:
-        for u, v in group:
-            merged.add(edge_key(u, v))
+    merged = {(u, v) if u < v else (v, u) for group in edge_groups for u, v in group}
     return Graph(n, sorted(merged), bipartition)
 
 
@@ -227,23 +249,25 @@ class Matching:
 class Path:
     """Simple path given as a vertex sequence.
 
-    Consecutive vertices must be joined by an edge of the `allowed`
-    collection supplied at construction, and vertices must be distinct.
+    `allowed` holds canonical (min, max) edges and is only probed with
+    `in`, never copied: pass a set the caller already has, such as a
+    `Graph.edge_set`, and a path costs O(its length). Consecutive
+    vertices must be joined by an edge of `allowed`, and vertices must
+    be distinct.
     """
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices: Iterable[int], allowed: Iterable[tuple[int, int]]):
+    def __init__(self, vertices: Iterable[int], allowed: Container[Edge]):
         vs = tuple(vertices)
         if len(vs) < 2:
             raise ValueError("a path needs at least two vertices")
         if len(set(vs)) != len(vs):
             raise ValueError("path vertices must be pairwise distinct")
-        allowed_set = {edge_key(u, v) for u, v in allowed}
         es = []
         for a, b in zip(vs, vs[1:]):
-            e = edge_key(a, b)
-            if e not in allowed_set:
+            e = (a, b) if a < b else (b, a)
+            if e not in allowed:
                 raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
             es.append(e)
         self.vertices = vs

@@ -95,10 +95,6 @@ class Sparsifier:
     u: frozenset[Edge]
     eps_cut: int
 
-    @property
-    def deg_h(self) -> tuple[int, ...]:
-        return self.h.degrees
-
 
 def phase1_build_h(
     prefix: Sequence[tuple[int, int]],

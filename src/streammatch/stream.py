@@ -31,13 +31,18 @@ class EdgeStream:
     __slots__ = ("graph", "seed", "order", "_arrivals")
 
     def __init__(self, graph: Graph, order, seed: int):
-        order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(len(graph.edges))):
-            raise ValueError("order must be a permutation of the edge indices")
+        arr = np.asarray(order)
+        m = len(graph.edges)
+        if (
+            arr.shape != (m,)
+            or (m and arr.dtype.kind not in "iu")  # () comes out as float64
+            or not np.array_equal(np.sort(arr), np.arange(m))
+        ):
+            raise ValueError("order must be a 1-D integer permutation of the edge indices")
         self.graph = graph
         self.seed = seed
-        self.order = order
-        self._arrivals: tuple[Edge, ...] = tuple(graph.edges[i] for i in order)
+        self.order: tuple[int, ...] = tuple(arr.tolist())
+        self._arrivals: tuple[Edge, ...] = tuple(map(graph.edges.__getitem__, self.order))
 
     def __len__(self) -> int:
         return len(self.order)

@@ -187,6 +187,10 @@ def _assert_one_line_error(capsys):
     ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--p", "0.2"],
     ["hard", "--trivial", "0"],
     ["hard", "--trivial", "3", "--trials", "0"],
+    ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+     "--workers", "0"],
+    ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+     "--workers", "-2"],
 ])
 def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     assert main(argv) == 1
@@ -220,6 +224,13 @@ def test_worker_env_cap(monkeypatch):
     assert resolve_workers(max_workers=5) == 5
     monkeypatch.delenv("MATCH_BENCH_THREADS")
     assert resolve_workers() >= 1
+
+
+def test_cli_zero_worker_env_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("MATCH_BENCH_THREADS", "0")
+    argv = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3"]
+    assert main(argv) == 1
+    _assert_one_line_error(capsys)
 
 
 def test_cli_structural_failure_exit_code(monkeypatch, capsys):

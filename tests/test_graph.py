@@ -17,6 +17,7 @@ from streammatch import (
     max_matching,
     read_edge_list,
     symmetric_difference,
+    union_graph,
     write_edge_list,
 )
 from util import exists_augmenting, random_bipartite, random_general, random_instance
@@ -26,19 +27,28 @@ from util import exists_augmenting, random_bipartite, random_general, random_ins
 # construction and invariants
 
 
-def test_graph_rejects_self_loop():
-    with pytest.raises(ValueError):
-        Graph(3, [(1, 1)])
-
-
-def test_graph_rejects_parallel_edges():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
-
-
-def test_graph_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 2)])
+@pytest.mark.parametrize(
+    "n, edges, bipartition, message",
+    [
+        (3, [(1, 1)], None, "self-loop at vertex 1"),
+        (3, [(0, 1), (1, 0)], None, "parallel edge (0, 1)"),
+        (2, [(0, 2)], None, "edge (0, 2) out of range for n=2"),
+        # the first offending edge in input order wins, whatever its kind
+        (3, [(0, 1), (2, 2), (1, 0)], None, "self-loop at vertex 2"),
+        (3, [(2, 1), (0, 1), (1, 2), (0, 0)], None, "parallel edge (1, 2)"),
+        (3, [(0, 1), (3, 0), (1, 1)], None, "edge (3, 0) out of range for n=3"),
+        (3, [(0, 2), (-1, 1), (2, 0)], None, "edge (-1, 1) out of range for n=3"),
+        (3, [(1, 2), (5, 5), (-1, 0)], None, "self-loop at vertex 5"),
+        (4, [(2, 0), (3, 1), (3, 2), (1, 0)], (range(2), range(2, 4)),
+         "edge (2, 3) does not cross the bipartition"),
+    ],
+    ids=["self-loop", "parallel", "out-of-range", "mixed-self-loop", "mixed-parallel",
+         "mixed-out-of-range", "mixed-negative", "self-loop-before-range", "not-crossing"],
+)
+def test_graph_rejects_first_bad_edge(n, edges, bipartition, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(n, edges, bipartition)
+    assert str(exc.value) == message
 
 
 def test_graph_adjacency_consistent():
@@ -53,6 +63,17 @@ def test_bipartition_must_cross():
         Graph(4, [(0, 1)], (range(2), range(2, 4)))
     g = Graph(4, [(0, 2), (1, 3)], (range(2), range(2, 4)))
     assert g.bipartition is not None
+    flipped = Graph(4, [(2, 0), (3, 1)], (range(2), range(2, 4)))
+    assert flipped == g and flipped.edges == g.edges and flipped.adj == g.adj
+
+
+@pytest.mark.parametrize("bipartition", [None, (range(3), range(3, 6))])
+def test_union_graph_equals_graph_of_sorted_canonical_union(bipartition):
+    groups = ([(4, 0), (1, 3)], {(0, 4), (5, 2)}, iter([(3, 1), (2, 5), (0, 3)]))
+    g = union_graph(6, *groups, bipartition=bipartition)
+    canonical = sorted({(0, 4), (1, 3), (2, 5), (0, 3)})
+    assert g == Graph(6, canonical, bipartition)
+    assert g.edges == tuple(canonical)
 
 
 def test_matching_rejects_shared_vertex():
@@ -75,6 +96,12 @@ def test_path_requires_adjacent_distinct_vertices():
         Path([0, 1, 0], [(0, 1)])
     p = Path([0, 1, 2], [(0, 1), (1, 2)])
     assert p.edges == ((0, 1), (1, 2))
+    g = Graph(4, [(1, 0), (2, 1), (2, 3)])
+    with pytest.raises(ValueError, match="not adjacent"):
+        Path([0, 1, 3], g.edge_set)
+    with pytest.raises(ValueError, match="distinct"):
+        Path([0, 1, 2, 1], g.edge_set)
+    assert Path([3, 2, 1, 0], g.edge_set).edges == ((2, 3), (1, 2), (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from streammatch import (
+    EdgeStream,
     Graph,
     Phase,
     PhaseSplit,
@@ -22,6 +23,36 @@ def test_single_edge_stream():
     g = Graph(2, [(0, 1)])
     s = make_stream(g, 123)
     assert s.arrivals() == ((0, 1),)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        np.array([0, 1, 1, 3]),
+        np.array([0, 1, 2, 4]),
+        np.array([0, 1, 2]),
+        np.array([[0, 1], [2, 3]]),
+        np.array([0.0, 1.0, 2.0, 3.0]),
+    ],
+    ids=["duplicate", "out-of-range", "wrong-length", "2-d", "float"],
+)
+def test_edge_stream_rejects_non_permutation(order):
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match="permutation"):
+        EdgeStream(g, order, seed=0)
+
+
+@pytest.mark.parametrize(
+    "order", [[2, 0, 3, 1], np.array([2, 0, 3, 1]), np.array([2, 0, 3, 1], dtype=np.uint32)],
+    ids=["list", "numpy", "numpy-uint32"],
+)
+def test_edge_stream_accepts_permutation_as_python_ints(order):
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    s = EdgeStream(g, order, seed=0)
+    # numpy ints here would change pickled tasks and the reports' JSON
+    assert s.order == (2, 0, 3, 1) and all(type(i) is int for i in s.order)
+    assert s.arrivals() == ((2, 3), (0, 1), (3, 4), (1, 2))
+    assert all(type(i) is int for i in make_stream(g, 3).order)
 
 
 def test_empty_graph_rejected():
