@@ -376,8 +376,13 @@ def _hk_augment(root: int, adj, mate: list[int], dist: list[int]) -> bool:
 def _blossom(n: int, adj) -> list[int]:
     """Blossom-contraction augmenting search for general graphs.
 
-    O(V^3) worst case; a greedy initial matching keeps the number of
-    augmenting phases small on typical inputs.
+    A greedy initial matching keeps the number of searches small. One
+    search from a free root costs time in the alternating tree T it grows,
+    not in n: a BFS over the adjacency lists of T's vertices, plus one
+    sort of T's vertices per blossom contraction, so at worst
+    O(|E(T)| + |T|^2 log |T|). Its state lives in three length-n arrays
+    that are allocated once per call and reset only where the search
+    wrote, and roots without neighbours are skipped.
     """
     mate = [-1] * n
     for v in range(n):
@@ -388,36 +393,35 @@ def _blossom(n: int, adj) -> list[int]:
                     mate[u] = v
                     break
 
+    used = [False] * n
     parent = [-1] * n
     base = list(range(n))
+    tree: list[int] = []  # vertices whose entries the current search wrote
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = parent[mate[b]]
 
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, stem: int, child: int, blossom: set[int]) -> None:
         while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
 
-    def find_augmenting(root: int) -> bool:
-        nonlocal parent, base
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
+    def find_augmenting(root: int) -> None:
+        tree.append(root)
         used[root] = True
         queue = deque([root])
         while queue:
@@ -427,16 +431,20 @@ def _blossom(n: int, adj) -> list[int]:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     stem = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, stem, to, in_blossom)
-                    mark_path(to, stem, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    blossom: set[int] = set()
+                    mark_path(v, stem, to, blossom)
+                    mark_path(to, stem, v, blossom)
+                    # every vertex whose base is in the blossom is in the
+                    # tree; ascending order fixes the queue order
+                    for i in sorted(tree):
+                        if base[i] in blossom:
                             base[i] = stem
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif parent[to] == -1:
+                    # neither to nor its mate is in the tree yet
+                    tree.append(to)
                     parent[to] = v
                     if mate[to] == -1:
                         cur = to
@@ -446,14 +454,19 @@ def _blossom(n: int, adj) -> list[int]:
                             mate[cur] = prev
                             mate[prev] = cur
                             cur = nxt
-                        return True
+                        return
+                    tree.append(mate[to])
                     used[mate[to]] = True
                     queue.append(mate[to])
-        return False
 
     for v in range(n):
-        if mate[v] == -1:
+        if mate[v] == -1 and adj[v]:
             find_augmenting(v)
+            for u in tree:
+                used[u] = False
+                parent[u] = -1
+                base[u] = u
+            tree.clear()
     return mate
 
 

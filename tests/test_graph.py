@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from streammatch import (
@@ -11,12 +13,18 @@ from streammatch import (
     Path,
     apply_augmenting_path,
     brute_force_matching_size,
+    build_hard_instance,
     edge_key,
     find_augmenting_path,
     hall_witness,
+    make_stream,
+    matched_base,
     max_matching,
+    params_with_betas,
     read_edge_list,
+    run_sparsifier,
     symmetric_difference,
+    trivial_family,
     union_graph,
     write_edge_list,
 )
@@ -143,17 +151,74 @@ def test_oracle_agreement_random_sweep():
         assert len(max_matching(g)) == brute_force_matching_size(g)
 
 
-def test_max_matching_deterministic():
-    rnd = random.Random(5)
-    g = random_general(rnd, 12, 0.4)
-    assert max_matching(g) == max_matching(g)
+# SHA-256 of sorted(max_matching(g).edges) over _golden_matching_graphs().
+# Report hashes hold only matching sizes; this pins which maximum matching
+# the oracles pick. Re-record it only for a change meant to alter that.
+GOLDEN_MATCHINGS = "6756c3fe821e702b0e51d9bcc41c34d7866fad2052a3ee55ceb3ae8e29929186"
+
+
+def _golden_matching_graphs():
+    """200 seeded sparse random general graphs (20 <= n <= 80, mean degree
+    2 to 6: a few of them change matching if blossom members are queued
+    in another order), then parity-gadget instances with the H and H | U
+    their sparsifier keeps."""
+    rnd = random.Random(77)
+    for _ in range(200):
+        n = rnd.randint(20, 80)
+        yield random_general(rnd, n, rnd.choice([2, 3, 4, 6]) / n)
+    params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
+    for side, seed in ((20, 0), (20, 1), (60, 2)):
+        base = matched_base(side)
+        inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(seed))
+        g = inst.graph
+        sp = run_sparsifier(make_stream(g, seed), params)
+        yield g
+        yield sp.h
+        yield union_graph(g.n, sp.h.edges, sp.u)
+
+
+def test_max_matching_golden_edges():
+    digest = hashlib.sha256()
+    for g in _golden_matching_graphs():
+        digest.update(repr(sorted(max_matching(g).edges)).encode())
+    assert digest.hexdigest() == GOLDEN_MATCHINGS
 
 
 def test_blossom_odd_cycle_with_tail():
-    # triangle 0-1-2 plus tail 2-3: matching of size 2 needs the blossom step
-    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    # triangle 0-1-2 plus tail 1-3: the greedy start matches 0=1, so the
+    # size-2 matching needs the search from 2 to contract the triangle
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (1, 3)])
     m = max_matching(g)
     assert len(m) == 2 == brute_force_matching_size(g)
+
+
+def test_blossom_mostly_isolated_vertices():
+    # up to 6 of 12 vertices carry edges: searches skip the isolated roots
+    # and must leave no state behind for the next root
+    rnd = random.Random(31)
+    for _ in range(200):
+        live = rnd.sample(range(12), rnd.randint(2, 6))
+        edges = [(a, b) for i, a in enumerate(live) for b in live[i + 1:] if rnd.random() < 0.6]
+        g = Graph(12, edges)
+        assert len(max_matching(g)) == brute_force_matching_size(g)
+
+
+def test_blossom_nested_in_one_search():
+    # greedy start 0=1, 2=3, 4=5; the search from 6 contracts the cycle
+    # 6-0=1-3=2-6, then 1-4=5-3 around it, and only then reaches 7 through 4
+    g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 0), (6, 2), (1, 3), (1, 4), (3, 5), (4, 7)])
+    m = max_matching(g)
+    assert len(m) == 4 == brute_force_matching_size(g)
+    assert sorted(m.edges) == [(0, 1), (2, 6), (3, 5), (4, 7)]
+
+
+def test_blossom_containing_the_root():
+    # greedy start 0=1, 2=3; the search from 4 contracts the 5-cycle
+    # 4-0=1-3=2-4 based at 4 itself, which makes 0 even and reaches 5
+    g = Graph(6, [(0, 1), (2, 3), (4, 0), (4, 2), (1, 3), (0, 5)])
+    m = max_matching(g)
+    assert len(m) == 3 == brute_force_matching_size(g)
+    assert sorted(m.edges) == [(0, 5), (1, 3), (2, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from streammatch import (
     sample_binomial,
     split_phases,
 )
+from streammatch.stream import BINOMIAL_CHUNK
 from util import random_bipartite
 import random
 
@@ -102,6 +103,20 @@ def test_sample_binomial_degenerate():
     assert sample_binomial(10, 0.0, rng) == 0
     assert sample_binomial(10, 1.0, rng) == 10
     assert sample_binomial(0, 0.5, rng) == 0
+
+
+@pytest.mark.parametrize(
+    "k",
+    [0, 1, BINOMIAL_CHUNK - 1, BINOMIAL_CHUNK, BINOMIAL_CHUNK + 1, 7554],
+)
+@pytest.mark.parametrize("p", [0.0, 2 / 3, 1.0])
+def test_sample_binomial_matches_one_draw_at_a_time(k, p):
+    for seed in (0, 1, 9):
+        rng = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        expected = sum(1 for _ in range(k) if ref.random() < p)
+        assert sample_binomial(k, p, rng) == expected
+        assert rng.random() == ref.random()
 
 
 def test_sample_binomial_mean():
