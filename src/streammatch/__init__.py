@@ -37,7 +37,6 @@ from .bench import (
 )
 from .graph import (
     Graph,
-    HallWitness,
     Matching,
     NotAugmentingError,
     NotBipartiteError,
@@ -46,7 +45,6 @@ from .graph import (
     brute_force_matching_size,
     edge_key,
     find_augmenting_path,
-    hall_witness,
     max_matching,
     read_edge_list,
     symmetric_difference,
@@ -58,7 +56,6 @@ from .instances import (
     NotInducedError,
     XorGadget,
     build_hard_instance,
-    gadget_length,
     gen_random,
     load_family,
     matched_base,
@@ -87,7 +84,6 @@ from .stream import (
     PhaseSplit,
     make_stream,
     phase1_cut,
-    phase_map,
     sample_binomial,
     split_phases,
 )

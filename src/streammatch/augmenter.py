@@ -1,11 +1,23 @@
 """Streaming augmentation on top of the sparsifier.
 
-After Phase I fixes a maximum matching M_H of H, Phase II.A greedily
-stores a maximal (2, b)-matching T between matched and unmatched
-vertices, and Phase II.B repeatedly applies augmenting paths of length
-up to five inside M | T | {current edge}. The candidate set U keeps
-being collected across all of Phase II, and the final answer is a
-maximum matching of M | H | U.
+beats23 is Bernstein's two-phase sparsifier with two stages added, each
+in one place:
+
+- H (Phase I) and U (all of Phase II) come from `run_sparsifier`, and
+  M_H is a maximum matching of H;
+- Phase II.A: `build_t` greedily stores a maximal (2, b)-matching T
+  between M_H-matched and unmatched vertices;
+- Phase II.B: `phase2b_step` repeatedly applies augmenting paths of
+  length up to five inside M | T | {current edge};
+- the answer is a maximum matching of M | H | U.
+
+The stages run one after another, each over its own slice of the
+stream, yet build the same sets as one interleaved pass would: U reads
+only the frozen H and each Phase II edge, T reads only M_H and the II.A
+arrivals, and II.B reads only T, M and its own arrivals, so no stage
+feeds a decision at an earlier stream position. The one visible
+difference from an interleaved pass is that `SafetyCapExceeded` is
+raised before II.B starts.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from .graph import (
     max_matching,
     union_graph,
 )
-from .sparsifier import AlgoParams, SafetyCapExceeded, default_u_cap, phase1_build_h
+from .sparsifier import AlgoParams, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
 
 
@@ -84,8 +96,6 @@ def build_t(
     is kept iff the matched endpoint has T-degree below 2 and the
     unmatched endpoint has T-degree below b at its arrival.
     """
-    if b < 2:
-        raise ValueError("b must be at least 2")
     matched = m_h.vertices()
     deg: dict[int, int] = {}
     chosen: list[Edge] = []
@@ -107,13 +117,6 @@ class AppliedPath(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _length_histogram(applied: Iterable[AppliedPath]) -> dict[int, int]:
-    """Number of applied paths of each length 1, 3 and 5."""
-    hist = {1: 0, 3: 0, 5: 0}
-    hist.update(Counter(p.length for p in applied))
-    return hist
-
-
 @dataclass
 class AugmentationState:
     """Matching under augmentation plus the log of applied paths.
@@ -127,9 +130,6 @@ class AugmentationState:
     matching: Matching
     applied: list[AppliedPath] = field(default_factory=list)
     settled_t: TwoBMatching | None = None
-
-    def path_length_histogram(self) -> dict[int, int]:
-        return _length_histogram(self.applied)
 
 
 def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
@@ -250,7 +250,10 @@ class TrialDiagnostics:
 
     @property
     def path_length_histogram(self) -> dict[int, int]:
-        return _length_histogram(self.applied)
+        """Number of applied paths of each length 1, 3 and 5."""
+        hist = {1: 0, 3: 0, 5: 0}
+        hist.update(Counter(p.length for p in self.applied))
+        return hist
 
 
 def beats23_match(
@@ -259,64 +262,38 @@ def beats23_match(
     rng,
     safety_cap: int | None = None,
 ) -> tuple[Matching, TrialDiagnostics]:
-    """Full pipeline: Phase I sparsifier, maximal (2, b)-matching over
-    Phase II.A, length-<=5 augmentation over Phase II.B with U collected
-    across all of Phase II, returning a maximum matching of M | H | U."""
+    """Bernstein's sparsifier plus T and II.B: H and U from
+    `run_sparsifier`, T from `build_t` over Phase II.A, length-<=5
+    augmentation over Phase II.B, returning a maximum matching of
+    M | H | U."""
     g = stream.graph
     m = len(stream)
     split = split_phases(m, params.eps, params.gamma, rng)
-
-    h = phase1_build_h(stream.slice(1, split.eps_cut), g.n, params, g.bipartition)
-    m_h = max_matching(h)
-    matched = m_h.vertices()
-    deg_h = h.degrees
-
-    cap = default_u_cap(g.n) if safety_cap is None else safety_cap
-    u_set: set[Edge] = set()
-    t_deg: dict[int, int] = {}
-    t_edges: list[Edge] = []
+    sp = run_sparsifier(stream, params, safety_cap)
+    m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    state = AugmentationState(matching=m_h.copy())
-    t: TwoBMatching | None = None
+    phase2a = stream.slice(split.eps_cut + 1, iia_end) if split.tau else ()
+    t = build_t(phase2a, m_h, params.b)
 
-    for pos in range(split.eps_cut + 1, m + 1):
-        e = stream.edge_at(pos)
-        a, b = e
-        if deg_h[a] + deg_h[b] < params.beta_minus:
-            u_set.add(e)
-            if len(u_set) > cap:
-                raise SafetyCapExceeded(f"|U| exceeded the safety cap of {cap}")
-        if pos <= iia_end:
-            a_in = a in matched
-            if a_in != (b in matched):
-                v, u = (a, b) if a_in else (b, a)
-                if t_deg.get(v, 0) < 2 and t_deg.get(u, 0) < params.b:
-                    t_edges.append(e)
-                    t_deg[v] = t_deg.get(v, 0) + 1
-                    t_deg[u] = t_deg.get(u, 0) + 1
-        else:
-            if t is None:
-                t = TwoBMatching(t_edges, matched, params.b)
-            phase2b_step(state, t, e, arrival=pos)
-    if t is None:
+    state = AugmentationState(matching=m_h.copy())
+    for pos in range(iia_end + 1, m + 1):
+        phase2b_step(state, t, stream.edge_at(pos), arrival=pos)
+    if iia_end == m:
         # tau covered all of Phase II: no arrival applied T's own paths
-        t = TwoBMatching(t_edges, matched, params.b)
         phase2b_step(state, t, None)
 
-    hu = union_graph(g.n, h.edges, u_set, bipartition=g.bipartition)
-    mu_hu = len(max_matching(hu))
     final_graph = union_graph(
-        g.n, state.matching.edges, h.edges, u_set, bipartition=g.bipartition
+        g.n, state.matching.edges, sp.h.edges, sp.u, bipartition=g.bipartition
     )
     final = max_matching(final_graph)
     diag = TrialDiagnostics(
         split=split,
-        h=h,
-        u=frozenset(u_set),
+        h=sp.h,
+        u=sp.u,
         t=t,
         m_h=m_h,
         m_aug=state.matching,
-        mu_hu=mu_hu,
+        mu_hu=len(sp.hu_matching()),
         applied=tuple(state.applied),
     )
     return final, diag

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analyzer import check_dichotomy, check_edcs, path_census
 from .augmenter import beats23_match, greedy_match
-from .graph import Graph, max_matching, read_edge_list, union_graph
+from .graph import Graph, max_matching, read_edge_list
 from .instances import gen_random
 from .sparsifier import AlgoParams, run_sparsifier
 from .stream import make_stream, phase1_cut
@@ -172,23 +172,20 @@ def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Trial
 
     if config.algo == "greedy":
         out = greedy_match(stream)
-    elif config.algo == "bernstein":
-        sp = run_sparsifier(stream, config.params)
-        out = max_matching(union_graph(g.n, sp.h.edges, sp.u, bipartition=g.bipartition))
-        m_h = max_matching(sp.h)
-        h_size, u_size, m_h_size = len(sp.h.edges), len(sp.u), len(m_h)
-        mu_hu = len(out)
-        if config.checks.any:
-            checks = _run_checks(config, g, stream, sp.h, sp.u, m_h, mu_g, mu_hu)
     else:
-        rng = np.random.default_rng(algo_seed)
-        out, diag = beats23_match(stream, config.params, rng)
-        h_size, u_size = len(diag.h.edges), len(diag.u)
-        t_size, m_h_size, m_size = len(diag.t), len(diag.m_h), len(diag.m_aug)
-        mu_hu = diag.mu_hu
-        path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
+        if config.algo == "bernstein":
+            sp = run_sparsifier(stream, config.params)
+            out = sp.hu_matching()
+            h, u_set, m_h, mu_hu = sp.h, sp.u, max_matching(sp.h), len(out)
+        else:
+            rng = np.random.default_rng(algo_seed)
+            out, diag = beats23_match(stream, config.params, rng)
+            h, u_set, m_h, mu_hu = diag.h, diag.u, diag.m_h, diag.mu_hu
+            t_size, m_size = len(diag.t), len(diag.m_aug)
+            path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
+        h_size, u_size, m_h_size = len(h.edges), len(u_set), len(m_h)
         if config.checks.any:
-            checks = _run_checks(config, g, stream, diag.h, diag.u, diag.m_h, mu_g, mu_hu)
+            checks = _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu)
 
     return TrialRecord(
         trial=index,

@@ -9,7 +9,6 @@ All tie-breaking is by lowest vertex index so results are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -280,17 +279,6 @@ class Path:
         return f"Path({list(self.vertices)})"
 
 
-@dataclass(frozen=True)
-class HallWitness:
-    """Vertex set A on one side of a bipartite graph together with its
-    neighborhood and the deficiency |A| - |N(A)|."""
-
-    side: str
-    vertex_set: frozenset[int]
-    neighborhood: frozenset[int]
-    deficiency: int
-
-
 # ---------------------------------------------------------------------------
 # exact maximum matching
 
@@ -500,51 +488,6 @@ def brute_force_matching_size(g: Graph) -> int:
     return best[size - 1]
 
 
-def hall_witness(g: Graph) -> HallWitness:
-    """Witness set A maximizing |A| - |N(A)| over either side of a
-    bipartite graph with equal side sizes.
-
-    The deficiency of the returned witness equals n_side - mu(g). Callers
-    with unequal sides must pad the smaller side with isolated vertices.
-    """
-    if g.bipartition is None:
-        raise NotBipartiteError("hall_witness needs a bipartition tag")
-    left, right = g.bipartition
-    if len(left) != len(right):
-        raise ValueError("sides must have equal size; pad the smaller side first")
-    matching = max_matching(g)
-
-    def witness(side: frozenset[int], name: str) -> HallWitness:
-        # alternating reachability from the side's unmatched vertices:
-        # non-matching edges leave the side, matching edges come back
-        in_side = [False] * g.n
-        for v in side:
-            in_side[v] = True
-        visited = [False] * g.n
-        queue = deque()
-        for v in sorted(side):
-            if not matching.is_matched(v):
-                visited[v] = True
-                queue.append(v)
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if visited[w]:
-                    continue
-                visited[w] = True
-                mate = matching.partner(w)
-                if mate is not None and not visited[mate]:
-                    visited[mate] = True
-                    queue.append(mate)
-        a = frozenset(v for v in side if visited[v])
-        nbrs = frozenset(v for v in range(g.n) if visited[v] and not in_side[v])
-        return HallWitness(name, a, nbrs, len(a) - len(nbrs))
-
-    wl = witness(left, "left")
-    wr = witness(right, "right")
-    return wl if wl.deficiency >= wr.deficiency else wr
-
-
 # ---------------------------------------------------------------------------
 # bounded-length augmenting paths
 
@@ -598,6 +541,10 @@ def find_augmenting_path(
     Search order is deterministic: path lengths 1, 3, 5 in turn, and
     within a length the lowest-index free vertex first, then ascending
     neighbor index. `allowed` must contain every matching edge.
+
+    With `apply_augmenting_path` this is the unanchored reference loop
+    that the tests compare `augmenter.phase2b_step` against; the pipeline
+    itself does not call it.
     """
     if max_len not in (1, 3, 5):
         raise ValueError("max_len must be 1, 3, or 5")
@@ -621,7 +568,8 @@ def find_augmenting_path(
 
 def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
     """Matching obtained by flipping the path's edges in and out of the
-    matching; the result is one edge larger and `matching` is unchanged."""
+    matching; the result is one edge larger and `matching` is unchanged.
+    Half of the reference loop with `find_augmenting_path`."""
     result = matching.copy()
     result.augment(path.vertices)
     return result

@@ -4,7 +4,6 @@ the parity-gadget adversarial family for hard-instance testing."""
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path as FilePath
@@ -109,14 +108,6 @@ def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> 
             if u in verts and v in verts and edge_key(u, v) not in edges:
                 return False
     return True
-
-
-def gadget_length(n_side: int, paper_exact: bool = False) -> int:
-    """Number of bits per gadget: 3 by default, or the asymptotic choice
-    2*ceil(log_{4/3}(n_side)) + 1 when paper_exact is set."""
-    if paper_exact:
-        return 2 * math.ceil(math.log(max(n_side, 2)) / math.log(4.0 / 3.0)) + 1
-    return 3
 
 
 @dataclass(frozen=True)

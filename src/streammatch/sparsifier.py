@@ -95,6 +95,11 @@ class Sparsifier:
     u: frozenset[Edge]
     eps_cut: int
 
+    def hu_matching(self) -> Matching:
+        """Maximum matching of H | U, the sparsifier's output."""
+        h = self.h
+        return max_matching(union_graph(h.n, h.edges, self.u, bipartition=h.bipartition))
+
 
 def phase1_build_h(
     prefix: Sequence[tuple[int, int]],
@@ -156,9 +161,12 @@ def phase2_collect_u(
     cap = default_u_cap(h.n) if safety_cap is None else safety_cap
     deg = h.degrees
     u_set: set[Edge] = set()
-    for a, b in suffix:
+    for e in suffix:
+        a, b = e
         if deg[a] + deg[b] < params.beta_minus:
-            u_set.add(edge_key(a, b))
+            # keep the arriving tuple when it is canonical, as stream edges
+            # are: a fresh tuple per U edge adds garbage-collector passes
+            u_set.add(e if a < b else (b, a))
             if len(u_set) > cap:
                 raise SafetyCapExceeded(f"|U| exceeded the safety cap of {cap}")
     return u_set
@@ -181,6 +189,4 @@ def bernstein_match(
     stream: EdgeStream, params: AlgoParams, safety_cap: int | None = None
 ) -> Matching:
     """Stream once, then return a maximum matching of H | U."""
-    sp = run_sparsifier(stream, params, safety_cap)
-    g = stream.graph
-    return max_matching(union_graph(g.n, sp.h.edges, sp.u, bipartition=g.bipartition))
+    return run_sparsifier(stream, params, safety_cap).hu_matching()

@@ -137,10 +137,3 @@ def split_phases(m: int, eps: float, gamma: float, rng) -> PhaseSplit:
     cut = phase1_cut(m, eps)
     tau = sample_binomial(m - cut, gamma, rng)
     return PhaseSplit(m, cut, tau)
-
-
-def phase_map(stream: EdgeStream, split: PhaseSplit) -> dict[Edge, Phase]:
-    """Phase of every edge of the stream, keyed by canonical edge."""
-    if split.m != len(stream):
-        raise ValueError("split does not belong to this stream")
-    return {stream.edge_at(pos): split.phase_of(pos) for pos in range(1, len(stream) + 1)}

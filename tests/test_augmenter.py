@@ -18,6 +18,7 @@ from streammatch import (
     max_matching,
     params_with_betas,
     phase2b_step,
+    run_sparsifier,
 )
 from util import random_bipartite, random_general
 
@@ -81,8 +82,10 @@ def test_two_b_matching_validates():
         TwoBMatching([(0, 1)], matched_side={0, 1}, b=2)
     with pytest.raises(ValueError):
         TwoBMatching([(0, 1), (0, 2), (0, 3)], matched_side={0}, b=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b must be at least 2"):
         TwoBMatching([], matched_side=set(), b=1)
+    with pytest.raises(ValueError, match="b must be at least 2"):
+        build_t([(0, 1), (1, 2)], Matching([(1, 3)]), b=1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_phase2b_histogram():
     state = AugmentationState(matching=Matching())
     t = build_t([], Matching(), b=2)
     state = phase2b_step(state, t, (0, 1))
-    assert state.path_length_histogram() == {1: 1, 3: 0, 5: 0}
+    assert [p.length for p in state.applied] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,27 @@ def test_beats23_general_graph():
     )
     assert len(out) >= diag.mu_hu
     assert len(out) <= len(max_matching(g))
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_beats23_stages_match_sparsifier_and_build_t(kind):
+    # beats23's H and U are the sparsifier's, and its T is build_t over
+    # the II.A slice, on every gamma including the empty II.A
+    rnd = random.Random(31)
+    for trial in range(12):
+        if kind == "bipartite":
+            g = random_bipartite(rnd, 15, 15, 0.3)
+        else:
+            g = random_general(rnd, 30, 0.15)
+        s = make_stream(g, 500 + trial)
+        params = params_with_betas(0.3, 4, 3, gamma=(1e-12, 0.5, 2 / 3)[trial % 3], b=3)
+        _, diag = beats23_match(s, params, np.random.default_rng(trial))
+        sp = run_sparsifier(s, params)
+        assert diag.h == sp.h
+        assert diag.u == sp.u
+        split = diag.split
+        iia = s.slice(split.eps_cut + 1, split.eps_cut + split.tau) if split.tau else ()
+        assert diag.t.edges == build_t(iia, diag.m_h, params.b).edges
 
 
 def test_beats23_boundary_pass_when_tau_covers_phase2():

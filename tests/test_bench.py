@@ -197,12 +197,13 @@ def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     _assert_one_line_error(capsys)
 
 
-def test_cli_safety_cap_exits_1_without_traceback(monkeypatch, capsys):
-    import streammatch.augmenter as augmenter
+@pytest.mark.parametrize("algo", ["bernstein", "beats23"])
+def test_cli_safety_cap_exits_1_without_traceback(algo, monkeypatch, capsys):
+    import streammatch.sparsifier as sparsifier
 
-    monkeypatch.setattr(augmenter, "default_u_cap", lambda n: 0)
+    monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 0)
     code = main([
-        "run", "--algo", "beats23", "--gen", "bipartite-gnp", "--n", "20", "--p", "0.3",
+        "run", "--algo", algo, "--gen", "bipartite-gnp", "--n", "20", "--p", "0.3",
         "--eps", "0.2", "--beta-plus", "10", "--beta-minus", "9", "--workers", "1",
     ])
     assert code == 1

@@ -38,8 +38,17 @@ GOLDEN = {
     ("gadget", "beats23"): "fe5fef1c214e99de6f5460f8d49e2f97e997f30e42ec75310f93f30585454b5b",
 }
 
+# gamma -> hash of beats23 on "gnp" at the two ends of the Phase II.A draw.
+# gamma = 1e-12 draws tau = 0, so II.A is empty and T has no edges;
+# gamma = 1 - 1e-12 puts all of Phase II into II.A, so no II.B arrival
+# runs and only the closing pass over M | T augments.
+BOUNDARY = {
+    1e-12: "cc4e5be88eb6097d5383ee791d35e2e1cf4e26c9fe2ab24bc61000278d50e2e2",
+    1.0 - 1e-12: "9dfe71600729b5e89da0c19281d47dcd6d7b4a6a41af4eeeca629c0f0c77d51f",
+}
 
-def _config(instance: str, algo: str, tmp_path) -> TrialConfig:
+
+def _config(instance: str, algo: str, tmp_path, gamma: float = 2.0 / 3.0) -> TrialConfig:
     if instance == "gnp":
         source = {"gen": GeneratorSpec("bipartite-gnp", 60, 0.1)}
         eps, beta_plus, beta_minus = 0.05, 12, 10
@@ -52,7 +61,7 @@ def _config(instance: str, algo: str, tmp_path) -> TrialConfig:
         eps, beta_plus, beta_minus = 0.45, 2, 1
     params = None
     if algo != "greedy":
-        params = params_with_betas(eps, beta_plus, beta_minus, 2.0 / 3.0, 500)
+        params = params_with_betas(eps, beta_plus, beta_minus, gamma, 500)
     return TrialConfig(algo=algo, params=params, trials=4, seed=3, checks=CHECKS, **source)
 
 
@@ -63,3 +72,14 @@ def test_golden_hash(instance, algo, tmp_path):
     if (instance, algo) == ("gnp", "beats23"):
         assert all(r.path_hist["3"] and r.path_hist["5"] for r in report.records)
     assert canonical_hash(report) == GOLDEN[instance, algo]
+
+
+@pytest.mark.parametrize("gamma", sorted(BOUNDARY))
+def test_golden_hash_beats23_boundary(gamma, tmp_path):
+    report = run_trials(_config("gnp", "beats23", tmp_path, gamma), max_workers=1)
+    assert report.all_checks_passed()
+    if gamma < 0.5:
+        assert all(r.t_size == 0 for r in report.records)
+    else:
+        assert all(sum(r.path_hist.values()) for r in report.records)
+    assert canonical_hash(report) == BOUNDARY[gamma]

@@ -6,17 +6,14 @@ import pytest
 
 from streammatch import (
     Graph,
-    HallWitness,
     Matching,
     NotAugmentingError,
-    NotBipartiteError,
     Path,
     apply_augmenting_path,
     brute_force_matching_size,
     build_hard_instance,
     edge_key,
     find_augmenting_path,
-    hall_witness,
     make_stream,
     matched_base,
     max_matching,
@@ -219,52 +216,6 @@ def test_blossom_containing_the_root():
     m = max_matching(g)
     assert len(m) == 3 == brute_force_matching_size(g)
     assert sorted(m.edges) == [(0, 5), (1, 3), (2, 4)]
-
-
-# ---------------------------------------------------------------------------
-# Hall witnesses
-
-
-def test_hall_witness_two_lefts_one_neighbor():
-    g = Graph(4, [(0, 2), (1, 2)], (range(2), range(2, 4)))
-    w = hall_witness(g)
-    assert isinstance(w, HallWitness)
-    assert w.vertex_set == frozenset({0, 1})
-    assert w.neighborhood == frozenset({2})
-    assert w.deficiency == 1 == 2 - len(max_matching(g))
-
-
-def test_hall_witness_perfect_matching():
-    g = Graph(6, [(0, 3), (1, 4), (2, 5)], (range(3), range(3, 6)))
-    w = hall_witness(g)
-    assert w.deficiency == 0
-    assert len(w.vertex_set) == len(w.neighborhood)
-
-
-def test_hall_witness_requires_bipartition():
-    with pytest.raises(NotBipartiteError):
-        hall_witness(Graph(3, [(0, 1)]))
-
-
-def test_hall_witness_requires_equal_sides():
-    g = Graph(3, [(0, 2), (1, 2)], (range(2), range(2, 3)))
-    with pytest.raises(ValueError):
-        hall_witness(g)
-
-
-def test_hall_witness_deficiency_matches_brute_force():
-    rnd = random.Random(77)
-    for _ in range(120):
-        n = rnd.randint(1, 8)
-        g = random_bipartite(rnd, n, n, rnd.choice([0.15, 0.3, 0.6]))
-        w = hall_witness(g)
-        mu = brute_force_matching_size(g)
-        assert w.deficiency == n - mu
-        # N(A) really is the neighborhood of A
-        nbrs = set()
-        for v in w.vertex_set:
-            nbrs.update(g.adj[v])
-        assert frozenset(nbrs) == w.neighborhood
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from streammatch import (
     NotInducedError,
     brute_force_matching_size,
     build_hard_instance,
-    gadget_length,
     gen_random,
     load_family,
     matched_base,
@@ -263,9 +262,3 @@ def test_load_family(tmp_path):
     with pytest.raises(NotInducedError):
         load_family(path)
 
-
-def test_gadget_length_default_and_asymptotic():
-    assert gadget_length(30) == 3
-    k = gadget_length(30, paper_exact=True)
-    assert k % 2 == 1 and k >= 3
-    assert gadget_length(1000, paper_exact=True) > k

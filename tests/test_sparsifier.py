@@ -137,7 +137,7 @@ def test_phase1_cap_invariant_random_runs():
 def test_phase2_empty_h_takes_all():
     params = params_with_betas(0.1, 4, 3)
     h = Graph(6)
-    suffix = [(0, 1), (2, 3), (4, 5)]
+    suffix = [(0, 1), (3, 2), (4, 5)]
     assert phase2_collect_u(suffix, h, params) == {(0, 1), (2, 3), (4, 5)}
 
 

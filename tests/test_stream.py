@@ -11,7 +11,6 @@ from streammatch import (
     PhaseSplit,
     make_stream,
     phase1_cut,
-    phase_map,
     sample_binomial,
     split_phases,
 )
@@ -159,8 +158,6 @@ def test_phase_split_partition():
     assert phases.count(Phase.I) == split.eps_cut == phase1_cut(len(s), 0.2)
     assert phases.count(Phase.IIA) == split.tau
     assert len(phases) == len(s)
-    mapping = phase_map(s, split)
-    assert len(mapping) == len(s)
 
 
 def test_phase_split_validates():
