@@ -48,7 +48,6 @@ from .graph import (
     max_matching,
     read_edge_list,
     symmetric_difference,
-    union_graph,
     write_edge_list,
 )
 from .instances import (

@@ -25,16 +25,16 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     Edge,
     Graph,
     Matching,
-    _augmenting_search,
+    _augmenting_paths,
+    _graph_of_canonical,
     edge_key,
     max_matching,
-    union_graph,
 )
 from .sparsifier import AlgoParams, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
@@ -132,6 +132,28 @@ class AugmentationState:
     settled_t: TwoBMatching | None = None
 
 
+def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
+    """Free vertices that the walk from `a` reaches: `a` itself if free,
+    else mate -> neighbour, then once more mate -> neighbour. An
+    augmenting path of length <= 5 with `a` at an even position from
+    one end leaves `a` by its matched edge (unless `a` is that end) and
+    reaches the end this way. The walk does not check that vertices are
+    distinct, so it may yield vertices that begin no such path, and it
+    may yield a vertex more than once."""
+    mate = partner_map.get(a)
+    if mate is None:
+        yield a
+        return
+    for y in nbrs(mate):
+        z = partner_map.get(y)
+        if z is None:
+            yield y
+            continue
+        for w in nbrs(z):
+            if w not in partner_map:
+                yield w
+
+
 def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
     """Ascending free vertices that begin an augmenting path of length
     <= 5 through `edge` (an empty tuple gives none).
@@ -140,25 +162,27 @@ def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
     end of the edge sits at an even position in either direction. From
     position 0 that end is u itself; from position 2 or 4 the walk back to
     u crosses a matched edge by `partner_map`, then an unmatched one by
-    `nbrs`, once or twice. The walk does not check that vertices are
-    distinct, so it may return vertices that begin no path; the search
-    discards those.
+    `nbrs`, once or twice (`_free_ends`). The search discards the
+    vertices that begin no path.
     """
     ends: set[int] = set()
     for a in edge:
-        mate = partner_map.get(a)
-        if mate is None:
-            ends.add(a)
-            continue
-        for y in nbrs(mate):
-            z = partner_map.get(y)
-            if z is None:
-                ends.add(y)
-                continue
-            for w in nbrs(z):
-                if w not in partner_map:
-                    ends.add(w)
+        ends.update(_free_ends(a, partner_map, nbrs))
     return sorted(ends)
+
+
+def _reaches_free(a: int, partner_map, t_nbrs) -> bool:
+    """Whether `a` is free or its walk over M | T reaches a free vertex.
+
+    An arrival e = (x, y) for which this fails at x or at y starts no
+    augmenting path in M | T | {e}: a path through e, which is unmatched,
+    continues from each of its ends along that end's matched edge unless
+    the end is the path's own free endpoint, and a simple path crosses e
+    only once, so both ends reach the path's endpoints by walks that use
+    M and T alone. So the filter has no false negatives. It depends only
+    on M and T, so it stays valid until a path is applied.
+    """
+    return next(_free_ends(a, partner_map, t_nbrs), None) is not None
 
 
 def phase2b_step(
@@ -172,7 +196,9 @@ def phase2b_step(
     Repeatedly finds and applies augmenting paths of length up to five in
     M | T | {e} (shortest first, lowest vertex index first) until none
     remains, then returns the updated state. The matching is flipped in
-    place.
+    place. A step that searches from every vertex of T resumes its search
+    after each applied path instead of restarting it (see
+    `graph._augmenting_paths`).
 
     The search is anchored at e when an earlier step over the same T has
     ended (`state.settled_t is t`). That step left no augmenting path of
@@ -210,10 +236,7 @@ def phase2b_step(
         starts = _path_ends_through(edge, partner_map, nbrs)
     else:
         starts = sorted(set(t.vertices).union(edge))
-    while True:
-        verts = _augmenting_search(partner_map, starts, nbrs, 5)
-        if verts is None:
-            break
+    for verts in _augmenting_paths(partner_map, starts, nbrs, 5):
         for u, v in zip(verts[::2], verts[1::2]):
             uv = edge_key(u, v)
             if uv != edge and uv not in t.edge_set:
@@ -276,16 +299,32 @@ def beats23_match(
     t = build_t(phase2a, m_h, params.b)
 
     state = AugmentationState(matching=m_h.copy())
-    for pos in range(iia_end + 1, m + 1):
-        phase2b_step(state, t, stream.edge_at(pos), arrival=pos)
+    partner_map = state.matching.partner_map
+    reach: dict[int, bool] = {}
+
+    def reaches(v: int) -> bool:
+        r = reach.get(v)
+        if r is None:
+            r = reach[v] = _reaches_free(v, partner_map, t.neighbors)
+        return r
+
+    phase2b = stream.slice(iia_end + 1, m) if iia_end < m else ()
+    for pos, e in enumerate(phase2b, iia_end + 1):
+        # once a step has settled T, arrivals that start no path are skipped
+        if state.settled_t is t and not (reaches(e[0]) and reaches(e[1])):
+            continue
+        applied = len(state.applied)
+        phase2b_step(state, t, e, arrival=pos)
+        if len(state.applied) != applied:
+            reach.clear()
     if iia_end == m:
         # tau covered all of Phase II: no arrival applied T's own paths
         phase2b_step(state, t, None)
 
-    final_graph = union_graph(
-        g.n, state.matching.edges, sp.h.edges, sp.u, bipartition=g.bipartition
-    )
-    final = max_matching(final_graph)
+    # M | H | U is H | U plus the at most |M| edges of M outside it
+    hu = sp.hu_graph
+    extra = sorted(state.matching.edges - hu.edge_set)
+    final = max_matching(_graph_of_canonical(g.n, extra, hu.bipartition, base=hu))
     diag = TrialDiagnostics(
         split=split,
         h=sp.h,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analyzer import check_dichotomy, check_edcs, path_census
 from .augmenter import beats23_match, greedy_match
-from .graph import Graph, max_matching, read_edge_list
+from .graph import Graph, _graph_of_canonical, max_matching, read_edge_list
 from .instances import gen_random
 from .sparsifier import AlgoParams, run_sparsifier
 from .stream import make_stream, phase1_cut
@@ -157,7 +157,8 @@ def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool
             )
             checks[f"dichotomy:{delta:g}"] = rep.holds
     if config.checks.census:
-        m_star = max_matching(Graph(g.n, suffix, g.bipartition))
+        # stream edges are g's own: canonical, distinct and in range
+        m_star = max_matching(_graph_of_canonical(g.n, suffix, g.bipartition))
         checks["census"] = path_census(m_star, m_h).short_path_bound_holds
     return checks
 

@@ -120,6 +120,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_gadgets(args) -> int:
+    if args.kmax < 3:
+        raise ValueError("gadget length k must be odd and at least 3")
     failures = 0
     for k in range(3, args.kmax + 1, 2):
         bad = 0

@@ -134,14 +134,44 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}{tag})"
 
 
-def union_graph(
+def _graph_of_canonical(
     n: int,
-    *edge_groups: Iterable[tuple[int, int]],
-    bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
+    edges: Iterable[Edge],
+    bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
+    base: Graph | None = None,
 ) -> Graph:
-    """Graph on the union of the given edge collections, deduplicated."""
-    merged = {(u, v) if u < v else (v, u) for group in edge_groups for u, v in group}
-    return Graph(n, sorted(merged), bipartition)
+    """Graph on edges known to be canonical, distinct, in range and, with
+    a bipartition, crossing it; the bipartition is a `Graph.bipartition`
+    pair. With `base`, the graph holds base's edges and then `edges`,
+    which must not be among them, and only the adjacency lists that gain
+    an edge are rebuilt. Nothing is validated, so use it only for edge
+    sets the package built itself, such as H | U or a stream slice.
+    Adjacency is sorted as in `Graph`, so every search gives the same
+    result on it."""
+    edges = tuple(edges)
+    add: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        add[a].append(b)
+        add[b].append(a)
+    if base is None:
+        for lst in add:
+            lst.sort()
+        adj = tuple(map(tuple, add))
+        edge_set = frozenset(edges)
+    else:
+        adj = tuple(
+            tuple(sorted((*old, *new))) if new else old for old, new in zip(base.adj, add)
+        )
+        edge_set = base.edge_set.union(edges)
+        edges = base.edges + edges
+    g = object.__new__(Graph)
+    g.n = n
+    g.edges = edges
+    g.adj = adj
+    g.edge_set = edge_set
+    g.degrees = tuple(map(len, adj))
+    g.bipartition = bipartition
+    return g
 
 
 class Matching:
@@ -217,6 +247,20 @@ class Matching:
 
     def vertices(self) -> frozenset[int]:
         return frozenset(self._partner)
+
+    @classmethod
+    def _from_mate(cls, mate: Sequence[int]) -> "Matching":
+        """Matching of a valid mate array (-1 = free), filled in one pass
+        and in the order that `add` over ascending v would use."""
+        m = cls()
+        partner = m._partner
+        edges = m._edges
+        for v, w in enumerate(mate):
+            if w > v:
+                partner[v] = w
+                partner[w] = v
+                edges.add((v, w))
+        return m
 
     def copy(self) -> "Matching":
         m = Matching()
@@ -294,11 +338,7 @@ def max_matching(g: Graph) -> Matching:
         mate = _hopcroft_karp(g.n, g.adj, sorted(g.bipartition[0]))
     else:
         mate = _blossom(g.n, g.adj)
-    m = Matching()
-    for v in range(g.n):
-        if mate[v] > v:
-            m.add(v, mate[v])
-    return m
+    return Matching._from_mate(mate)
 
 
 def _hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
@@ -492,44 +532,73 @@ def brute_force_matching_size(g: Graph) -> int:
 # bounded-length augmenting paths
 
 
-def _augmenting_search(partner_map, starts, nbrs, max_len: int) -> list[int] | None:
-    """Shortest-first search for an augmenting path of odd length <= max_len.
+def _path1(u, partner_map, nbrs) -> list[int] | None:
+    for v in nbrs(u):
+        if v not in partner_map:
+            return [u, v]
+    return None
+
+
+def _path3(u, partner_map, nbrs) -> list[int] | None:
+    for x1 in nbrs(u):
+        x2 = partner_map.get(x1)
+        if x2 is None:
+            continue
+        for w in nbrs(x2):
+            if w != u and w not in partner_map:
+                return [u, x1, x2, w]
+    return None
+
+
+def _path5(u, partner_map, nbrs) -> list[int] | None:
+    for x1 in nbrs(u):
+        x2 = partner_map.get(x1)
+        if x2 is None:
+            continue
+        for x3 in nbrs(x2):
+            if x3 == x1 or x3 == u or x3 not in partner_map:
+                continue
+            x4 = partner_map[x3]
+            for w in nbrs(x4):
+                if w != u and w not in partner_map:
+                    return [u, x1, x2, x3, x4, w]
+    return None
+
+
+def _augmenting_paths(partner_map, starts, nbrs, max_len: int) -> Iterator[list[int]]:
+    """Augmenting paths of odd length <= max_len, shortest first; within
+    a length, from the lowest free start first, then by ascending
+    neighbour index.
 
     `starts` is an ascending iterable of candidate endpoints, `nbrs(v)`
     yields the allowed-edge neighbors of v in ascending order, and
     `partner_map` is the matching's vertex -> mate table. Matched edges
     are traversed through the partner table only, so every odd-position
-    edge of a returned path comes from the allowed universe.
+    edge of a yielded path comes from the allowed universe.
+
+    The first yield is what a fresh search returns. A caller that flips
+    each yielded path in `partner_map` before resuming, with `starts`
+    holding every endpoint of an allowed edge, gets from each later yield
+    what a fresh search on the flipped matching would return, without
+    rescanning. The search resumes at the same length and the next start:
+    - No shorter path appears. The flipped path P is a shortest one, and
+      by the Hopcroft-Karp lemma, which holds in general graphs too, an
+      augmenting path Q of the new matching has |Q| >= |P| + |P & Q|.
+    - A new Q of the same length shares no edge with P, so it shares no
+      vertex either: every vertex of P is now matched along an edge of P,
+      and Q would have to use that edge. So Q augmented the old matching
+      as well, and a start before P's (P's own start is now matched) that
+      ends Q would have yielded it already.
     """
     starts = [u for u in starts if u not in partner_map]
-    if max_len >= 1:
+    for length, first_from in ((1, _path1), (3, _path3), (5, _path5)):
+        if length > max_len:
+            return
         for u in starts:
-            for v in nbrs(u):
-                if v not in partner_map:
-                    return [u, v]
-    if max_len >= 3:
-        for u in starts:
-            for x1 in nbrs(u):
-                if x1 not in partner_map:
-                    continue
-                x2 = partner_map[x1]
-                for w in nbrs(x2):
-                    if w != u and w not in partner_map:
-                        return [u, x1, x2, w]
-    if max_len >= 5:
-        for u in starts:
-            for x1 in nbrs(u):
-                if x1 not in partner_map:
-                    continue
-                x2 = partner_map[x1]
-                for x3 in nbrs(x2):
-                    if x3 == x1 or x3 == u or x3 not in partner_map:
-                        continue
-                    x4 = partner_map[x3]
-                    for w in nbrs(x4):
-                        if w != u and w not in partner_map:
-                            return [u, x1, x2, x3, x4, w]
-    return None
+            if u not in partner_map:
+                path = first_from(u, partner_map, nbrs)
+                if path is not None:
+                    yield path
 
 
 def find_augmenting_path(
@@ -558,8 +627,9 @@ def find_augmenting_path(
         adj.setdefault(v, []).append(u)
     for lst in adj.values():
         lst.sort()
-    verts = _augmenting_search(
-        matching.partner_map, sorted(adj), lambda v: adj.get(v, ()), max_len
+    verts = next(
+        _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()), max_len),
+        None,
     )
     if verts is None:
         return None

@@ -341,18 +341,42 @@ def save_hard_instance(instance: HardInstance, path) -> None:
     )
 
 
+def _int_pairs(items) -> list[tuple[int, int]]:
+    return [(int(u), int(v)) for u, v in items]
+
+
 def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
     """Load a base graph plus induced-matching family from JSON:
     {"n": ..., "left_size": ..., "edges": [[u, v], ...],
-     "matchings": [[[u, v], ...], ...]}."""
-    data = json.loads(FilePath(path).read_text(encoding="utf-8"))
-    n = int(data["n"])
-    left_size = int(data["left_size"])
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
-    base = Graph(n, edges, (range(left_size), range(left_size, n)))
-    matchings = [
-        frozenset(edge_key(int(u), int(v)) for u, v in m) for m in data["matchings"]
-    ]
+     "matchings": [[[u, v], ...], ...]}.
+
+    A file of another shape raises ValueError with one line that names
+    the file and the field at fault."""
+    try:
+        data = json.loads(FilePath(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path!r} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path!r} must hold a JSON object, not {type(data).__name__}")
+
+    def field(key, convert):
+        if key not in data:
+            raise ValueError(f"{path!r} has no field {key!r}")
+        try:
+            return convert(data[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{path!r} has a malformed field {key!r}") from None
+
+    n = field("n", int)
+    left_size = field("left_size", int)
+    edges = field("edges", _int_pairs)
+    matchings = field(
+        "matchings", lambda ms: [frozenset(edge_key(u, v) for u, v in _int_pairs(m)) for m in ms]
+    )
+    try:
+        base = Graph(n, edges, (range(left_size), range(left_size, n)))
+    except ValueError as exc:
+        raise ValueError(f"{path!r}: {exc}") from None
     if not verify_induced(base, matchings):
         raise NotInducedError(f"{path!r} does not hold a valid induced-matching family")
     return base, matchings

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, Matching, edge_key, max_matching, union_graph
+from .graph import Edge, Graph, Matching, _graph_of_canonical, edge_key, max_matching
 from .stream import EdgeStream, phase1_cut
 
 
@@ -95,10 +96,16 @@ class Sparsifier:
     u: frozenset[Edge]
     eps_cut: int
 
+    @cached_property
+    def hu_graph(self) -> Graph:
+        """H | U, built once. H holds prefix edges and U suffix edges, so
+        the two are disjoint and the union needs no dedupe."""
+        h = self.h
+        return _graph_of_canonical(h.n, h.edges + tuple(self.u), h.bipartition)
+
     def hu_matching(self) -> Matching:
         """Maximum matching of H | U, the sparsifier's output."""
-        h = self.h
-        return max_matching(union_graph(h.n, h.edges, self.u, bipartition=h.bipartition))
+        return max_matching(self.hu_graph)
 
 
 def phase1_build_h(

@@ -10,15 +10,18 @@ from streammatch import (
     TwoBMatching,
     apply_augmenting_path,
     beats23_match,
+    build_hard_instance,
     build_t,
     edge_key,
     find_augmenting_path,
     greedy_match,
     make_stream,
+    matched_base,
     max_matching,
     params_with_betas,
     phase2b_step,
     run_sparsifier,
+    trivial_family,
 )
 from util import random_bipartite, random_general
 
@@ -126,12 +129,14 @@ def test_phase2b_no_path_leaves_state_unchanged():
 
 def _reference_phase2b(m_h, t, arrivals):
     """Phase II.B by the definition: after each arrival e, apply the first
-    augmenting path of length <= 5 in M | T | {e} until none is left."""
+    augmenting path of length <= 5 in M | T | {e} until none is left. An
+    arrival e of None is a pass over M | T alone."""
     m = m_h.copy()
     applied = []
     for pos, e in arrivals:
+        arriving = set() if e is None else {edge_key(*e)}
         while True:
-            path = find_augmenting_path(m, t.edge_set | m.edges | {edge_key(*e)})
+            path = find_augmenting_path(m, t.edge_set | m.edges | arriving)
             if path is None:
                 break
             m = apply_augmenting_path(m, path)
@@ -336,6 +341,71 @@ def test_beats23_boundary_pass_when_tau_covers_phase2():
         assert len(out) >= len(diag.m_aug)
         boundary += len(diag.applied)
     assert boundary > 0
+
+
+def _beats23_cases(kind):
+    """(stream, params) pairs: seeded bipartite and general streams, parity
+    gadgets with tight caps (most II.B arrivals apply a path there), and
+    streams whose II.A covers Phase II (only the closing pass runs)."""
+    rnd = random.Random(kind)
+    if kind == "gadget":
+        params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
+        for seed in range(6):
+            base = matched_base(20)
+            inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(seed))
+            yield make_stream(inst.graph, seed), params
+        return
+    gamma = 1.0 - 1e-12 if kind == "closing" else 2.0 / 3.0
+    params = params_with_betas(0.1, 6, 5, gamma=gamma, b=3)
+    for seed in range(8):
+        if kind == "general":
+            g = random_general(rnd, 40, 0.15)
+        else:
+            g = random_bipartite(rnd, 20, 20, 0.2)
+        yield make_stream(g, seed), params
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "closing"])
+def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
+    # beats23 resumes its first step, skips arrivals by reach and builds
+    # M | H | U from H | U; the reference restarts every search, visits
+    # every arrival and builds M | H | U from scratch
+    import streammatch.augmenter as augmenter
+
+    steps = []
+
+    def counted_step(state, t, e, arrival=None):
+        steps.append(arrival)
+        return phase2b_step(state, t, e, arrival)
+
+    monkeypatch.setattr(augmenter, "phase2b_step", counted_step)
+    arrivals_total = hit_arrivals = stepped = 0
+    for trial, (s, params) in enumerate(_beats23_cases(kind)):
+        del steps[:]
+        out, diag = beats23_match(s, params, np.random.default_rng(trial))
+        split = diag.split
+        iia_end = split.eps_cut + split.tau
+        arrivals = [(pos, s.edge_at(pos)) for pos in range(iia_end + 1, split.m + 1)]
+        ref_m, ref_applied = _reference_phase2b(diag.m_h, diag.t, arrivals or [(None, None)])
+        assert [tuple(p) for p in diag.applied] == ref_applied, trial
+        assert diag.m_aug == ref_m, trial
+        g = s.graph
+        union = sorted(diag.h.edge_set | diag.u | ref_m.edges)
+        assert out == max_matching(Graph(g.n, union, g.bipartition)), trial
+        assert diag.mu_hu == len(max_matching(Graph(g.n, sorted(diag.h.edge_set | diag.u),
+                                                     g.bipartition)))
+        arrivals_total += len(arrivals)
+        hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
+        stepped += len(steps)
+        if kind == "closing":
+            assert not arrivals and steps == [None]
+        else:
+            # the first arrival is always stepped; later ones only past the filter
+            assert steps[0] == iia_end + 1 and len(steps) <= len(arrivals)
+    if kind == "gadget":
+        assert hit_arrivals >= arrivals_total / 2
+    elif kind != "closing":
+        assert hit_arrivals <= stepped < arrivals_total / 2
 
 
 def test_beats23_safety_cap_propagates():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -178,9 +179,10 @@ def test_cli_operational_error_exit_code(tmp_path, capsys):
 
 
 def _assert_one_line_error(capsys):
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("match-bench: error:") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("match-bench: error:") and captured.err.count("\n") == 1
+    return captured
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,3 +251,172 @@ def test_cli_structural_failure_exit_code(monkeypatch, capsys):
         "--trials", "1", "--checks", "edcs", "--workers", "1",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("content, field", [
+    ("[1, 2]", "JSON object"),
+    ('{"n": null, "left_size": 3, "edges": [[0, 3]], "matchings": [[[0, 3]]]}', "'n'"),
+    ('{"n": 6, "left_size": 3, "edges": [5], "matchings": [[[0, 3]]]}', "'edges'"),
+    ('{"n": 6, "edges": [[0, 3]], "matchings": [[[0, 3]]]}', "'left_size'"),
+])
+def test_cli_malformed_family_file_exits_1(tmp_path, capsys, content, field):
+    path = tmp_path / "family.json"
+    path.write_text(content)
+    assert main(["hard", "--base", str(path), "--trials", "1"]) == 1
+    err = _assert_one_line_error(capsys).err
+    assert str(path) in err and field in err
+
+
+@pytest.mark.parametrize("kmax", ["1", "-5", "2"])
+def test_cli_verify_gadgets_small_kmax_exits_1(capsys, kmax):
+    assert main(["verify-gadgets", "--kmax", kmax]) == 1
+    captured = _assert_one_line_error(capsys)
+    assert captured.out == ""
+    assert "k must be odd and at least 3" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed bad input: exit 1 or 2, never a traceback
+
+_RUN = ["run", "--algo", "beats23", "--gen", "bipartite-gnp", "--n", "12", "--p", "0.3",
+        "--eps", "0.2", "--beta-plus", "6", "--beta-minus", "5", "--b", "3",
+        "--trials", "1", "--workers", "1"]
+# values that each flag rejects, alone or (beta caps) against its partner
+_BAD_VALUES = {
+    "--algo": ["", "greed", "Bernstein"],
+    "--gen": ["gnp", "planted"],
+    "--n": ["-1", "0", "1", "x", "2.5"],
+    "--p": ["-0.1", "1.5", "nan", "x"],
+    "--eps": ["0", "0.5", "0.7", "-1", "nan", "x"],
+    "--beta-plus": ["0", "-3", "4", "x"],
+    "--beta-minus": ["7", "x"],
+    "--b": ["1", "0", "-2", "x"],
+    "--trials": ["0", "-1", "x"],
+    "--workers": ["0", "-1", "x"],
+    "--gamma": ["0", "1", "1.5", "nan"],
+    "--seed": ["-1", "x"],
+    "--checks": ["bogus", "edcs,,nope", "dichotomy:2", "dichotomy:x", "dichotomy:0"],
+    "--format": ["xml", ""],
+}
+_HARD = ["hard", "--trivial", "3", "--k", "3", "--trials", "2"]
+_HARD_BAD = {"--trivial": ["0", "-2", "x"], "--k": ["1", "2", "-3", "x"],
+             "--trials": ["0", "x"], "--seed": ["-1", "x"]}
+
+
+def _with_bad_value(rnd, argv, bad_values):
+    argv = list(argv)
+    flag = rnd.choice(sorted(bad_values))
+    value = rnd.choice(bad_values[flag])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+def _bad_argv(rnd):
+    kind = rnd.randrange(5)
+    if kind == 0:  # one value of a run made bad
+        return _with_bad_value(rnd, _RUN, _BAD_VALUES)
+    if kind == 1:  # one value of hard made bad
+        return _with_bad_value(rnd, _HARD, _HARD_BAD)
+    if kind == 2:  # a required flag missing, or the last flag without its value
+        argv = list(rnd.choice([_RUN, _HARD]))
+        if rnd.random() < 0.5:
+            return argv[:rnd.randrange(1, len(argv) - 1, 2) + 1]
+        i = argv.index(rnd.choice(["--algo", "--n", "--beta-plus", "--beta-minus"]
+                                  if argv[0] == "run" else ["--trivial"]))
+        return argv[:i] + argv[i + 2:]
+    if kind == 3:  # an unknown flag or subcommand
+        return rnd.choice([["runn"], [], ["run", "--bogus", "1"] + _RUN[1:],
+                           ["verify-gadgets", "--bits", "3"], ["hard", "--trivial", "3", "--base"]])
+    return ["verify-gadgets", "--kmax", rnd.choice(["1", "-5", "0", "x", ""])]
+
+
+def _bad_edge_list(rnd):
+    n, edges = 6, [(0, 3), (1, 4), (2, 5), (0, 4)]
+    header = f"{n} {len(edges)}"
+    lines = [f"{u} {v}" for u, v in edges]
+    kind = rnd.randrange(11)
+    if kind == 0:
+        header = rnd.choice(["6", "6 4 bipartite", "", "six 4", "6 4 tripartite 3"])
+    elif kind == 1:
+        header = f"{n} {len(edges) + rnd.randint(1, 3)}"  # too few edge lines
+    elif kind == 2:
+        lines.append(f"{rnd.randrange(3)} {rnd.randrange(3, 6)}")  # undeclared line
+    elif kind == 3:
+        lines[rnd.randrange(4)] = f"{rnd.randrange(6)} {rnd.randint(6, 99)}"
+    elif kind == 4:
+        lines[rnd.randrange(4)] = f"-{rnd.randint(1, 5)} 3"
+    elif kind == 5:
+        v = rnd.randrange(6)
+        lines[rnd.randrange(4)] = f"{v} {v}"
+    elif kind == 6:
+        lines[1] = lines[0] if rnd.random() < 0.5 else " ".join(reversed(lines[0].split()))
+    elif kind == 7:
+        lines[rnd.randrange(4)] = rnd.choice(["a b", "1", "1 2 3", "1.5 4"])
+    elif kind == 8:
+        header += rnd.choice([" bipartite 7", " bipartite -1", " bipartite 1"])
+    elif kind == 9:
+        return b"\xff\xfe\x00garbage"
+    else:
+        return b"0 0\n"  # a graph without edges
+    return ("\n".join([header] + lines) + "\n").encode()
+
+
+def _bad_family(rnd):
+    good = {"n": 6, "left_size": 3, "edges": [[0, 3], [1, 4], [2, 5]],
+            "matchings": [[[0, 3]], [[1, 4]], [[2, 5]]]}
+    kind = rnd.randrange(6)
+    if kind == 0:
+        return json.dumps(rnd.choice([[1, 2], "family", 7, None, []]))
+    if kind == 1:
+        data = dict(good)
+        del data[rnd.choice(sorted(good))]
+        return json.dumps(data)
+    if kind == 2:
+        data = dict(good)
+        data[rnd.choice(sorted(good))] = rnd.choice([None, "x", 5, [5], [[1, 2, 3]], {}])
+        if data == good:
+            data["n"] = None
+        return json.dumps(data)
+    if kind == 3:
+        return json.dumps(dict(good, left_size=rnd.choice([7, -1]), n=rnd.choice([6, -6])))
+    if kind == 4:
+        return json.dumps(dict(good, matchings=rnd.choice([[], [[[0, 3], [0, 4]]], [[[0, 5]]]])))
+    return json.dumps(good)[:-rnd.randint(1, 10)]  # cut short
+
+
+def _exit(argv, capsys):
+    """Exit code and standard error of `match-bench argv`; a SystemExit
+    message, which the interpreter would print on exit, joins the error."""
+    try:
+        code, message = main(argv), ""
+    except SystemExit as exc:  # argparse usage errors
+        code, message = (1, exc.code + "\n") if isinstance(exc.code, str) else (exc.code, "")
+    return code, capsys.readouterr().err + message
+
+
+def test_cli_fuzzed_bad_input_exits_1_or_2_without_traceback(tmp_path, capsys):
+    rnd = random.Random(20261018)
+    edges_path = tmp_path / "g.edges"
+    family_path = tmp_path / "family.json"
+    seen = set()
+    for case in range(120):
+        source = case % 3
+        if source == 0:
+            argv = _bad_argv(rnd)
+        elif source == 1:
+            edges_path.write_bytes(_bad_edge_list(rnd))
+            argv = ["run", "--algo", rnd.choice(["greedy", "bernstein", "beats23"]),
+                    "--instance", str(edges_path), "--eps", "0.2", "--workers", "1"]
+        else:
+            family_path.write_text(_bad_family(rnd))
+            argv = ["hard", "--base", str(family_path), "--trials", "1"]
+        code, err = _exit(argv, capsys)
+        assert code in (1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert err.splitlines()[-1].startswith("match-bench"), (argv, err)
+        seen.add((source, code))
+    assert seen == {(0, 1), (1, 1), (2, 1)}

@@ -22,9 +22,9 @@ from streammatch import (
     run_sparsifier,
     symmetric_difference,
     trivial_family,
-    union_graph,
     write_edge_list,
 )
+from streammatch.graph import _graph_of_canonical
 from util import exists_augmenting, random_bipartite, random_general, random_instance
 
 
@@ -70,15 +70,6 @@ def test_bipartition_must_cross():
     assert g.bipartition is not None
     flipped = Graph(4, [(2, 0), (3, 1)], (range(2), range(2, 4)))
     assert flipped == g and flipped.edges == g.edges and flipped.adj == g.adj
-
-
-@pytest.mark.parametrize("bipartition", [None, (range(3), range(3, 6))])
-def test_union_graph_equals_graph_of_sorted_canonical_union(bipartition):
-    groups = ([(4, 0), (1, 3)], {(0, 4), (5, 2)}, iter([(3, 1), (2, 5), (0, 3)]))
-    g = union_graph(6, *groups, bipartition=bipartition)
-    canonical = sorted({(0, 4), (1, 3), (2, 5), (0, 3)})
-    assert g == Graph(6, canonical, bipartition)
-    assert g.edges == tuple(canonical)
 
 
 def test_matching_rejects_shared_vertex():
@@ -171,7 +162,7 @@ def _golden_matching_graphs():
         sp = run_sparsifier(make_stream(g, seed), params)
         yield g
         yield sp.h
-        yield union_graph(g.n, sp.h.edges, sp.u)
+        yield Graph(g.n, sp.hu_graph.edges)  # untagged: the blossom oracle runs
 
 
 def test_max_matching_golden_edges():
@@ -179,6 +170,54 @@ def test_max_matching_golden_edges():
     for g in _golden_matching_graphs():
         digest.update(repr(sorted(max_matching(g).edges)).encode())
     assert digest.hexdigest() == GOLDEN_MATCHINGS
+
+
+def _assert_same_graph(got, want):
+    assert got.n == want.n
+    assert len(got.edges) == len(want.edges) and set(got.edges) == set(want.edges)
+    assert got.adj == want.adj
+    assert got.degrees == want.degrees
+    assert got.edge_set == want.edge_set
+    assert got.bipartition == want.bipartition
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_hu_graph_equals_validated_graph(kind):
+    # the unvalidated builder gives H | U, and H | U grown by edges outside
+    # it, exactly as Graph builds them from the sorted union
+    rnd = random.Random(kind)
+    params = params_with_betas(0.1, 8, 6, b=3)
+    for seed in range(6):
+        if kind == "bipartite":
+            g = random_bipartite(rnd, 25, 25, 0.2)
+        else:
+            g = random_general(rnd, 50, 0.12)
+        sp = run_sparsifier(make_stream(g, seed), params)
+        hu = sp.hu_graph
+        assert sp.hu_graph is hu
+        _assert_same_graph(hu, Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition))
+        outside = sorted(g.edge_set - hu.edge_set)
+        extra = sorted(rnd.sample(outside, min(len(outside), rnd.randint(0, 9))))
+        grown = _graph_of_canonical(g.n, extra, hu.bipartition, base=hu)
+        _assert_same_graph(grown, Graph(g.n, sorted(hu.edge_set | set(extra)), g.bipartition))
+        assert grown.edges[: len(hu.edges)] == hu.edges
+
+
+def test_matching_from_mate_array_equals_added_edges():
+    rnd = random.Random(8)
+    for _ in range(50):
+        g = random_general(rnd, rnd.randint(2, 30), 0.2)
+        m = max_matching(g)
+        mate = [-1] * g.n
+        for u, v in m.edges:
+            mate[u], mate[v] = v, u
+        expected = Matching()
+        for v in range(g.n):
+            if mate[v] > v:
+                expected.add(v, mate[v])
+        got = Matching._from_mate(mate)
+        assert got == expected
+        assert list(got.partner_map.items()) == list(expected.partner_map.items())
 
 
 def test_blossom_odd_cycle_with_tail():
