@@ -47,7 +47,6 @@ from .graph import (
     find_augmenting_path,
     max_matching,
     read_edge_list,
-    symmetric_difference,
     write_edge_list,
 )
 from .instances import (

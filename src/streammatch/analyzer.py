@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .graph import Edge, Graph, Matching, Path, edge_key, symmetric_difference
+from .graph import Edge, Graph, Matching, Path
 from .sparsifier import AlgoParams
 from .stream import Phase
 
@@ -153,41 +153,34 @@ class PathCensus:
 
 
 def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
-    """Decompose m_star ^ m_h into components and collect the augmenting
-    paths for m_h of length at most five.
+    """Collect the augmenting paths for m_h of length at most five in
+    m_star ^ m_h.
 
-    Components of a symmetric difference are paths or even cycles; a path
-    component augments m_h exactly when its end edges come from m_star,
-    which makes its length odd. Cycle components are never walked: no
-    vertex of a cycle has degree one.
+    Components of a symmetric difference are paths or even cycles. A path
+    component ends at the vertices that only one of the two matchings
+    covers, and is walked from its lower end by alternating the two
+    partner maps. It augments m_h exactly when its end edges come from
+    m_star, which makes its length odd. Cycles have no such end and are
+    never walked.
     """
-    diff = symmetric_difference(m_star, m_h)
-    star_edges = m_star.edges
-    visited = [False] * diff.n
+    star = m_star.partner_map
+    h = m_h.partner_map
+    diff = m_star.edges ^ m_h.edges
+    far_ends: set[int] = set()
     paths: list[Path] = []
-    for v in range(diff.n):
-        if visited[v] or len(diff.adj[v]) != 1:
+    for v in sorted(star.keys() ^ h.keys()):
+        if v in far_ends:
             continue
-        # walk the path component from its lowest-index endpoint
         seq = [v]
-        visited[v] = True
-        cur = v
-        while True:
-            nxt = None
-            for w in diff.adj[cur]:
-                if not visited[w]:
-                    nxt = w
-                    break
-            if nxt is None:
-                break
-            visited[nxt] = True
+        this, other = (star, h) if v in star else (h, star)
+        nxt = this.get(v)
+        while nxt is not None:
             seq.append(nxt)
-            cur = nxt
-        length = len(seq) - 1
-        if length % 2 == 1 and length <= 5:
-            first = edge_key(seq[0], seq[1])
-            if first in star_edges:
-                paths.append(Path(seq, diff.edge_set))
+            this, other = other, this
+            nxt = this.get(nxt)
+        far_ends.add(seq[-1])
+        if v in star and len(seq) % 2 == 0 and len(seq) <= 6:
+            paths.append(Path(seq, diff))
     return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
 
 

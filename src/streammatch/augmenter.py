@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import (
     Edge,
@@ -41,34 +41,16 @@ from .stream import EdgeStream, PhaseSplit, split_phases
 
 
 class TwoBMatching:
-    """Greedy maximal (2, b)-matching: degree <= 2 on the matched side,
-    degree <= b elsewhere, every edge with exactly one matched endpoint."""
+    """The (2, b)-matching T as `build_t` built it: its edges in admission
+    order, their set, and sorted adjacency."""
 
-    __slots__ = ("edges", "matched_side", "b", "edge_set", "_adj", "_vertices")
+    __slots__ = ("edges", "edge_set", "vertices", "_adj")
 
-    def __init__(self, edges: Iterable[tuple[int, int]], matched_side: Iterable[int], b: int):
-        if b < 2:
-            raise ValueError("b must be at least 2")
-        self.matched_side = frozenset(matched_side)
-        self.b = b
-        adj: dict[int, list[int]] = {}
-        norm: list[Edge] = []
-        for x, y in edges:
-            e = edge_key(x, y)
-            if (e[0] in self.matched_side) == (e[1] in self.matched_side):
-                raise ValueError(f"edge {e} must have exactly one matched endpoint")
-            norm.append(e)
-            adj.setdefault(e[0], []).append(e[1])
-            adj.setdefault(e[1], []).append(e[0])
-        for v, lst in adj.items():
-            lst.sort()
-            cap = 2 if v in self.matched_side else b
-            if len(lst) > cap:
-                raise ValueError(f"vertex {v} exceeds its degree cap {cap}")
-        self.edges: tuple[Edge, ...] = tuple(norm)
-        self.edge_set: frozenset[Edge] = frozenset(norm)
-        self._adj = {v: tuple(lst) for v, lst in adj.items()}
-        self._vertices = tuple(sorted(adj))
+    def __init__(self, edges: tuple[Edge, ...], adj: dict[int, list[int]]):
+        self.edges = edges
+        self.edge_set: frozenset[Edge] = frozenset(edges)
+        self.vertices: tuple[int, ...] = tuple(sorted(adj))
+        self._adj = {v: tuple(sorted(lst)) for v, lst in adj.items()}
 
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
@@ -76,39 +58,35 @@ class TwoBMatching:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj.get(v, ())
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __repr__(self) -> str:
-        return f"TwoBMatching(size={len(self.edges)}, b={self.b})"
 
 
 def build_t(
     phase2a: Sequence[tuple[int, int]], m_h: Matching, b: int
 ) -> TwoBMatching:
-    """Greedy pass over the Phase II.A arrivals.
+    """Greedy maximal (2, b)-matching over the Phase II.A arrivals: degree
+    <= 2 at M_H-matched vertices, degree <= b elsewhere.
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
     unmatched endpoint has T-degree below b at its arrival.
     """
-    matched = m_h.vertices()
-    deg: dict[int, int] = {}
+    if b < 2:
+        raise ValueError("b must be at least 2")
+    matched = m_h.partner_map
+    adj: dict[int, list[int]] = {}
     chosen: list[Edge] = []
     for x, y in phase2a:
         x_in = x in matched
         if x_in == (y in matched):
             continue
         v, u = (x, y) if x_in else (y, x)
-        if deg.get(v, 0) < 2 and deg.get(u, 0) < b:
+        if len(adj.get(v, ())) < 2 and len(adj.get(u, ())) < b:
             chosen.append(edge_key(x, y))
-            deg[v] = deg.get(v, 0) + 1
-            deg[u] = deg.get(u, 0) + 1
-    return TwoBMatching(chosen, matched, b)
+            adj.setdefault(v, []).append(u)
+            adj.setdefault(u, []).append(v)
+    return TwoBMatching(tuple(chosen), adj)
 
 
 class AppliedPath(NamedTuple):
@@ -295,7 +273,7 @@ def beats23_match(
     sp = run_sparsifier(stream, params, safety_cap)
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    phase2a = stream.slice(split.eps_cut + 1, iia_end) if split.tau else ()
+    phase2a = stream.slice(split.eps_cut + 1, iia_end)
     t = build_t(phase2a, m_h, params.b)
 
     state = AugmentationState(matching=m_h.copy())
@@ -308,7 +286,7 @@ def beats23_match(
             r = reach[v] = _reaches_free(v, partner_map, t.neighbors)
         return r
 
-    phase2b = stream.slice(iia_end + 1, m) if iia_end < m else ()
+    phase2b = stream.slice(iia_end + 1, m)
     for pos, e in enumerate(phase2b, iia_end + 1):
         # once a step has settled T, arrivals that start no path are skipped
         if state.settled_t is t and not (reaches(e[0]) and reaches(e[1])):

@@ -146,7 +146,7 @@ def load_instance(config: TrialConfig) -> Graph:
 def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     cut = phase1_cut(len(stream), config.params.eps)
-    suffix = stream.slice(cut + 1, len(stream)) if cut < len(stream) else ()
+    suffix = stream.slice(cut + 1, len(stream))
     if config.checks.edcs:
         checks["edcs"] = check_edcs(g, h, u_set, config.params, suffix).ok
     if config.checks.dichotomy_deltas:

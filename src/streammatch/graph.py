@@ -1,5 +1,5 @@
-"""Graph and matching primitives: exact maximum-matching oracles, Hall
-witnesses, and bounded-length augmenting-path search.
+"""Graph and matching primitives: exact maximum-matching oracles and
+bounded-length augmenting-path search.
 
 Vertices are dense integers 0..n-1. Edges are unordered pairs stored in
 canonical (min, max) form; self-loops and parallel edges are rejected.
@@ -66,7 +66,7 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        norm = [(u, v) if u < v else (v, u) for u, v in edges]
+        norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
         edge_set = frozenset(norm)
         if norm:
             # not zip(*norm): it allocates an iterator per edge, which makes
@@ -80,20 +80,7 @@ class Graph:
                 or any(map(eq, lows, highs))
             ):
                 raise _first_edge_error(n, edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in norm:
-            adj[a].append(b)
-            adj[b].append(a)
-        for lst in adj:
-            lst.sort()
-        self.n = n
-        self.edges: tuple[Edge, ...] = tuple(norm)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self.edge_set: frozenset[Edge] = edge_set
-        self.degrees: tuple[int, ...] = tuple(map(len, adj))
-        if bipartition is None:
-            self.bipartition = None
-        else:
+        if bipartition is not None:
             left = frozenset(bipartition[0])
             right = frozenset(bipartition[1])
             if left & right:
@@ -106,7 +93,8 @@ class Graph:
             for a, b in norm:
                 if side[a] == side[b]:
                     raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
-            self.bipartition = (left, right)
+            bipartition = (left, right)
+        _fill_graph(self, n, norm, edge_set, bipartition)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -145,10 +133,29 @@ def _graph_of_canonical(
     pair. With `base`, the graph holds base's edges and then `edges`,
     which must not be among them, and only the adjacency lists that gain
     an edge are rebuilt. Nothing is validated, so use it only for edge
-    sets the package built itself, such as H | U or a stream slice.
-    Adjacency is sorted as in `Graph`, so every search gives the same
-    result on it."""
+    sets the package built itself, such as H | U or a stream slice."""
     edges = tuple(edges)
+    g = object.__new__(Graph)
+    if base is None:
+        _fill_graph(g, n, edges, frozenset(edges), bipartition)
+    else:
+        _fill_graph(g, n, edges, base.edge_set.union(edges), bipartition, base)
+    return g
+
+
+def _fill_graph(
+    g: Graph,
+    n: int,
+    edges: tuple[Edge, ...],
+    edge_set: frozenset[Edge],
+    bipartition: tuple[frozenset[int], frozenset[int]] | None,
+    base: Graph | None = None,
+) -> None:
+    """Set every field of g: `edges` are checked canonical edges,
+    `edge_set` is the whole graph's edge set and `bipartition` is a
+    `Graph.bipartition` pair. Adjacency lists are sorted, so a search gives
+    the same result however the graph was built; with `base` (see
+    `_graph_of_canonical`) only the lists that gain an edge are re-sorted."""
     add: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         add[a].append(b)
@@ -157,21 +164,17 @@ def _graph_of_canonical(
         for lst in add:
             lst.sort()
         adj = tuple(map(tuple, add))
-        edge_set = frozenset(edges)
     else:
         adj = tuple(
             tuple(sorted((*old, *new))) if new else old for old, new in zip(base.adj, add)
         )
-        edge_set = base.edge_set.union(edges)
         edges = base.edges + edges
-    g = object.__new__(Graph)
     g.n = n
     g.edges = edges
     g.adj = adj
     g.edge_set = edge_set
     g.degrees = tuple(map(len, adj))
     g.bipartition = bipartition
-    return g
 
 
 class Matching:
@@ -193,14 +196,6 @@ class Matching:
         self._partner[u] = v
         self._partner[v] = u
         self._edges.add(edge_key(u, v))
-
-    def remove(self, u: int, v: int) -> None:
-        e = edge_key(u, v)
-        if e not in self._edges:
-            raise KeyError(e)
-        self._edges.discard(e)
-        del self._partner[u]
-        del self._partner[v]
 
     def augment(self, vertices: Sequence[int]) -> None:
         """Flip an augmenting path, given as its vertex sequence, in place:
@@ -643,18 +638,6 @@ def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
     result = matching.copy()
     result.augment(path.vertices)
     return result
-
-
-def symmetric_difference(m1: Matching, m2: Matching) -> Graph:
-    """Graph holding exactly the edges in one matching but not the other.
-
-    Every connected component is a path or an even cycle.
-    """
-    edges = m1.edges ^ m2.edges
-    n = 0
-    for u, v in edges:
-        n = max(n, u + 1, v + 1)
-    return Graph(n, sorted(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,6 @@ class HardInstance:
     def special_matching(self) -> frozenset[Edge]:
         return self.matchings[self.special_index]
 
-    def surviving_base_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e, z in self.z_bits if z == 1)
-
 
 def removed_special_bound(n_side: int, r: int, k: int) -> int:
     """Upper bound on mu(G \\ M_special): (N - r) * 2k + 2r * (k - 1)."""

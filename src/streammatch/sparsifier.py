@@ -187,7 +187,7 @@ def run_sparsifier(
     cut = phase1_cut(m, params.eps)
     g = stream.graph
     h = phase1_build_h(stream.slice(1, cut), g.n, params, g.bipartition)
-    suffix = stream.slice(cut + 1, m) if cut < m else ()
+    suffix = stream.slice(cut + 1, m)
     u_set = phase2_collect_u(suffix, h, params, safety_cap)
     return Sparsifier(h, frozenset(u_set), cut)
 

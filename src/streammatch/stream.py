@@ -53,8 +53,9 @@ class EdgeStream:
         return self._arrivals[pos - 1]
 
     def slice(self, a: int, b: int) -> tuple[Edge, ...]:
-        """Edges e_a..e_b in arrival order (1-indexed, inclusive)."""
-        if not (1 <= a <= b <= len(self.order)):
+        """Edges e_a..e_b in arrival order (1-indexed, inclusive); empty
+        for b = a - 1, so slice(m + 1, m) is the empty suffix."""
+        if not (1 <= a <= b + 1 <= len(self.order) + 1):
             raise IndexError(f"slice ({a}, {b}) out of range 1..{len(self.order)}")
         return self._arrivals[a - 1 : b]
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,15 +10,18 @@ from streammatch import (
     Matching,
     Phase,
     UnknownEdgeError,
+    build_hard_instance,
     check_dichotomy,
     check_edcs,
     classify_lucky,
     make_stream,
+    matched_base,
     max_matching,
     params_with_betas,
     path_census,
     run_sparsifier,
     sample_binomial,
+    trivial_family,
 )
 from util import random_bipartite, random_general
 
@@ -174,6 +178,50 @@ def test_census_structure_on_random_instances():
             assert not m_h.is_matched(p.vertices[-1])
             for i, e in enumerate(p.edges):
                 assert (e in m_h) == (i % 2 == 1)
+
+
+# SHA-256 of the census path vertex sequences, in census order, over
+# _golden_census_pairs(). It pins which paths the census reports, from
+# which end each is walked and in which order they come; re-record it
+# only for a change meant to alter that.
+GOLDEN_CENSUS = "d8ec39705951a9c0bb67549be6ccb400f3d2768e5607001a20036e14519cd2a5"
+
+
+def _golden_census_pairs():
+    """(M*, M_H) pairs: 200 seeded random graphs with a maximum matching
+    against a random maximal one, either way round, then parity-gadget
+    instances with the bench's census pair, M* of the Phase II suffix
+    and a maximum matching of H."""
+    rnd = random.Random(91)
+    for i in range(200):
+        n = rnd.randint(10, 60)
+        g = random_general(rnd, n, rnd.choice([2, 3, 4]) / n)
+        m_star = max_matching(g)
+        other = Matching()
+        for u, v in rnd.sample(g.edges, len(g.edges)):
+            if not other.is_matched(u) and not other.is_matched(v):
+                other.add(u, v)
+        yield (m_star, other) if i % 2 else (other, m_star)
+    params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
+    for side, seed in ((20, 0), (20, 1), (60, 2)):
+        base = matched_base(side)
+        inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(seed))
+        g = inst.graph
+        s = make_stream(g, seed)
+        sp = run_sparsifier(s, params)
+        suffix = Graph(g.n, s.slice(sp.eps_cut + 1, len(s)), g.bipartition)
+        yield max_matching(suffix), max_matching(sp.h)
+
+
+def test_census_golden_paths():
+    digest = hashlib.sha256()
+    lengths = set()
+    for m_star, m_h in _golden_census_pairs():
+        cen = path_census(m_star, m_h)
+        digest.update(repr([p.vertices for p in cen.paths]).encode())
+        lengths.update(len(p) for p in cen.paths)
+    assert lengths == {1, 3, 5}
+    assert digest.hexdigest() == GOLDEN_CENSUS
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from streammatch import (
     params_with_betas,
     read_edge_list,
     run_sparsifier,
-    symmetric_difference,
     trivial_family,
     write_edge_list,
 )
@@ -342,40 +341,6 @@ def test_apply_augmenting_rejects_broken_alternation():
     bad = Path([0, 1, 2], [(0, 1), (1, 2)])  # even length
     with pytest.raises(NotAugmentingError):
         apply_augmenting_path(m, bad)
-
-
-# ---------------------------------------------------------------------------
-# symmetric difference
-
-
-def test_symmetric_difference_identity():
-    m = Matching([(0, 1), (2, 3)])
-    assert symmetric_difference(m, m).edges == ()
-
-
-def test_symmetric_difference_path_and_cycle():
-    assert symmetric_difference(Matching([(0, 1)]), Matching([(1, 2)])).edges == (
-        (0, 1),
-        (1, 2),
-    )
-    four_cycle = symmetric_difference(
-        Matching([(0, 1), (2, 3)]), Matching([(1, 2), (0, 3)])
-    )
-    assert len(four_cycle.edges) == 4
-    assert all(d == 2 for d in four_cycle.degrees)
-
-
-def test_symmetric_difference_max_degree_two():
-    rnd = random.Random(9)
-    for _ in range(100):
-        g = random_instance(rnd, max_n=12)
-        m1 = max_matching(g)
-        m2 = Matching()
-        for u, v in g.edges:
-            if rnd.random() < 0.5 and not m2.is_matched(u) and not m2.is_matched(v):
-                m2.add(u, v)
-        diff = symmetric_difference(m1, m2)
-        assert all(d <= 2 for d in diff.degrees)
 
 
 # ---------------------------------------------------------------------------

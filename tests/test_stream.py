@@ -91,6 +91,8 @@ def test_slice_conventions():
     cut = phase1_cut(m, 0.3)
     assert s.slice(1, cut) == s.arrivals()[:cut]
     assert s.slice(3, 3) == (s.edge_at(3),)
+    assert s.slice(1, 0) == ()
+    assert s.slice(m + 1, m) == ()
     with pytest.raises(IndexError):
         s.slice(0, m)
     with pytest.raises(IndexError):
