@@ -15,7 +15,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Any
 
 import numpy as np
@@ -215,27 +214,50 @@ def resolve_workers(max_workers: int | None = None) -> int:
         return max_workers
     env = os.environ.get("MATCH_BENCH_THREADS")
     if env:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"MATCH_BENCH_THREADS must be an integer, got {env!r}") from None
         if workers < 1:
             raise ValueError(f"MATCH_BENCH_THREADS must be at least 1, got {env!r}")
         return workers
     return max(1, os.cpu_count() or 1)
 
 
+# (config, g, mu_g) of the run this pool worker serves; set once per
+# worker by the pool's initializer, never in the parent process.
+_worker_instance: tuple[TrialConfig, Graph, int] | None = None
+
+
+def _init_worker(config: TrialConfig, g: Graph, mu_g: int) -> None:
+    global _worker_instance
+    _worker_instance = (config, g, mu_g)
+
+
+def _run_trial_in_worker(index: int) -> TrialRecord:
+    return run_one_trial(*_worker_instance, index)
+
+
 def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialReport:
     """Execute all trials; the report is byte-identical for a fixed config
-    (wall-time fields excluded) no matter how many workers run."""
-    workers = resolve_workers(max_workers)
+    (wall-time fields excluded) no matter how many workers run.
+
+    A pool gets the instance once per worker, through its initializer,
+    and maps trial indices in chunks of about a quarter of a worker's
+    share; it never starts more workers than there are trials."""
+    workers = min(resolve_workers(max_workers), config.trials)
     g = load_instance(config)
     if not g.edges:
         raise ValueError("instance has no edges")
     mu_g = len(max_matching(g))
-    fn = partial(run_one_trial, config, g, mu_g)
-    if workers == 1 or config.trials == 1:
-        records = [fn(i) for i in range(config.trials)]
+    if workers == 1:
+        records = [run_one_trial(config, g, mu_g, i) for i in range(config.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(fn, range(config.trials)))
+        chunksize = -(-config.trials // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(config, g, mu_g)) as pool:
+            records = list(pool.map(_run_trial_in_worker, range(config.trials),
+                                    chunksize=chunksize))
     ratios = [r.ratio for r in records]
     mean = sum(ratios) / len(ratios)
     if len(ratios) > 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
         if args.command == "verify-gadgets":
             return _cmd_verify_gadgets(args)
         return _cmd_hard(args)
-    except (ValueError, OSError, KeyError, SafetyCapExceeded) as exc:
+    except (ValueError, OSError, KeyError, SafetyCapExceeded, BrokenExecutor) as exc:
         print(f"match-bench: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
+import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -94,6 +99,48 @@ def test_determinism_across_worker_counts():
     h1 = canonical_hash(run_trials(cfg, max_workers=1))
     h2 = canonical_hash(run_trials(cfg, max_workers=2))
     assert h1 == h2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records what a real pool would
+    be sent, then runs the initializer and the mapped calls in this
+    process."""
+
+    def __init__(self, made, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.initializer, self.initargs = initializer, initargs
+        made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.fn, self.items = fn, list(iterable)
+        self.initializer(*self.initargs)
+        return map(fn, self.items)
+
+
+@pytest.mark.parametrize("max_workers, trials, pool_workers", [(2, 10, 2), (8, 3, 3), (8, 1, None)])
+def test_pool_ships_instance_once_and_maps_indices(max_workers, trials, pool_workers, monkeypatch):
+    import streammatch.bench as bench
+
+    pools = []
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", partial(_RecordingPool, pools))
+    monkeypatch.setattr(bench, "_worker_instance", None)
+    cfg = _config(trials=trials, checks=CheckConfig(edcs=True))
+    report = run_trials(cfg, max_workers=max_workers)
+    if pool_workers is None:  # one trial runs in this process, no pool
+        assert pools == []
+    else:
+        (pool,) = pools
+        assert pool.max_workers == pool_workers
+        assert len(pickle.dumps(pool.fn)) < 1024  # by reference, not with the graph
+        assert all(type(i) is int for i in pool.items)
+        assert pool.items == list(range(trials))
+    assert canonical_hash(report) == canonical_hash(run_trials(cfg, max_workers=1))
 
 
 def test_bernstein_records_have_sparsifier_sizes():
@@ -212,6 +259,43 @@ def test_cli_safety_cap_exits_1_without_traceback(algo, monkeypatch, capsys):
     _assert_one_line_error(capsys)
 
 
+def _forked_pool(monkeypatch):
+    # forked workers inherit this process's monkeypatches
+    import streammatch.bench as bench
+
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+
+
+def test_cli_safety_cap_in_pool_worker_exits_1(monkeypatch, capsys):
+    import streammatch.sparsifier as sparsifier
+
+    _forked_pool(monkeypatch)
+    monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 0)
+    code = main([
+        "run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "20", "--p", "0.3",
+        "--eps", "0.2", "--beta-plus", "10", "--beta-minus", "9",
+        "--workers", "2", "--trials", "2",
+    ])
+    assert code == 1
+    assert "safety cap" in _assert_one_line_error(capsys).err
+
+
+def _die(*args):
+    os._exit(3)
+
+
+def test_cli_broken_pool_exits_1(monkeypatch, capsys):
+    import streammatch.bench as bench
+
+    _forked_pool(monkeypatch)
+    monkeypatch.setattr(bench, "_init_worker", _die)
+    code = main(["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+                 "--workers", "2", "--trials", "4"])
+    assert code == 1
+    _assert_one_line_error(capsys)
+
+
 def test_cli_extra_edge_lines_exit_1(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("4 2\n0 1\n2 3\n1 2\n")
@@ -234,6 +318,13 @@ def test_cli_zero_worker_env_exits_1(monkeypatch, capsys):
     argv = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3"]
     assert main(argv) == 1
     _assert_one_line_error(capsys)
+
+
+def test_cli_non_integer_worker_env_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("MATCH_BENCH_THREADS", "x")
+    argv = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3"]
+    assert main(argv) == 1
+    assert "MATCH_BENCH_THREADS" in _assert_one_line_error(capsys).err
 
 
 def test_cli_structural_failure_exit_code(monkeypatch, capsys):

@@ -5,6 +5,8 @@ these hashes. Re-record one only for a change that is meant to alter
 outputs, and say so where the change is described.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,23 @@ def test_golden_hash(instance, algo, tmp_path):
     if (instance, algo) == ("gnp", "beats23"):
         assert all(r.path_hist["3"] and r.path_hist["5"] for r in report.records)
     assert canonical_hash(report) == GOLDEN[instance, algo]
+
+
+def _records(report):
+    return [dataclasses.replace(r, wall_time=0.0) for r in report.records]
+
+
+@pytest.mark.parametrize("instance, algo", sorted(GOLDEN))
+def test_golden_hash_pooled(instance, algo, tmp_path):
+    config = _config(instance, algo, tmp_path)
+    report = run_trials(config, max_workers=2)
+    assert canonical_hash(report) == GOLDEN[instance, algo]
+    # 9 trials on 2 workers go out in chunks of 2, so the last chunk is
+    # short; each record still lands where the serial run puts it
+    longer = dataclasses.replace(config, trials=9)
+    pooled = run_trials(longer, max_workers=2)
+    assert _records(pooled)[:4] == _records(report)
+    assert canonical_hash(pooled) == canonical_hash(run_trials(longer, max_workers=1))
 
 
 @pytest.mark.parametrize("gamma", sorted(BOUNDARY))
