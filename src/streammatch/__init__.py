@@ -14,13 +14,11 @@ from .analyzer import (
 )
 from .augmenter import (
     AppliedPath,
-    AugmentationState,
     TrialDiagnostics,
-    TwoBMatching,
     beats23_match,
     build_t,
     greedy_match,
-    phase2b_step,
+    phase2b,
 )
 from .bench import (
     Aggregate,

@@ -7,8 +7,8 @@ in one place:
   M_H is a maximum matching of H;
 - Phase II.A: `build_t` greedily stores a maximal (2, b)-matching T
   between M_H-matched and unmatched vertices;
-- Phase II.B: `phase2b_step` repeatedly applies augmenting paths of
-  length up to five inside M | T | {current edge};
+- Phase II.B: `phase2b` applies augmenting paths of length up to five
+  inside M | T | {current edge} after each arrival;
 - the answer is a maximum matching of M | H | U.
 
 The stages run one after another, each over its own slice of the
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     Edge,
@@ -40,33 +40,12 @@ from .sparsifier import AlgoParams, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
 
 
-class TwoBMatching:
-    """The (2, b)-matching T as `build_t` built it: its edges in admission
-    order, their set, and sorted adjacency."""
-
-    __slots__ = ("edges", "edge_set", "vertices", "_adj")
-
-    def __init__(self, edges: tuple[Edge, ...], adj: dict[int, list[int]]):
-        self.edges = edges
-        self.edge_set: frozenset[Edge] = frozenset(edges)
-        self.vertices: tuple[int, ...] = tuple(sorted(adj))
-        self._adj = {v: tuple(sorted(lst)) for v, lst in adj.items()}
-
-    def degree(self, v: int) -> int:
-        return len(self._adj.get(v, ()))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj.get(v, ())
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 def build_t(
-    phase2a: Sequence[tuple[int, int]], m_h: Matching, b: int
-) -> TwoBMatching:
-    """Greedy maximal (2, b)-matching over the Phase II.A arrivals: degree
-    <= 2 at M_H-matched vertices, degree <= b elsewhere.
+    phase2a: Sequence[tuple[int, int]], m_h: Matching, b: int, n: int
+) -> Graph:
+    """Greedy maximal (2, b)-matching over the Phase II.A arrivals of a
+    graph on n vertices: degree <= 2 at M_H-matched vertices, degree <= b
+    elsewhere. Its edges are in admission order.
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
@@ -75,39 +54,24 @@ def build_t(
     if b < 2:
         raise ValueError("b must be at least 2")
     matched = m_h.partner_map
-    adj: dict[int, list[int]] = {}
+    deg = [0] * n
     chosen: list[Edge] = []
     for x, y in phase2a:
         x_in = x in matched
         if x_in == (y in matched):
             continue
         v, u = (x, y) if x_in else (y, x)
-        if len(adj.get(v, ())) < 2 and len(adj.get(u, ())) < b:
+        if deg[v] < 2 and deg[u] < b:
             chosen.append(edge_key(x, y))
-            adj.setdefault(v, []).append(u)
-            adj.setdefault(u, []).append(v)
-    return TwoBMatching(tuple(chosen), adj)
+            deg[v] += 1
+            deg[u] += 1
+    return _graph_of_canonical(n, chosen)
 
 
 class AppliedPath(NamedTuple):
     arrival: int | None
     length: int
     vertices: tuple[int, ...]
-
-
-@dataclass
-class AugmentationState:
-    """Matching under augmentation plus the log of applied paths.
-
-    `settled_t` is the (2, b)-matching T for which M | T is known to hold
-    no augmenting path of length <= 5: phase2b_step sets it when a step
-    ends, and it stays None until then. Replacing `matching` from outside
-    must reset it.
-    """
-
-    matching: Matching
-    applied: list[AppliedPath] = field(default_factory=list)
-    settled_t: TwoBMatching | None = None
 
 
 def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
@@ -134,7 +98,7 @@ def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
 
 def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
     """Ascending free vertices that begin an augmenting path of length
-    <= 5 through `edge` (an empty tuple gives none).
+    <= 5 through `edge`.
 
     On a path u x1 x2 x3 x4 w the interior vertices are matched, and one
     end of the edge sits at an even position in either direction. From
@@ -149,82 +113,89 @@ def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
     return sorted(ends)
 
 
-def _reaches_free(a: int, partner_map, t_nbrs) -> bool:
-    """Whether `a` is free or its walk over M | T reaches a free vertex.
+def phase2b(
+    m_h: Matching, t: Graph, arrivals: Iterable[tuple[int, Edge]]
+) -> tuple[Matching, tuple[AppliedPath, ...]]:
+    """Phase II.B over its (position, edge) arrivals: after each arrival
+    e, apply augmenting paths of length up to five in M | T | {e}
+    (shortest first, lowest vertex index first) until none remains.
+    Returns the augmented copy of m_h and the applied paths in order.
+    With no arrivals it makes one pass over M | T alone.
 
-    An arrival e = (x, y) for which this fails at x or at y starts no
-    augmenting path in M | T | {e}: a path through e, which is unmatched,
-    continues from each of its ends along that end's matched edge unless
-    the end is the path's own free endpoint, and a simple path crosses e
-    only once, so both ends reach the path's endpoints by walks that use
-    M and T alone. So the filter has no false negatives. It depends only
-    on M and T, so it stays valid until a path is applied.
+    The first step searches from every vertex of T and applies T's own
+    Phase II.A paths too; it resumes its search after each applied path
+    instead of restarting it (see `graph._augmenting_paths`). It leaves
+    no augmenting path of length <= 5 in M | T | {e_1}, so from then on
+    M | T holds none and every path in M | T | {e} uses e:
+    - An arrival is skipped unless both of its ends are free or walk over
+      M | T to a free vertex (`_free_ends`). A path through e, which is
+      unmatched, leaves each end of e along that end's matched edge unless
+      the end is the path's own free endpoint, and crosses e only once, so
+      both ends reach the path's endpoints by walks in M | T. The answers
+      depend only on M and T, so they are kept until a path is applied.
+    - Only free vertices that begin a path through e are tried, in the
+      full search's order, so the same path is found. At most one is
+      applied: were Q another after P, P ^ Q would hold two disjoint
+      augmenting paths for the old matching, and the one without e would
+      lie in M | T and have length <= |Q| <= 5, since a path through e is
+      no shorter than P.
+
+    Raises ValueError if a path uses an edge outside T | {e} | M.
     """
-    return next(_free_ends(a, partner_map, t_nbrs), None) is not None
+    m = m_h.copy()
+    partner_map = m.partner_map
+    t_adj = t.adj
+    applied: list[AppliedPath] = []
+    ea = eb = -1  # ends of the current arrival; -1 when there is none
 
+    def nbrs(v: int):
+        base = t_adj[v]
+        if v == ea:
+            merged = list(base)
+            bisect.insort(merged, eb)
+            return merged
+        if v == eb:
+            merged = list(base)
+            bisect.insort(merged, ea)
+            return merged
+        return base
 
-def phase2b_step(
-    state: AugmentationState,
-    t: TwoBMatching,
-    e: tuple[int, int] | None,
-    arrival: int | None = None,
-) -> AugmentationState:
-    """Process one Phase II.B arrival e, or with e None a pass over M | T.
-
-    Repeatedly finds and applies augmenting paths of length up to five in
-    M | T | {e} (shortest first, lowest vertex index first) until none
-    remains, then returns the updated state. The matching is flipped in
-    place. A step that searches from every vertex of T resumes its search
-    after each applied path instead of restarting it (see
-    `graph._augmenting_paths`).
-
-    The search is anchored at e when an earlier step over the same T has
-    ended (`state.settled_t is t`). That step left no augmenting path of
-    length <= 5 in M | T | {e_prev}, so M | T holds none either and every
-    path in M | T | {e} uses e. Only free vertices that begin a path
-    through e are tried, in the full search's order, so the same path is
-    found. At most one is applied: were Q another after P, P ^ Q would
-    hold two disjoint augmenting paths for the old matching, and the one
-    without e would lie in M | T and have length <= |Q| <= 5, since a path
-    through e is no shorter than P. The first step over a T (it applies
-    T's own Phase II.A paths) and steps on a fresh state search from every
-    vertex of T.
-    """
-    if e is None:
-        edge = ()
-        nbrs = t.neighbors
-    else:
-        edge = ea, eb = edge_key(*e)
-
-        def nbrs(v: int):
-            base = t.neighbors(v)
-            if v == ea:
-                merged = list(base)
-                bisect.insort(merged, eb)
-                return merged
-            if v == eb:
-                merged = list(base)
-                bisect.insort(merged, ea)
-                return merged
-            return base
-
-    partner_map = state.matching.partner_map
-    anchored = state.settled_t is t
-    if anchored:
-        starts = _path_ends_through(edge, partner_map, nbrs)
-    else:
-        starts = sorted(set(t.vertices).union(edge))
-    for verts in _augmenting_paths(partner_map, starts, nbrs, 5):
+    def apply(verts: list[int], edge: tuple, pos: int | None) -> None:
         for u, v in zip(verts[::2], verts[1::2]):
             uv = edge_key(u, v)
             if uv != edge and uv not in t.edge_set:
                 raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
-        state.matching.augment(verts)
-        state.applied.append(AppliedPath(arrival, len(verts) - 1, tuple(verts)))
-        if anchored:
-            break
-    state.settled_t = t
-    return state
+        m.augment(verts)
+        applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))
+
+    arrivals = iter(arrivals)
+    pos, e = next(arrivals, (None, None))
+    edge = ()
+    if e is not None:
+        edge = ea, eb = edge_key(*e)
+    starts = sorted({v for v, d in enumerate(t.degrees) if d}.union(edge))
+    for verts in _augmenting_paths(partner_map, starts, nbrs, 5):
+        apply(verts, edge, pos)
+
+    reach: dict[int, bool] = {}
+    t_nbrs = t_adj.__getitem__
+
+    def reaches(v: int) -> bool:
+        r = reach.get(v)
+        if r is None:
+            r = reach[v] = next(_free_ends(v, partner_map, t_nbrs), None) is not None
+        return r
+
+    for pos, (x, y) in arrivals:
+        if not (reaches(x) and reaches(y)):
+            continue
+        edge = ea, eb = edge_key(x, y)
+        starts = _path_ends_through(edge, partner_map, nbrs)
+        verts = next(_augmenting_paths(partner_map, starts, nbrs, 5), None)
+        if verts is not None:
+            apply(verts, edge, pos)
+            reach.clear()
+    return m, tuple(applied)
 
 
 def greedy_match(stream: EdgeStream) -> Matching:
@@ -243,7 +214,7 @@ class TrialDiagnostics:
     split: PhaseSplit
     h: Graph
     u: frozenset[Edge]
-    t: TwoBMatching
+    t: Graph
     m_h: Matching
     m_aug: Matching
     mu_hu: int
@@ -258,50 +229,23 @@ class TrialDiagnostics:
 
 
 def beats23_match(
-    stream: EdgeStream,
-    params: AlgoParams,
-    rng,
-    safety_cap: int | None = None,
+    stream: EdgeStream, params: AlgoParams, rng
 ) -> tuple[Matching, TrialDiagnostics]:
     """Bernstein's sparsifier plus T and II.B: H and U from
-    `run_sparsifier`, T from `build_t` over Phase II.A, length-<=5
-    augmentation over Phase II.B, returning a maximum matching of
-    M | H | U."""
+    `run_sparsifier`, T from `build_t` over Phase II.A, `phase2b` over
+    Phase II.B, returning a maximum matching of M | H | U."""
     g = stream.graph
     m = len(stream)
     split = split_phases(m, params.eps, params.gamma, rng)
-    sp = run_sparsifier(stream, params, safety_cap)
+    sp = run_sparsifier(stream, params)
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    phase2a = stream.slice(split.eps_cut + 1, iia_end)
-    t = build_t(phase2a, m_h, params.b)
-
-    state = AugmentationState(matching=m_h.copy())
-    partner_map = state.matching.partner_map
-    reach: dict[int, bool] = {}
-
-    def reaches(v: int) -> bool:
-        r = reach.get(v)
-        if r is None:
-            r = reach[v] = _reaches_free(v, partner_map, t.neighbors)
-        return r
-
-    phase2b = stream.slice(iia_end + 1, m)
-    for pos, e in enumerate(phase2b, iia_end + 1):
-        # once a step has settled T, arrivals that start no path are skipped
-        if state.settled_t is t and not (reaches(e[0]) and reaches(e[1])):
-            continue
-        applied = len(state.applied)
-        phase2b_step(state, t, e, arrival=pos)
-        if len(state.applied) != applied:
-            reach.clear()
-    if iia_end == m:
-        # tau covered all of Phase II: no arrival applied T's own paths
-        phase2b_step(state, t, None)
+    t = build_t(stream.slice(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
+    m_aug, applied = phase2b(m_h, t, enumerate(stream.slice(iia_end + 1, m), iia_end + 1))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it
     hu = sp.hu_graph
-    extra = sorted(state.matching.edges - hu.edge_set)
+    extra = sorted(m_aug.edges - hu.edge_set)
     final = max_matching(_graph_of_canonical(g.n, extra, hu.bipartition, base=hu))
     diag = TrialDiagnostics(
         split=split,
@@ -309,8 +253,8 @@ def beats23_match(
         u=sp.u,
         t=t,
         m_h=m_h,
-        m_aug=state.matching,
+        m_aug=m_aug,
         mu_hu=len(sp.hu_matching()),
-        applied=tuple(state.applied),
+        applied=applied,
     )
     return final, diag

@@ -181,7 +181,7 @@ def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Trial
             rng = np.random.default_rng(algo_seed)
             out, diag = beats23_match(stream, config.params, rng)
             h, u_set, m_h, mu_hu = diag.h, diag.u, diag.m_h, diag.mu_hu
-            t_size, m_size = len(diag.t), len(diag.m_aug)
+            t_size, m_size = len(diag.t.edges), len(diag.m_aug)
             path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
         h_size, u_size, m_h_size = len(h.edges), len(u_set), len(m_h)
         if config.checks.any:

@@ -96,14 +96,8 @@ class Graph:
             bipartition = (left, right)
         _fill_graph(self, n, norm, edge_set, bipartition)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_set
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -239,9 +233,6 @@ class Matching:
     @property
     def edges(self) -> frozenset[Edge]:
         return frozenset(self._edges)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._partner)
 
     @classmethod
     def _from_mate(cls, mate: Sequence[int]) -> "Matching":
@@ -607,7 +598,7 @@ def find_augmenting_path(
     neighbor index. `allowed` must contain every matching edge.
 
     With `apply_augmenting_path` this is the unanchored reference loop
-    that the tests compare `augmenter.phase2b_step` against; the pipeline
+    that the tests compare `augmenter.phase2b` against; the pipeline
     itself does not call it.
     """
     if max_len not in (1, 3, 5):

@@ -18,7 +18,7 @@ from .stream import EdgeStream, phase1_cut
 
 
 class SafetyCapExceeded(RuntimeError):
-    """The candidate set U outgrew its configured safety cap."""
+    """The candidate set U outgrew its safety cap, `default_u_cap`."""
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,10 @@ def phase2_collect_u(
     suffix: Iterable[tuple[int, int]],
     h: Graph,
     params: AlgoParams,
-    safety_cap: int | None = None,
 ) -> set[Edge]:
     """Single scan over the suffix: keep exactly the edges whose edge-degree
     in the frozen H is below beta_minus."""
-    cap = default_u_cap(h.n) if safety_cap is None else safety_cap
+    cap = default_u_cap(h.n)
     deg = h.degrees
     u_set: set[Edge] = set()
     for e in suffix:
@@ -179,21 +178,17 @@ def phase2_collect_u(
     return u_set
 
 
-def run_sparsifier(
-    stream: EdgeStream, params: AlgoParams, safety_cap: int | None = None
-) -> Sparsifier:
+def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
     """Run both phases over a stream and freeze the result."""
     m = len(stream)
     cut = phase1_cut(m, params.eps)
     g = stream.graph
     h = phase1_build_h(stream.slice(1, cut), g.n, params, g.bipartition)
     suffix = stream.slice(cut + 1, m)
-    u_set = phase2_collect_u(suffix, h, params, safety_cap)
+    u_set = phase2_collect_u(suffix, h, params)
     return Sparsifier(h, frozenset(u_set), cut)
 
 
-def bernstein_match(
-    stream: EdgeStream, params: AlgoParams, safety_cap: int | None = None
-) -> Matching:
+def bernstein_match(stream: EdgeStream, params: AlgoParams) -> Matching:
     """Stream once, then return a maximum matching of H | U."""
-    return run_sparsifier(stream, params, safety_cap).hu_matching()
+    return run_sparsifier(stream, params).hu_matching()

@@ -28,9 +28,9 @@ class EdgeStream:
     Positions are 1-indexed: the stream is e_1, ..., e_m.
     """
 
-    __slots__ = ("graph", "seed", "order", "_arrivals")
+    __slots__ = ("graph", "order", "_arrivals")
 
-    def __init__(self, graph: Graph, order, seed: int):
+    def __init__(self, graph: Graph, order):
         arr = np.asarray(order)
         m = len(graph.edges)
         if (
@@ -40,7 +40,6 @@ class EdgeStream:
         ):
             raise ValueError("order must be a 1-D integer permutation of the edge indices")
         self.graph = graph
-        self.seed = seed
         self.order: tuple[int, ...] = tuple(arr.tolist())
         self._arrivals: tuple[Edge, ...] = tuple(map(graph.edges.__getitem__, self.order))
 
@@ -69,7 +68,7 @@ def make_stream(g: Graph, seed: int) -> EdgeStream:
     if m == 0:
         raise ValueError("cannot stream an empty graph")
     rng = np.random.default_rng(seed)
-    return EdgeStream(g, rng.permutation(m), seed)
+    return EdgeStream(g, rng.permutation(m))
 
 
 BINOMIAL_CHUNK = 4096

@@ -1,10 +1,11 @@
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
 from streammatch import (
-    AugmentationState,
     Graph,
     Matching,
     apply_augmenting_path,
@@ -18,7 +19,7 @@ from streammatch import (
     matched_base,
     max_matching,
     params_with_betas,
-    phase2b_step,
+    phase2b,
     run_sparsifier,
     trivial_family,
 )
@@ -30,30 +31,37 @@ from util import random_bipartite, random_general
 
 
 def test_build_t_empty_matching_gives_empty_t():
-    t = build_t([(0, 1), (2, 3)], Matching(), b=5)
-    assert len(t) == 0
+    t = build_t([(0, 1), (2, 3)], Matching(), b=5, n=4)
+    assert t.edges == ()
 
 
 def test_build_t_membership_rule():
     # matched edge (x, y) = (0, 1); u = 2 unmatched; uz = (2, 3) has no
     # matched endpoint and is skipped
     m_h = Matching([(0, 1)])
-    t = build_t([(2, 0), (2, 1), (2, 3)], m_h, b=5)
-    assert t.edge_set == {(0, 2), (1, 2)}
+    t = build_t([(2, 0), (2, 1), (2, 3)], m_h, b=5, n=4)
+    assert t.edges == ((0, 2), (1, 2))
 
 
 def test_build_t_unmatched_side_cap():
     # u = 0 adjacent to five matched vertices; b = 2 keeps only the first two
     m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
-    t = build_t(arrivals, m_h, b=2)
+    t = build_t(arrivals, m_h, b=2, n=11)
     assert t.edge_set == {(0, 1), (0, 3)}
+
+
+def test_build_t_keeps_admission_order():
+    m_h = Matching([(1, 2), (3, 4)])
+    t = build_t([(4, 5), (0, 3), (1, 6), (0, 2)], m_h, b=2, n=7)
+    assert t.edges == ((4, 5), (0, 3), (1, 6), (0, 2))
+    assert t.adj[0] == (2, 3) and t.degrees == (2, 1, 1, 1, 1, 1, 1)
 
 
 def test_build_t_matched_side_cap():
     # matched vertex 1 sees three unmatched suitors; degree cap 2 binds
     m_h = Matching([(1, 2)])
-    t = build_t([(1, 3), (1, 4), (1, 5)], m_h, b=5)
+    t = build_t([(1, 3), (1, 4), (1, 5)], m_h, b=5, n=6)
     assert t.edge_set == {(1, 3), (1, 4)}
 
 
@@ -65,10 +73,10 @@ def test_build_t_caps_hold_on_random_runs():
         m_h = max_matching(Graph(g.n, s.slice(1, 10), g.bipartition))
         b = rnd.choice([2, 3, 5])
         arrivals = s.slice(11, len(s))
-        t = build_t(arrivals, m_h, b)
-        matched = m_h.vertices()
-        for v in t.vertices:
-            assert t.degree(v) <= (2 if v in matched else b)
+        t = build_t(arrivals, m_h, b, g.n)
+        matched = m_h.partner_map
+        for v in range(g.n):
+            assert t.degrees[v] <= (2 if v in matched else b)
         for x, y in t.edges:
             assert (x in matched) != (y in matched), (x, y)
         # maximality: replaying the arrivals finds no admissible skipped edge
@@ -78,48 +86,53 @@ def test_build_t_caps_hold_on_random_runs():
             v, u = (x, y) if x in matched else (y, x)
             # degrees at arrival time are bounded by final degrees, so a
             # skipped edge must have a saturated endpoint now
-            assert t.degree(v) >= 2 or t.degree(u) >= b, (x, y)
+            assert t.degrees[v] >= 2 or t.degrees[u] >= b, (x, y)
 
 
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
-        build_t([(0, 1), (1, 2)], Matching([(1, 3)]), b=1)
+        build_t([(0, 1), (1, 2)], Matching([(1, 3)]), b=1, n=4)
 
 
 # ---------------------------------------------------------------------------
-# Phase II.B steps
+# Phase II.B
 
 
 def test_phase2b_applies_length_one_then_three():
     m_h = Matching([(1, 2)])
-    t = build_t([(0, 1), (2, 3)], m_h, b=5)
-    state = AugmentationState(matching=m_h.copy())
-    state = phase2b_step(state, t, (8, 9), arrival=42)
-    assert len(state.matching) == 3
-    lengths = sorted(p.length for p in state.applied)
-    assert lengths == [1, 3]
-    assert state.matching.edges == {(0, 1), (2, 3), (8, 9)}
-    assert all(p.arrival == 42 for p in state.applied)
+    t = build_t([(0, 1), (2, 3)], m_h, b=5, n=10)
+    m, applied = phase2b(m_h, t, [(42, (8, 9))])
+    assert len(m) == 3
+    assert sorted(p.length for p in applied) == [1, 3]
+    assert m.edges == {(0, 1), (2, 3), (8, 9)}
+    assert all(p.arrival == 42 for p in applied)
+    assert m_h.edges == {(1, 2)}  # phase2b augments a copy
 
 
 def test_phase2b_length_five_through_current_edge():
     m_h = Matching([(1, 2), (3, 4)])
-    t = build_t([(0, 1), (4, 5)], m_h, b=5)
-    state = AugmentationState(matching=m_h.copy())
-    state = phase2b_step(state, t, (2, 3))
-    assert len(state.matching) == 3
-    assert [p.length for p in state.applied] == [5]
-    assert state.matching.edges == {(0, 1), (2, 3), (4, 5)}
+    t = build_t([(0, 1), (4, 5)], m_h, b=5, n=6)
+    m, applied = phase2b(m_h, t, [(1, (2, 3))])
+    assert len(m) == 3
+    assert [p.length for p in applied] == [5]
+    assert m.edges == {(0, 1), (2, 3), (4, 5)}
 
 
 def test_phase2b_no_path_leaves_state_unchanged():
     m_h = Matching([(1, 2), (3, 4)])
-    t = build_t([(0, 1)], m_h, b=5)
-    state = AugmentationState(matching=m_h.copy())
-    before = state.matching.edges
-    state = phase2b_step(state, t, (2, 4))  # both endpoints matched, no pattern
-    assert state.matching.edges == before
-    assert state.applied == []
+    t = build_t([(0, 1)], m_h, b=5, n=5)
+    m, applied = phase2b(m_h, t, [(1, (2, 4))])  # both endpoints matched, no pattern
+    assert m == m_h
+    assert applied == ()
+
+
+def test_phase2b_rejects_a_path_outside_t():
+    # T whose adjacency lists hold an edge that its edge set lacks
+    m_h = Matching([(1, 2)])
+    t = build_t([(0, 1), (2, 3)], m_h, b=5, n=4)
+    t.edge_set = frozenset({(0, 1)})
+    with pytest.raises(ValueError, match="2, 3 are not adjacent"):
+        phase2b(m_h, t, [])
 
 
 def _reference_phase2b(m_h, t, arrivals):
@@ -155,18 +168,16 @@ def test_phase2b_anchored_search_matches_reference():
         cut = rnd.randint(1, len(s) // 3)
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
-        t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]))
+        t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]), g.n)
         arrivals = [(pos, s.edge_at(pos)) for pos in range(iia_end + 1, len(s) + 1)]
 
-        state = AugmentationState(matching=m_h.copy())
-        for pos, e in arrivals:
-            phase2b_step(state, t, e, arrival=pos)
+        m, applied = phase2b(m_h, t, arrivals)
         ref_matching, ref_applied = _reference_phase2b(m_h, t, arrivals)
 
-        assert [tuple(p) for p in state.applied] == ref_applied, trial
-        assert state.matching == ref_matching, trial
-        lengths.update(p.length for p in state.applied)
-        later_hits += sum(p.arrival != iia_end + 1 for p in state.applied)
+        assert [tuple(p) for p in applied] == ref_applied, trial
+        assert m == ref_matching, trial
+        lengths.update(p.length for p in applied)
+        later_hits += sum(p.arrival != iia_end + 1 for p in applied)
     # the anchored search ran and found paths of every length
     assert lengths == {1, 3, 5}
     assert later_hits > 50
@@ -176,34 +187,16 @@ def test_phase2b_anchored_start_four_steps_back_from_e():
     # the first step applies 2-1=7-8 and leaves 3-4 matched; then e=(4, 19)
     # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
     m_h = Matching([(1, 7), (3, 4)])
-    t = build_t([(1, 2), (7, 8), (1, 10), (2, 3)], m_h, b=5)
-    state = AugmentationState(matching=m_h.copy())
-    phase2b_step(state, t, (3, 7), arrival=1)
-    assert [p.vertices for p in state.applied] == [(2, 1, 7, 8)]
-    phase2b_step(state, t, (4, 19), arrival=2)
-    assert state.applied[-1] == (2, 5, (10, 1, 2, 3, 4, 19))
-    assert state.matching.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
-
-
-def test_phase2b_searches_fully_for_a_new_t():
-    # state settled for t1; t2 adds a length-3 path 0-1-2-3 away from e
-    m_h = Matching([(1, 2)])
-    t1 = build_t([(0, 1)], m_h, b=5)
-    t2 = build_t([(0, 1), (2, 3)], m_h, b=5)
-    state = AugmentationState(matching=m_h.copy())
-    phase2b_step(state, t1, (8, 9), arrival=1)
-    assert state.settled_t is t1
-    phase2b_step(state, t1, (6, 7), arrival=2)
-    phase2b_step(state, t2, (4, 5), arrival=3)
-    assert [p.arrival for p in state.applied] == [1, 2, 3, 3]
-    assert state.matching.edges == {(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)}
+    t = build_t([(1, 2), (7, 8), (1, 10), (2, 3)], m_h, b=5, n=20)
+    m, applied = phase2b(m_h, t, [(1, (3, 7)), (2, (4, 19))])
+    assert applied == ((1, 3, (2, 1, 7, 8)), (2, 5, (10, 1, 2, 3, 4, 19)))
+    assert m.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
 
 
 def test_phase2b_histogram():
-    state = AugmentationState(matching=Matching())
-    t = build_t([], Matching(), b=2)
-    state = phase2b_step(state, t, (0, 1))
-    assert [p.length for p in state.applied] == [1]
+    t = build_t([], Matching(), b=2, n=2)
+    _, applied = phase2b(Matching(), t, [(1, (0, 1))])
+    assert [p.length for p in applied] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def test_greedy_p4_trap():
     order = [g.edges.index((1, 2)), g.edges.index((0, 1)), g.edges.index((2, 3))]
     from streammatch import EdgeStream
 
-    s = EdgeStream(g, order, seed=0)
+    s = EdgeStream(g, order)
     m = greedy_match(s)
     assert m.edges == {(1, 2)}
     assert len(m) == 1  # ratio exactly 1/2
@@ -315,7 +308,7 @@ def test_beats23_stages_match_sparsifier_and_build_t(kind):
         assert diag.u == sp.u
         split = diag.split
         iia = s.slice(split.eps_cut + 1, split.eps_cut + split.tau)
-        assert diag.t.edges == build_t(iia, diag.m_h, params.b).edges
+        assert diag.t.edges == build_t(iia, diag.m_h, params.b, g.n).edges
 
 
 def test_beats23_boundary_pass_when_tau_covers_phase2():
@@ -362,21 +355,22 @@ def _beats23_cases(kind):
 
 @pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "closing"])
 def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
-    # beats23 resumes its first step, skips arrivals by reach and builds
-    # M | H | U from H | U; the reference restarts every search, visits
-    # every arrival and builds M | H | U from scratch
+    # beats23 resumes its first step, skips later arrivals by reach and
+    # builds M | H | U from H | U; the reference restarts every search,
+    # visits every arrival and builds M | H | U from scratch
     import streammatch.augmenter as augmenter
 
-    steps = []
+    anchored = []  # edges of the later arrivals that passed the reach filter
+    path_ends_through = augmenter._path_ends_through
 
-    def counted_step(state, t, e, arrival=None):
-        steps.append(arrival)
-        return phase2b_step(state, t, e, arrival)
+    def counted(edge, partner_map, nbrs):
+        anchored.append(edge)
+        return path_ends_through(edge, partner_map, nbrs)
 
-    monkeypatch.setattr(augmenter, "phase2b_step", counted_step)
+    monkeypatch.setattr(augmenter, "_path_ends_through", counted)
     arrivals_total = hit_arrivals = stepped = 0
     for trial, (s, params) in enumerate(_beats23_cases(kind)):
-        del steps[:]
+        del anchored[:]
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
         split = diag.split
         iia_end = split.eps_cut + split.tau
@@ -391,23 +385,44 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
                                                      g.bipartition)))
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
-        stepped += len(steps)
         if kind == "closing":
-            assert not arrivals and steps == [None]
+            assert not arrivals and not anchored
         else:
-            # the first arrival is always stepped; later ones only past the filter
-            assert steps[0] == iia_end + 1 and len(steps) <= len(arrivals)
+            # the first arrival is always searched in full; later ones are
+            # searched, anchored, only past the filter
+            assert set(anchored) <= {e for _, e in arrivals[1:]}
+            assert len(anchored) < len(arrivals)
+            stepped += 1 + len(anchored)
     if kind == "gadget":
         assert hit_arrivals >= arrivals_total / 2
     elif kind != "closing":
         assert hit_arrivals <= stepped < arrivals_total / 2
 
 
-def test_beats23_safety_cap_propagates():
+# sha256 of the applied paths [(arrival, length, vertices)] and the sorted
+# augmented matching of every `_beats23_cases` run, in the order of the
+# kinds below; it pins which paths Phase II.B applies, and in what order
+APPLIED_GOLDEN = "8f54a6865419a36f9c4c56e9794e3440d60fed59f5d57122543c8650f21fc0f8"
+
+
+def test_beats23_applied_paths_golden():
+    rows = []
+    for kind in ("bipartite", "general", "gadget", "closing"):
+        for trial, (s, params) in enumerate(_beats23_cases(kind)):
+            _, diag = beats23_match(s, params, np.random.default_rng(trial))
+            rows.append([[list(p) for p in diag.applied], sorted(diag.m_aug.edges)])
+    assert {p[1] for applied, _ in rows for p in applied} == {1, 3, 5}
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == APPLIED_GOLDEN
+
+
+def test_beats23_safety_cap_propagates(monkeypatch):
+    import streammatch.sparsifier as sparsifier
     from streammatch import SafetyCapExceeded
 
     g = random_bipartite(random.Random(2), 12, 12, 0.5)
     s = make_stream(g, 1)
     params = params_with_betas(0.2, 50, 45, b=4)
+    monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 3)
     with pytest.raises(SafetyCapExceeded):
-        beats23_match(s, params, np.random.default_rng(0), safety_cap=3)
+        beats23_match(s, params, np.random.default_rng(0))

@@ -3,6 +3,7 @@ library: every name they read of it must exist and behave as they
 expect (for example `Graph.has_edge`, which no library code calls).
 The modules are imported from their files, unchanged."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -43,3 +44,23 @@ def test_benchmark_validation_runs_on_every_algorithm():
                 assert stored is None
             else:
                 assert stored >= record.h_size + record.u_size > 0
+
+
+def test_tracer_targets_that_no_longer_resolve():
+    # The tracer skips a target whose name is gone and reports the metrics
+    # it fed as ABSENT. Pin the names that are gone, so that a rename
+    # cannot silently blank another per-layer metric.
+    tracing = _load("tracing")
+    gone = {
+        (mod_name, attr)
+        for mod_name, attr, _span, _hook in tracing.TARGETS
+        if getattr(importlib.import_module(f"streammatch.{mod_name}"), attr, None) is None
+    }
+    assert gone == {
+        ("bench", "union_graph"),
+        ("sparsifier", "union_graph"),
+        ("augmenter", "union_graph"),
+        ("augmenter", "phase1_build_h"),  # still traced at sparsifier.phase1_build_h
+        ("augmenter", "TwoBMatching"),
+        ("augmenter", "phase2b_step"),
+    }

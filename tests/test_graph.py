@@ -59,7 +59,7 @@ def test_graph_adjacency_consistent():
     g = Graph(4, [(2, 0), (1, 2), (2, 3)])
     assert g.edges == ((0, 2), (1, 2), (2, 3))
     assert g.adj[2] == (0, 1, 3)
-    assert g.degree(2) == 3 and g.degree(0) == 1
+    assert g.degrees == (1, 1, 3, 1)
 
 
 def test_bipartition_must_cross():
@@ -79,7 +79,7 @@ def test_matching_rejects_shared_vertex():
 
 def test_matching_partner_involution():
     m = Matching([(0, 1), (2, 5)])
-    for v in m.vertices():
+    for v in m.partner_map:
         assert m.partner(m.partner(v)) == v
     assert m.partner(3) is None
 

@@ -81,9 +81,9 @@ def test_phase1_star_caps_center_degree():
     params = params_with_betas(0.1, 4, 3)
     h = phase1_build_h(star(5), 6, params)
     assert len(h.edges) == 3
-    assert h.degree(0) == 3
+    assert h.degrees[0] == 3
     for u, v in h.edges:
-        assert h.degree(u) + h.degree(v) <= 4
+        assert h.degrees[u] + h.degrees[v] <= 4
 
 
 def test_phase1_loose_cap_keeps_everything():
@@ -126,7 +126,7 @@ def test_phase1_cap_invariant_random_runs():
         params = params_with_betas(0.1, 8, 7)
         h = phase1_build_h(s.arrivals(), g.n, params)
         for u, v in h.edges:
-            assert h.degree(u) + h.degree(v) <= params.beta_plus
+            assert h.degrees[u] + h.degrees[v] <= params.beta_plus
         assert len(h.edges) <= g.n * params.beta_plus
 
 
@@ -165,17 +165,21 @@ def test_phase2_exactness_rescan():
         sp = run_sparsifier(s, params)
         suffix = s.slice(sp.eps_cut + 1, len(s))
         recomputed = {
-            e for e in suffix if sp.h.degree(e[0]) + sp.h.degree(e[1]) < params.beta_minus
+            e for e in suffix if sp.h.degrees[e[0]] + sp.h.degrees[e[1]] < params.beta_minus
         }
         assert recomputed == set(sp.u)
 
 
-def test_phase2_safety_cap():
+def test_phase2_safety_cap(monkeypatch):
+    import streammatch.sparsifier as sparsifier
+
     params = params_with_betas(0.1, 4, 3)
     h = Graph(8)
     suffix = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    with pytest.raises(SafetyCapExceeded):
-        phase2_collect_u(suffix, h, params, safety_cap=2)
+    monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 2)
+    assert len(phase2_collect_u(suffix[:2], h, params)) == 2
+    with pytest.raises(SafetyCapExceeded, match="safety cap of 2"):
+        phase2_collect_u(suffix, h, params)
     assert default_u_cap(200) == 200 * 8 * 32
 
 

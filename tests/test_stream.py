@@ -39,7 +39,7 @@ def test_single_edge_stream():
 def test_edge_stream_rejects_non_permutation(order):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     with pytest.raises(ValueError, match="permutation"):
-        EdgeStream(g, order, seed=0)
+        EdgeStream(g, order)
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ def test_edge_stream_rejects_non_permutation(order):
 )
 def test_edge_stream_accepts_permutation_as_python_ints(order):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    s = EdgeStream(g, order, seed=0)
+    s = EdgeStream(g, order)
     # numpy ints here would change pickled tasks and the reports' JSON
     assert s.order == (2, 0, 3, 1) and all(type(i) is int for i in s.order)
     assert s.arrivals() == ((2, 3), (0, 1), (3, 4), (1, 2))
