@@ -41,19 +41,26 @@ def check_edcs(
 ) -> EdcsReport:
     """Verify on the finished run that (i) every H edge has edge-degree at
     most beta_plus and (ii) U is exactly the set of suffix edges whose
-    H-edge-degree is below beta_minus."""
-    u_set = {(a, b) if a < b else (b, a) for a, b in u}
+    H-edge-degree is below beta_minus.
+
+    Canonical input tuples are kept, not copied, and the missing and
+    extra edges are listed only when the two sets differ, so a passing
+    check allocates no tuple per edge."""
+    u_set = {e if e[0] < e[1] else (e[1], e[0]) for e in u}
     deg = h.degrees
     cap_violations = tuple(
         e for e in h.edges if deg[e[0]] + deg[e[1]] > params.beta_plus
     )
-    expected = {
-        (a, b) if a < b else (b, a)
-        for a, b in suffix
-        if deg[a] + deg[b] < params.beta_minus
-    }
-    missing = tuple(sorted(expected - u_set))
-    extra = tuple(sorted(u_set - expected))
+    beta_minus = params.beta_minus
+    expected = set()
+    for e in suffix:
+        a, b = e
+        if deg[a] + deg[b] < beta_minus:
+            expected.add(e if a < b else (b, a))
+    missing = extra = ()
+    if expected != u_set:
+        missing = tuple(sorted(expected - u_set))
+        extra = tuple(sorted(u_set - expected))
     subgraph_ok = h.edge_set <= g.edge_set and u_set <= g.edge_set
     return EdcsReport(
         degree_cap_ok=not cap_violations,

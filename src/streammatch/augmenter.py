@@ -9,7 +9,8 @@ in one place:
   between M_H-matched and unmatched vertices;
 - Phase II.B: `phase2b` applies augmenting paths of length up to five
   inside M | T | {current edge} after each arrival;
-- the answer is a maximum matching of M | H | U.
+- the answer is a maximum matching of M | H | U, which is the H | U
+  matching itself when M lies inside H | U.
 
 The stages run one after another, each over its own slice of the
 stream, yet build the same sets as one interleaved pass would: U reads
@@ -243,10 +244,15 @@ def beats23_match(
     t = build_t(stream.slice(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
     m_aug, applied = phase2b(m_h, t, enumerate(stream.slice(iia_end + 1, m), iia_end + 1))
 
-    # M | H | U is H | U plus the at most |M| edges of M outside it
+    # M | H | U is H | U plus the at most |M| edges of M outside it. With
+    # none outside, its adjacency is H | U's own, so max_matching would
+    # return the H | U matching edge for edge
     hu = sp.hu_graph
     extra = sorted(m_aug.edges - hu.edge_set)
-    final = max_matching(_graph_of_canonical(g.n, extra, hu.bipartition, base=hu))
+    if extra:
+        final = max_matching(_graph_of_canonical(g.n, extra, hu.bipartition, base=hu))
+    else:
+        final = sp.hu_matching
     diag = TrialDiagnostics(
         split=split,
         h=sp.h,
@@ -254,7 +260,7 @@ def beats23_match(
         t=t,
         m_h=m_h,
         m_aug=m_aug,
-        mu_hu=len(sp.hu_matching()),
+        mu_hu=len(sp.hu_matching),
         applied=applied,
     )
     return final, diag

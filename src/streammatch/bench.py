@@ -9,6 +9,7 @@ configs regardless of the worker count.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -163,6 +164,22 @@ def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool
 
 
 def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> TrialRecord:
+    """One seeded trial, with the cyclic garbage collector paused.
+
+    A trial makes no reference cycles, so collections during it would free
+    nothing, yet its tens of thousands of edge tuples would trigger them
+    every few hundred allocations, each pass walking the live graphs. The
+    caller's collector setting is restored on return or on error."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_one_trial(config, g, mu_g, index)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> TrialRecord:
     start = time.perf_counter()
     stream_seed, algo_seed = trial_seeds(config.seed, index)
     stream = make_stream(g, stream_seed)
@@ -175,7 +192,7 @@ def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Trial
     else:
         if config.algo == "bernstein":
             sp = run_sparsifier(stream, config.params)
-            out = sp.hu_matching()
+            out = sp.hu_matching
             h, u_set, m_h, mu_hu = sp.h, sp.u, max_matching(sp.h), len(out)
         else:
             rng = np.random.default_rng(algo_seed)

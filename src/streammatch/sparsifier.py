@@ -40,12 +40,16 @@ class AlgoParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError("lam must lie in [0, 1)")
-        if self.beta_plus <= 0:
+        # the caps first: `params_with_betas` derives lam from them, so a
+        # bad cap would otherwise be reported as a bad lam
+        if not self.beta_plus > 0:
             raise ValueError("beta_plus must be positive")
+        if not self.beta_minus > 0:
+            raise ValueError("beta_minus must be positive")
         if self.beta_minus > self.beta_plus:
             raise ValueError("beta_minus must not exceed beta_plus")
+        if not 0.0 <= self.lam < 1.0:
+            raise ValueError("lam must lie in [0, 1)")
         if self.beta_minus < (1.0 - self.lam) * self.beta_plus - 1e-9:
             raise ValueError("beta_minus must be at least (1 - lam) * beta_plus")
         if not 0.0 < self.gamma < 1.0:
@@ -103,8 +107,10 @@ class Sparsifier:
         h = self.h
         return _graph_of_canonical(h.n, h.edges + tuple(self.u), h.bipartition)
 
+    @cached_property
     def hu_matching(self) -> Matching:
-        """Maximum matching of H | U, the sparsifier's output."""
+        """Maximum matching of H | U, the sparsifier's output, computed
+        once. Callers must not modify it."""
         return max_matching(self.hu_graph)
 
 
@@ -191,4 +197,4 @@ def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
 
 def bernstein_match(stream: EdgeStream, params: AlgoParams) -> Matching:
     """Stream once, then return a maximum matching of H | U."""
-    return run_sparsifier(stream, params).hu_matching()
+    return run_sparsifier(stream, params).hu_matching

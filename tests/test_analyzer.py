@@ -70,6 +70,34 @@ def test_check_edcs_flags_tampered_u():
     pytest.fail("no run produced a nonempty U")
 
 
+def test_check_edcs_accepts_reversed_tuples():
+    for seed in range(10):
+        g, _, sp, params, suffix = _sparsifier_run(seed, bipartite=seed % 2 == 0)
+        reversed_u = {(b, a) for a, b in sp.u}
+        reversed_suffix = [(b, a) if (a + b) % 2 else (a, b) for a, b in suffix]
+        report = check_edcs(g, sp.h, reversed_u, params, reversed_suffix)
+        assert report.u_exact and report.ok, report
+        assert report.u_missing == () and report.u_extra == ()
+
+
+def test_check_edcs_lists_exact_missing_and_extra():
+    runs = 0
+    for seed in range(20):
+        g, _, sp, params, suffix = _sparsifier_run(seed)
+        outside = sorted(set(suffix) - sp.u) + sorted(sp.h.edges)
+        if len(sp.u) < 2 or len(outside) < 2:
+            continue
+        dropped = sorted(sp.u)[::-1][:2]  # the two largest U edges
+        added = outside[:2]
+        tampered = (sp.u - set(dropped)) | {(b, a) for a, b in added}
+        report = check_edcs(g, sp.h, tampered, params, suffix)
+        assert not report.u_exact and report.subgraph_ok
+        assert report.u_missing == tuple(sorted(dropped))
+        assert report.u_extra == tuple(sorted(added))
+        runs += 1
+    assert runs >= 5
+
+
 # ---------------------------------------------------------------------------
 # dichotomy
 

@@ -369,6 +369,7 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
 
     monkeypatch.setattr(augmenter, "_path_ends_through", counted)
     arrivals_total = hit_arrivals = stepped = 0
+    m_inside_hu = []  # per trial: whether M adds no edge to H | U
     for trial, (s, params) in enumerate(_beats23_cases(kind)):
         del anchored[:]
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
@@ -383,6 +384,7 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         assert out == max_matching(Graph(g.n, union, g.bipartition)), trial
         assert diag.mu_hu == len(max_matching(Graph(g.n, sorted(diag.h.edge_set | diag.u),
                                                      g.bipartition)))
+        m_inside_hu.append(ref_m.edges <= diag.h.edge_set | diag.u)
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
         if kind == "closing":
@@ -393,7 +395,12 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             assert set(anchored) <= {e for _, e in arrivals[1:]}
             assert len(anchored) < len(arrivals)
             stepped += 1 + len(anchored)
+    # the answer is the H | U matching when M adds no edge, else a matching
+    # of H | U extended by M's edges: the cases take both branches
+    if kind == "bipartite":
+        assert any(m_inside_hu)
     if kind == "gadget":
+        assert not all(m_inside_hu)
         assert hit_arrivals >= arrivals_total / 2
     elif kind != "closing":
         assert hit_arrivals <= stepped < arrivals_total / 2

@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ from streammatch import (
     TrialConfig,
     canonical_hash,
     emit_report,
+    max_matching,
     params_with_betas,
     report_from_dict,
     report_to_dict,
@@ -151,6 +153,83 @@ def test_bernstein_records_have_sparsifier_sizes():
         assert r.t_size is None and r.path_hist is None
 
 
+def _instance_configs(kind, tmp_path):
+    """One all-checks config per algorithm over a bipartite G(n, p) or a
+    saved parity-gadget instance, with the instance and its mu."""
+    import numpy as np
+
+    from streammatch import build_hard_instance, matched_base, save_hard_instance, trivial_family
+    from streammatch.bench import ALGORITHMS, load_instance
+
+    checks = CheckConfig(edcs=True, dichotomy_deltas=(0.1,), census=True)
+    if kind == "gnp":
+        configs = [_config(algo, trials=3, checks=checks) for algo in ALGORITHMS]
+    else:
+        base = matched_base(20)
+        inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(1))
+        path = str(tmp_path / "gadget.edges")
+        save_hard_instance(inst, path)
+        params = params_with_betas(0.45, 2, 1)
+        configs = [TrialConfig(algo, instance_path=path, trials=3, checks=checks,
+                               params=None if algo == "greedy" else params)
+                   for algo in ALGORITHMS]
+    g = load_instance(configs[0])
+    return configs, g, len(max_matching(g))
+
+
+@pytest.mark.parametrize("kind", ["gnp", "gadget"])
+def test_trials_leave_no_cyclic_garbage(kind, tmp_path):
+    # run_one_trial pauses the cycle collector; that is safe only while
+    # everything a trial allocates is freed by reference counting
+    import streammatch.bench as bench
+
+    configs, g, mu_g = _instance_configs(kind, tmp_path)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for config in configs:
+            for i in range(config.trials):
+                assert all(bench.run_one_trial(config, g, mu_g, i).checks.values())
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled_before, raises", [(True, False), (False, False), (True, True)])
+def test_run_one_trial_restores_collector_state(enabled_before, raises, monkeypatch):
+    import streammatch.bench as bench
+    import streammatch.sparsifier as sparsifier
+    from streammatch import SafetyCapExceeded
+
+    seen = []  # the collector's state inside the trial
+    run_sparsifier = bench.run_sparsifier
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return run_sparsifier(*args)
+
+    monkeypatch.setattr(bench, "run_sparsifier", recording)
+    if raises:
+        monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 0)
+    config = _config(algo="bernstein", trials=1)
+    g = bench.load_instance(config)
+    mu_g = len(max_matching(g))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled_before else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(SafetyCapExceeded):
+                bench.run_one_trial(config, g, mu_g, 0)
+        else:
+            bench.run_one_trial(config, g, mu_g, 0)
+        assert gc.isenabled() == enabled_before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -244,6 +323,19 @@ def _assert_one_line_error(capsys):
 def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     assert main(argv) == 1
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("plus, minus, message", [
+    ("5", "6", "beta_minus must not exceed beta_plus"),
+    ("5", "0", "beta_minus must be positive"),
+    ("5", "-2", "beta_minus must be positive"),
+    ("-3", "-4", "beta_plus must be positive"),
+])
+def test_cli_bad_beta_caps_name_the_cap(plus, minus, message, capsys):
+    code = main(["run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "10",
+                 "--p", "0.3", "--beta-plus", plus, "--beta-minus", minus, "--workers", "1"])
+    assert code == 1
+    assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
 
 
 @pytest.mark.parametrize("algo", ["bernstein", "beats23"])
