@@ -39,10 +39,8 @@ from .graph import (
     NotAugmentingError,
     NotBipartiteError,
     Path,
-    apply_augmenting_path,
     brute_force_matching_size,
     edge_key,
-    find_augmenting_path,
     max_matching,
     read_edge_list,
     write_edge_list,

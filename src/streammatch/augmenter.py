@@ -134,6 +134,19 @@ def phase2b(
       the end is the path's own free endpoint, and crosses e only once, so
       both ends reach the path's endpoints by walks in M | T. The answers
       depend only on M and T, so they are kept until a path is applied.
+      Only "reaches" answers can then go stale, as the flip matches the
+      ends of the applied path P; a "does not reach" answer stays true.
+      Say M' = M ^ P (e is in neither T nor M), and v, whose walks in
+      M | T all end at matched vertices, walks in M' | T to a free w. The
+      walk crosses an edge (a, b) that P added to the matching, or it was
+      a walk in M | T already; take the last one, crossed from a to b. P
+      from its end beyond b back to b, then the walk on from b to w, is an
+      augmenting path Q for M (w is free in M', so off P). By cases on
+      |P| in {1, 3, 5} and on where (a, b) and v lie on P, either Q lies
+      in M | T with length <= 5, or Q uses e and is shorter than P, or
+      v's walk in M | T reaches an end of P, or M | T holds an augmenting
+      path of length 1 or 3 from an end of P. The search has left none of
+      these, so clearing the memo only refreshes "reaches" answers.
     - Only free vertices that begin a path through e are tried, in the
       full search's order, so the same path is found. At most one is
       applied: were Q another after P, P ^ Q would hold two disjoint

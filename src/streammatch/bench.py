@@ -15,6 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -132,11 +133,29 @@ def trial_seeds(base_seed: int, trial_index: int) -> tuple[int, int]:
     return a, b
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for code that makes no reference
+    cycles: collections there would free nothing, yet its tens of
+    thousands of edge tuples would trigger them every few hundred
+    allocations, each pass walking the live graphs. The caller's collector
+    setting is restored on exit, also on error."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def load_instance(config: TrialConfig) -> Graph:
-    if config.instance_path is not None:
-        return read_edge_list(config.instance_path)
-    spec = config.gen
-    return gen_random(spec.kind, spec.n, spec.p, spec.plant, instance_seed(config.seed))
+    """The config's graph, read or generated with the collector paused."""
+    with _collector_paused():
+        if config.instance_path is not None:
+            return read_edge_list(config.instance_path)
+        spec = config.gen
+        return gen_random(spec.kind, spec.n, spec.p, spec.plant, instance_seed(config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +183,9 @@ def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool
 
 
 def run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> TrialRecord:
-    """One seeded trial, with the cyclic garbage collector paused.
-
-    A trial makes no reference cycles, so collections during it would free
-    nothing, yet its tens of thousands of edge tuples would trigger them
-    every few hundred allocations, each pass walking the live graphs. The
-    caller's collector setting is restored on return or on error."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    """One seeded trial, with the cyclic garbage collector paused."""
+    with _collector_paused():
         return _run_one_trial(config, g, mu_g, index)
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> TrialRecord:

@@ -219,9 +219,6 @@ class Matching:
             partner[v] = u
             self._edges.add(edge_key(u, v))
 
-    def partner(self, v: int) -> int | None:
-        return self._partner.get(v)
-
     def is_matched(self, v: int) -> bool:
         return v in self._partner
 
@@ -392,11 +389,14 @@ def _blossom(n: int, adj) -> list[int]:
 
     A greedy initial matching keeps the number of searches small. One
     search from a free root costs time in the alternating tree T it grows,
-    not in n: a BFS over the adjacency lists of T's vertices, plus one
-    sort of T's vertices per blossom contraction, so at worst
-    O(|E(T)| + |T|^2 log |T|). Its state lives in three length-n arrays
-    that are allocated once per call and reset only where the search
-    wrote, and roots without neighbours are skipped.
+    not in n: a BFS over the adjacency lists of T's vertices, plus, per
+    blossom contraction, a walk over the blossom's cycle and a relabel of
+    the members of the bases it merges, so at worst O(|E(T)| + |T|^2).
+    Each contraction sorts only the vertices it makes even, which puts
+    them in the queue in the order a scan of T in ascending order would.
+    Its state lives in three length-n arrays that are allocated once per
+    call and reset only where the search wrote, plus a member list per
+    contracted blossom, and roots without neighbours are skipped.
     """
     mate = [-1] * n
     for v in range(n):
@@ -411,6 +411,7 @@ def _blossom(n: int, adj) -> list[int]:
     parent = [-1] * n
     base = list(range(n))
     tree: list[int] = []  # vertices whose entries the current search wrote
+    members: dict[int, list[int]] = {}  # contracted blossom's base -> its vertices
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -448,14 +449,24 @@ def _blossom(n: int, adj) -> list[int]:
                     blossom: set[int] = set()
                     mark_path(v, stem, to, blossom)
                     mark_path(to, stem, v, blossom)
-                    # every vertex whose base is in the blossom is in the
-                    # tree; ascending order fixes the queue order
-                    for i in sorted(tree):
-                        if base[i] in blossom:
+                    # the stem and its members are even already, so only
+                    # the other bases' members are relabeled; the newly
+                    # even ones join the queue in ascending order
+                    grown = members.setdefault(stem, [stem])
+                    newly_even = []
+                    for b in blossom:
+                        if b == stem:
+                            continue
+                        inner = members.pop(b, None) or (b,)
+                        for i in inner:
                             base[i] = stem
                             if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                                newly_even.append(i)
+                        grown.extend(inner)
+                    newly_even.sort()
+                    for i in newly_even:
+                        used[i] = True
+                        queue.append(i)
                 elif parent[to] == -1:
                     # neither to nor its mate is in the tree yet
                     tree.append(to)
@@ -481,6 +492,7 @@ def _blossom(n: int, adj) -> list[int]:
                 parent[u] = -1
                 base[u] = u
             tree.clear()
+            members.clear()
     return mate
 
 
@@ -585,50 +597,6 @@ def _augmenting_paths(partner_map, starts, nbrs, max_len: int) -> Iterator[list[
                 path = first_from(u, partner_map, nbrs)
                 if path is not None:
                     yield path
-
-
-def find_augmenting_path(
-    matching: Matching, allowed: Iterable[tuple[int, int]], max_len: int = 5
-) -> Path | None:
-    """First augmenting path for `matching` inside the `allowed` edge set,
-    of odd length <= max_len, or None.
-
-    Search order is deterministic: path lengths 1, 3, 5 in turn, and
-    within a length the lowest-index free vertex first, then ascending
-    neighbor index. `allowed` must contain every matching edge.
-
-    With `apply_augmenting_path` this is the unanchored reference loop
-    that the tests compare `augmenter.phase2b` against; the pipeline
-    itself does not call it.
-    """
-    if max_len not in (1, 3, 5):
-        raise ValueError("max_len must be 1, 3, or 5")
-    allowed_set = {edge_key(u, v) for u, v in allowed}
-    for e in matching.edges:
-        if e not in allowed_set:
-            raise ValueError(f"allowed set is missing matching edge {e}")
-    adj: dict[int, list[int]] = {}
-    for u, v in allowed_set:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for lst in adj.values():
-        lst.sort()
-    verts = next(
-        _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()), max_len),
-        None,
-    )
-    if verts is None:
-        return None
-    return Path(verts, allowed_set)
-
-
-def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
-    """Matching obtained by flipping the path's edges in and out of the
-    matching; the result is one edge larger and `matching` is unchanged.
-    Half of the reference loop with `find_augmenting_path`."""
-    result = matching.copy()
-    result.augment(path.vertices)
-    return result
 
 
 # ---------------------------------------------------------------------------

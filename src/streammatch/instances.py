@@ -264,6 +264,16 @@ def matched_base(n_side: int) -> Graph:
     return Graph(2 * n_side, edges, (range(n_side), range(n_side, 2 * n_side)))
 
 
+def _shared_ints(n: int, lows: np.ndarray, highs: np.ndarray) -> list[Edge]:
+    """Edges (lows[i], highs[i]) as pairs of Python ints, with one int
+    object per vertex shared by all of its edges. Lookups in the trials'
+    dicts and sets then match vertices by identity and touch fewer
+    objects: with an int object per endpoint, checked dense-c10 trials
+    of bernstein and beats23 ran about 10% slower."""
+    vertex = list(range(n)).__getitem__
+    return list(zip(map(vertex, lows.tolist()), map(vertex, highs.tolist())))
+
+
 def gen_random(
     kind: str,
     n: int,
@@ -284,16 +294,15 @@ def gen_random(
     if kind == "bipartite-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        keep = rng.random((n, n)) < p
-        edges = [(i, n + j) for i in range(n) for j in range(n) if keep[i, j]]
-        return Graph(2 * n, edges, (range(n), range(n, 2 * n)))
+        # nonzero is row-major: pair (i, j) in nested-loop order
+        rows, cols = np.nonzero(rng.random((n, n)) < p)
+        return Graph(2 * n, _shared_ints(2 * n, rows, cols + n), (range(n), range(n, 2 * n)))
     if kind == "general-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        keep = rng.random(len(pairs)) < p
-        edges = [pair for pair, k in zip(pairs, keep) if k]
-        return Graph(n, edges)
+        lows, highs = np.triu_indices(n, 1)  # pairs i < j in nested-loop order
+        keep = rng.random(len(lows)) < p
+        return Graph(n, _shared_ints(n, lows[keep], highs[keep]))
     if kind == "planted-matching":
         if plant is None or not 1 <= plant <= n // 2:
             raise ValueError("plant size must lie in [1, n//2]")

@@ -46,11 +46,6 @@ class EdgeStream:
     def __len__(self) -> int:
         return len(self.order)
 
-    def edge_at(self, pos: int) -> Edge:
-        if not 1 <= pos <= len(self.order):
-            raise IndexError(f"position {pos} out of range 1..{len(self.order)}")
-        return self._arrivals[pos - 1]
-
     def slice(self, a: int, b: int) -> tuple[Edge, ...]:
         """Edges e_a..e_b in arrival order (1-indexed, inclusive); empty
         for b = a - 1, so slice(m + 1, m) is the empty suffix."""

@@ -184,7 +184,7 @@ def test_c07_augmentation_soundness(beats23_runs):
         for applied in diag.applied:
             assert applied.length in (1, 3, 5)
             vs = applied.vertices
-            arrival_edge = s.edge_at(applied.arrival)
+            arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
                 assert e in diag.t.edge_set or e == arrival_edge

@@ -8,12 +8,10 @@ import pytest
 from streammatch import (
     Graph,
     Matching,
-    apply_augmenting_path,
     beats23_match,
     build_hard_instance,
     build_t,
     edge_key,
-    find_augmenting_path,
     greedy_match,
     make_stream,
     matched_base,
@@ -23,7 +21,12 @@ from streammatch import (
     run_sparsifier,
     trivial_family,
 )
-from util import random_bipartite, random_general
+from util import (
+    find_augmenting_path,
+    random_bipartite,
+    random_general,
+    reference_phase2b,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +138,6 @@ def test_phase2b_rejects_a_path_outside_t():
         phase2b(m_h, t, [])
 
 
-def _reference_phase2b(m_h, t, arrivals):
-    """Phase II.B by the definition: after each arrival e, apply the first
-    augmenting path of length <= 5 in M | T | {e} until none is left. An
-    arrival e of None is a pass over M | T alone."""
-    m = m_h.copy()
-    applied = []
-    for pos, e in arrivals:
-        arriving = set() if e is None else {edge_key(*e)}
-        while True:
-            path = find_augmenting_path(m, t.edge_set | m.edges | arriving)
-            if path is None:
-                break
-            m = apply_augmenting_path(m, path)
-            applied.append((pos, len(path), path.vertices))
-    return m, applied
-
-
 def test_phase2b_anchored_search_matches_reference():
     rnd = random.Random(2024)
     lengths = set()
@@ -169,10 +155,10 @@ def test_phase2b_anchored_search_matches_reference():
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
         t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]), g.n)
-        arrivals = [(pos, s.edge_at(pos)) for pos in range(iia_end + 1, len(s) + 1)]
+        arrivals = list(enumerate(s.slice(iia_end + 1, len(s)), iia_end + 1))
 
         m, applied = phase2b(m_h, t, arrivals)
-        ref_matching, ref_applied = _reference_phase2b(m_h, t, arrivals)
+        ref_matching, ref_applied = reference_phase2b(m_h, t, arrivals)
 
         assert [tuple(p) for p in applied] == ref_applied, trial
         assert m == ref_matching, trial
@@ -261,7 +247,7 @@ def test_beats23_soundness_invariants():
         for applied in diag.applied:
             assert applied.length in (1, 3, 5)
             vs = applied.vertices
-            arrival_edge = s.edge_at(applied.arrival)
+            arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
                 assert e in diag.t.edge_set or e == arrival_edge
@@ -375,8 +361,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
         split = diag.split
         iia_end = split.eps_cut + split.tau
-        arrivals = [(pos, s.edge_at(pos)) for pos in range(iia_end + 1, split.m + 1)]
-        ref_m, ref_applied = _reference_phase2b(diag.m_h, diag.t, arrivals or [(None, None)])
+        arrivals = list(enumerate(s.slice(iia_end + 1, split.m), iia_end + 1))
+        ref_m, ref_applied = reference_phase2b(diag.m_h, diag.t, arrivals or [(None, None)])
         assert [tuple(p) for p in diag.applied] == ref_applied, trial
         assert diag.m_aug == ref_m, trial
         g = s.graph

@@ -197,6 +197,61 @@ def test_trials_leave_no_cyclic_garbage(kind, tmp_path):
             gc.enable()
 
 
+@pytest.mark.parametrize("source", ["bipartite-gnp", "general-gnp", "edge-list"])
+def test_load_instance_leaves_no_cyclic_garbage(source, tmp_path):
+    # load_instance pauses the cycle collector too; "bipartite-gnp" is the
+    # dense-c10 instance, bipartite G(n, p) with n=400 per side and p=0.05
+    import streammatch.bench as bench
+    from streammatch import write_edge_list
+
+    gen = {"bipartite-gnp": GeneratorSpec("bipartite-gnp", 400, 0.05),
+           "general-gnp": GeneratorSpec("general-gnp", 300, 0.05)}
+    if source == "edge-list":
+        path = tmp_path / "g.edges"
+        write_edge_list(bench.load_instance(TrialConfig("greedy", gen=gen["general-gnp"])), path)
+        config = TrialConfig("greedy", instance_path=str(path))
+    else:
+        config = TrialConfig("greedy", gen=gen[source], seed=1)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        g = bench.load_instance(config)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert g.edges
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+@pytest.mark.parametrize("p", [0.2, 1.5], ids=["valid-p", "bad-p"])
+def test_load_instance_restores_collector_state(enabled_before, p, monkeypatch):
+    import streammatch.bench as bench
+
+    seen = []  # the collector's state inside the generator
+    gen_random = bench.gen_random
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return gen_random(*args)
+
+    monkeypatch.setattr(bench, "gen_random", recording)
+    config = _config(algo="greedy", p=p)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled_before else gc.disable)()
+    try:
+        if p > 1:
+            with pytest.raises(ValueError, match="p must lie in"):
+                bench.load_instance(config)
+        else:
+            assert bench.load_instance(config).edges
+        assert gc.isenabled() == enabled_before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+
+
 @pytest.mark.parametrize("enabled_before, raises", [(True, False), (False, False), (True, True)])
 def test_run_one_trial_restores_collector_state(enabled_before, raises, monkeypatch):
     import streammatch.bench as bench

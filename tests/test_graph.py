@@ -9,11 +9,9 @@ from streammatch import (
     Matching,
     NotAugmentingError,
     Path,
-    apply_augmenting_path,
     brute_force_matching_size,
     build_hard_instance,
     edge_key,
-    find_augmenting_path,
     make_stream,
     matched_base,
     max_matching,
@@ -24,7 +22,14 @@ from streammatch import (
     write_edge_list,
 )
 from streammatch.graph import _graph_of_canonical
-from util import exists_augmenting, random_bipartite, random_general, random_instance
+from util import (
+    apply_augmenting_path,
+    exists_augmenting,
+    find_augmenting_path,
+    random_bipartite,
+    random_general,
+    random_instance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +84,10 @@ def test_matching_rejects_shared_vertex():
 
 def test_matching_partner_involution():
     m = Matching([(0, 1), (2, 5)])
-    for v in m.partner_map:
-        assert m.partner(m.partner(v)) == v
-    assert m.partner(3) is None
+    partner = m.partner_map
+    for v in partner:
+        assert partner.get(partner.get(v)) == v
+    assert partner.get(3) is None
 
 
 def test_path_requires_adjacent_distinct_vertices():
@@ -141,18 +147,31 @@ def test_oracle_agreement_random_sweep():
 # SHA-256 of sorted(max_matching(g).edges) over _golden_matching_graphs().
 # Report hashes hold only matching sizes; this pins which maximum matching
 # the oracles pick. Re-record it only for a change meant to alter that.
-GOLDEN_MATCHINGS = "6756c3fe821e702b0e51d9bcc41c34d7866fad2052a3ee55ceb3ae8e29929186"
+GOLDEN_MATCHINGS = "482f9053d1ba3dddfbfbc50178ef011d21230e6a091d24fb7afdf025cf2e7d28"
+
+
+def _edcs_tight_like(rnd, k, p, keep):
+    """Perfect matchings A_i-B_i and C_2j-C_2j+1 plus each A-C pair w.p. p
+    on 3k vertices, then each edge kept w.p. keep: a dense general graph
+    whose maximum matching leaves many vertices free, so the blossom
+    search contracts often (268 and 394 contractions for k=100, seeds 0
+    and 1)."""
+    edges = [(i, k + i) for i in range(k)] + [(2 * k + j, 2 * k + j + 1) for j in range(0, k, 2)]
+    edges += [(i, 2 * k + j) for i in range(k) for j in range(k) if rnd.random() < p]
+    return Graph(3 * k, [e for e in edges if rnd.random() < keep])
 
 
 def _golden_matching_graphs():
     """200 seeded sparse random general graphs (20 <= n <= 80, mean degree
     2 to 6: a few of them change matching if blossom members are queued
-    in another order), then parity-gadget instances with the H and H | U
-    their sparsifier keeps."""
+    in another order), two contraction-heavy dense general graphs, then
+    parity-gadget instances with the H and H | U their sparsifier keeps."""
     rnd = random.Random(77)
     for _ in range(200):
         n = rnd.randint(20, 80)
         yield random_general(rnd, n, rnd.choice([2, 3, 4, 6]) / n)
+    for seed in (0, 1):
+        yield _edcs_tight_like(random.Random(seed), 100, 0.4, 0.5)
     params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
     for side, seed in ((20, 0), (20, 1), (60, 2)):
         base = matched_base(side)
@@ -324,7 +343,7 @@ def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
         assert m.edges == frozenset({(1, 2)})
     m.augment([0, 1, 2, 3])
     assert m.edges == frozenset({(0, 1), (2, 3)})
-    assert m.partner(1) == 0 and m.partner(2) == 3
+    assert m.partner_map.get(1) == 0 and m.partner_map.get(2) == 3
 
 
 def test_apply_augmenting_rejects_matched_endpoint():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -212,6 +213,37 @@ def test_gen_random_deterministic():
     a = gen_random("bipartite-gnp", 10, p=0.3, seed=5)
     b = gen_random("bipartite-gnp", 10, p=0.3, seed=5)
     assert a == b
+
+
+# (kind, n, p, plant, seed) -> SHA-256 of repr((n, edges, sorted sides)).
+# Recorded from the element-by-element generator; a faster generator must
+# draw the same numbers and emit the same edges in the same order.
+GOLDEN_GRAPHS = {
+    ("bipartite-gnp", 400, 0.05, None, 0): "e8f11352c8a5e34f875ac4740e2ecd1310611cef4511389172c9111ff2da8e78",
+    ("bipartite-gnp", 400, 0.05, None, 7): "5f4abf75581bc95bef5799fcfeedfd8f5b47a17e068d4a080a911dc4fcc90d56",
+    ("bipartite-gnp", 37, 0.3, None, 0): "277f029b3764c549c983e413b487682912fc9b9e8bdf7d369c9cbec7b776f490",
+    ("bipartite-gnp", 37, 0.3, None, 7): "abb58df876580dfb01c85e9d91a728a37422c2afb2697be12cd6ea550be5374c",
+    ("general-gnp", 120, 0.04, None, 0): "339a7ac8b84ddcc95817f4e6fe56cc085778265ffb75dae131e4001a94a98daf",
+    ("general-gnp", 120, 0.04, None, 7): "e8635c3188bc09a64e7ecf550eaa1390edcaf33b57d480cabcbf388de75ab1c7",
+    ("general-gnp", 300, 0.05, None, 0): "96e83e1cd18cf7000e12557b255382d9a8c92dd50351526e1eb392770294f488",
+    ("general-gnp", 300, 0.05, None, 7): "a5d4ba335ecb2b82795d47d5291f87cf1b5875284c0b2e353fe733b2b71d8668",
+    ("planted-matching", 100, None, 50, 0): "5045a553e9ee0fc188b8705cb2b63ef5a76afea519f3be44ec0d4f08c822959b",
+    ("planted-matching", 100, None, 50, 7): "ded76f27eb6b886c9bf7a23521b3250d45345eaa3da4f57936687af1b7a79484",
+}
+
+
+@pytest.mark.parametrize("kind, n, p, plant, seed", sorted(GOLDEN_GRAPHS, key=repr))
+def test_gen_random_golden(kind, n, p, plant, seed):
+    g = gen_random(kind, n, p, plant, seed)
+    # Python ints, not numpy scalars: the repr below would differ, and
+    # numpy scalars make every later dict and set lookup slower
+    assert all(type(x) is int for e in g.edges for x in e)
+    if kind != "planted-matching":
+        # and one int object per vertex, shared by its edges
+        assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
+    sides = None if g.bipartition is None else tuple(sorted(s) for s in g.bipartition)
+    digest = hashlib.sha256(repr((g.n, g.edges, sides)).encode()).hexdigest()
+    assert digest == GOLDEN_GRAPHS[kind, n, p, plant, seed]
 
 
 def test_gen_random_validates():

@@ -90,7 +90,7 @@ def test_slice_conventions():
     assert s.slice(1, m) == s.arrivals()
     cut = phase1_cut(m, 0.3)
     assert s.slice(1, cut) == s.arrivals()[:cut]
-    assert s.slice(3, 3) == (s.edge_at(3),)
+    assert s.slice(3, 3) == (s.arrivals()[2],)
     assert s.slice(1, 0) == ()
     assert s.slice(m + 1, m) == ()
     with pytest.raises(IndexError):
@@ -185,8 +185,7 @@ def test_per_edge_iia_frequency_matches_gamma():
         s = make_stream(g, 50_000 + trial)
         rng = np.random.default_rng(90_000 + trial)
         split = split_phases(m, 0.1, gamma, rng)
-        for pos in range(split.eps_cut + 1, m + 1):
-            e = s.edge_at(pos)
+        for pos, e in enumerate(s.slice(split.eps_cut + 1, m), split.eps_cut + 1):
             in_phase2[e] += 1
             if split.phase_of(pos) is Phase.IIA:
                 in_iia[e] += 1

@@ -1,11 +1,14 @@
-"""Shared test helpers: small random instance makers and independent
-brute-force oracles that the library code must agree with."""
+"""Shared test helpers: small random instance makers, independent
+brute-force oracles and the unanchored Phase II.B reference loop that
+the library code must agree with."""
 
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from streammatch import Graph, Matching, edge_key
+from streammatch import Graph, Matching, Path, edge_key
+from streammatch.graph import _augmenting_paths
 
 
 def random_general(rnd: random.Random, n: int, p: float) -> Graph:
@@ -94,3 +97,59 @@ def exists_augmenting(matching: Matching, allowed, max_len: int) -> bool:
             if extend(start, frozenset({start}), False, 0):
                 return True
     return False
+
+
+def find_augmenting_path(
+    matching: Matching, allowed: Iterable[tuple[int, int]], max_len: int = 5
+) -> Path | None:
+    """First augmenting path for `matching` inside the `allowed` edge set,
+    of odd length <= max_len, or None.
+
+    Search order is deterministic: path lengths 1, 3, 5 in turn, and
+    within a length the lowest-index free vertex first, then ascending
+    neighbor index. `allowed` must contain every matching edge.
+    """
+    if max_len not in (1, 3, 5):
+        raise ValueError("max_len must be 1, 3, or 5")
+    allowed_set = {edge_key(u, v) for u, v in allowed}
+    for e in matching.edges:
+        if e not in allowed_set:
+            raise ValueError(f"allowed set is missing matching edge {e}")
+    adj: dict[int, list[int]] = {}
+    for u, v in allowed_set:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    for lst in adj.values():
+        lst.sort()
+    verts = next(
+        _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()), max_len),
+        None,
+    )
+    if verts is None:
+        return None
+    return Path(verts, allowed_set)
+
+
+def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
+    """Matching obtained by flipping the path's edges in and out of the
+    matching; the result is one edge larger and `matching` is unchanged."""
+    result = matching.copy()
+    result.augment(path.vertices)
+    return result
+
+
+def reference_phase2b(m_h, t, arrivals):
+    """Phase II.B by the definition: after each arrival e, apply the first
+    augmenting path of length <= 5 in M | T | {e} until none is left. An
+    arrival e of None is a pass over M | T alone."""
+    m = m_h.copy()
+    applied = []
+    for pos, e in arrivals:
+        arriving = set() if e is None else {edge_key(*e)}
+        while True:
+            path = find_augmenting_path(m, t.edge_set | m.edges | arriving)
+            if path is None:
+                break
+            m = apply_augmenting_path(m, path)
+            applied.append((pos, len(path), path.vertices))
+    return m, applied
