@@ -188,7 +188,7 @@ def phase2b(
     if e is not None:
         edge = ea, eb = edge_key(*e)
     starts = sorted({v for v, d in enumerate(t.degrees) if d}.union(edge))
-    for verts in _augmenting_paths(partner_map, starts, nbrs, 5):
+    for verts in _augmenting_paths(partner_map, starts, nbrs):
         apply(verts, edge, pos)
 
     reach: dict[int, bool] = {}
@@ -205,7 +205,7 @@ def phase2b(
             continue
         edge = ea, eb = edge_key(x, y)
         starts = _path_ends_through(edge, partner_map, nbrs)
-        verts = next(_augmenting_paths(partner_map, starts, nbrs, 5), None)
+        verts = next(_augmenting_paths(partner_map, starts, nbrs), None)
         if verts is not None:
             apply(verts, edge, pos)
             reach.clear()
@@ -263,7 +263,7 @@ def beats23_match(
     hu = sp.hu_graph
     extra = sorted(m_aug.edges - hu.edge_set)
     if extra:
-        final = max_matching(_graph_of_canonical(g.n, extra, hu.bipartition, base=hu))
+        final = max_matching(_graph_of_canonical(g.n, hu.edges + tuple(extra), hu.bipartition))
     else:
         final = sp.hu_matching
     diag = TrialDiagnostics(

@@ -120,20 +120,14 @@ def _graph_of_canonical(
     n: int,
     edges: Iterable[Edge],
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
-    base: Graph | None = None,
 ) -> Graph:
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; the bipartition is a `Graph.bipartition`
-    pair. With `base`, the graph holds base's edges and then `edges`,
-    which must not be among them, and only the adjacency lists that gain
-    an edge are rebuilt. Nothing is validated, so use it only for edge
-    sets the package built itself, such as H | U or a stream slice."""
+    pair. Nothing is validated, so use it only for edge sets the package
+    built itself, such as H | U or a stream slice."""
     edges = tuple(edges)
     g = object.__new__(Graph)
-    if base is None:
-        _fill_graph(g, n, edges, frozenset(edges), bipartition)
-    else:
-        _fill_graph(g, n, edges, base.edge_set.union(edges), bipartition, base)
+    _fill_graph(g, n, edges, frozenset(edges), bipartition)
     return g
 
 
@@ -143,26 +137,18 @@ def _fill_graph(
     edges: tuple[Edge, ...],
     edge_set: frozenset[Edge],
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
-    base: Graph | None = None,
 ) -> None:
     """Set every field of g: `edges` are checked canonical edges,
-    `edge_set` is the whole graph's edge set and `bipartition` is a
-    `Graph.bipartition` pair. Adjacency lists are sorted, so a search gives
-    the same result however the graph was built; with `base` (see
-    `_graph_of_canonical`) only the lists that gain an edge are re-sorted."""
-    add: list[list[int]] = [[] for _ in range(n)]
+    `edge_set` is their set and `bipartition` is a `Graph.bipartition`
+    pair. Adjacency lists are sorted, so a search gives the same result
+    whatever order the edges came in."""
+    lists: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
-        add[a].append(b)
-        add[b].append(a)
-    if base is None:
-        for lst in add:
-            lst.sort()
-        adj = tuple(map(tuple, add))
-    else:
-        adj = tuple(
-            tuple(sorted((*old, *new))) if new else old for old, new in zip(base.adj, add)
-        )
-        edges = base.edges + edges
+        lists[a].append(b)
+        lists[b].append(a)
+    for lst in lists:
+        lst.sort()
+    adj = tuple(map(tuple, lists))
     g.n = n
     g.edges = edges
     g.adj = adj
@@ -172,13 +158,13 @@ def _fill_graph(
 
 
 class Matching:
-    """Set of vertex-disjoint edges with O(1) matched-partner lookup."""
+    """Set of vertex-disjoint edges, kept as one vertex -> partner table
+    from which the edge set, size, equality and order are read."""
 
-    __slots__ = ("_partner", "_edges")
+    __slots__ = ("_partner",)
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         self._partner: dict[int, int] = {}
-        self._edges: set[Edge] = set()
         for u, v in edges:
             self.add(u, v)
 
@@ -189,12 +175,12 @@ class Matching:
             raise ValueError(f"edge ({u}, {v}) shares a vertex with the matching")
         self._partner[u] = v
         self._partner[v] = u
-        self._edges.add(edge_key(u, v))
 
     def augment(self, vertices: Sequence[int]) -> None:
         """Flip an augmenting path, given as its vertex sequence, in place:
         its matched edges leave the matching and its other edges join it,
-        so the matching grows by one edge.
+        so the matching grows by one edge. Every vertex of the path gets
+        its new partner, so no entry of a removed edge is left behind.
 
         Raises NotAugmentingError, leaving the matching unchanged, unless
         the path has odd length, distinct vertices, unmatched endpoints
@@ -208,16 +194,12 @@ class Matching:
             raise NotAugmentingError("path vertices must be pairwise distinct")
         if vs[0] in partner or vs[-1] in partner:
             raise NotAugmentingError("path endpoints must be unmatched")
-        matched = list(zip(vs[1:-1:2], vs[2:-1:2]))
-        for u, v in matched:
+        for u, v in zip(vs[1:-1:2], vs[2:-1:2]):
             if partner.get(u) != v:
                 raise NotAugmentingError(f"alternation fails at edge {edge_key(u, v)}")
-        for u, v in matched:
-            self._edges.remove(edge_key(u, v))
         for u, v in zip(vs[::2], vs[1::2]):
             partner[u] = v
             partner[v] = u
-            self._edges.add(edge_key(u, v))
 
     def is_matched(self, v: int) -> bool:
         return v in self._partner
@@ -229,7 +211,7 @@ class Matching:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(self._edges)
+        return frozenset([(u, v) for u, v in self._partner.items() if u < v])
 
     @classmethod
     def _from_mate(cls, mate: Sequence[int]) -> "Matching":
@@ -237,39 +219,37 @@ class Matching:
         and in the order that `add` over ascending v would use."""
         m = cls()
         partner = m._partner
-        edges = m._edges
         for v, w in enumerate(mate):
             if w > v:
                 partner[v] = w
                 partner[w] = v
-                edges.add((v, w))
         return m
 
     def copy(self) -> "Matching":
         m = Matching()
         m._partner = dict(self._partner)
-        m._edges = set(self._edges)
         return m
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._partner) // 2
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        return edge_key(*edge) in self._edges
+        u, v = edge
+        return self._partner.get(u) == v
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(sorted(self._edges))
+        return iter(sorted(self.edges))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self._edges == other._edges
+        return self._partner == other._partner
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._edges))
+        return hash(self.edges)
 
     def __repr__(self) -> str:
-        return f"Matching({sorted(self._edges)})"
+        return f"Matching({sorted(self.edges)})"
 
 
 class Path:
@@ -563,8 +543,8 @@ def _path5(u, partner_map, nbrs) -> list[int] | None:
     return None
 
 
-def _augmenting_paths(partner_map, starts, nbrs, max_len: int) -> Iterator[list[int]]:
-    """Augmenting paths of odd length <= max_len, shortest first; within
+def _augmenting_paths(partner_map, starts, nbrs) -> Iterator[list[int]]:
+    """Augmenting paths of length 1, 3 or 5, shortest first; within
     a length, from the lowest free start first, then by ascending
     neighbour index.
 
@@ -589,9 +569,7 @@ def _augmenting_paths(partner_map, starts, nbrs, max_len: int) -> Iterator[list[
       ends Q would have yielded it already.
     """
     starts = [u for u in starts if u not in partner_map]
-    for length, first_from in ((1, _path1), (3, _path3), (5, _path5)):
-        if length > max_len:
-            return
+    for first_from in (_path1, _path3, _path5):
         for u in starts:
             if u not in partner_map:
                 path = first_from(u, partner_map, nbrs)
@@ -603,6 +581,14 @@ def _augmenting_paths(partner_map, starts, nbrs, max_len: int) -> Iterator[list[
 # edge-list file format
 
 
+def _line_ints(tokens: list[str], path, line_no: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        line = " ".join(tokens)
+        raise ValueError(f"{path!r} line {line_no}: expected integers, got {line!r}") from None
+
+
 def read_edge_list(path) -> Graph:
     """Load a graph from the edge-list format: header `n m [bipartite L]`,
     then m lines `u v` with 0-indexed endpoints and nothing but blank
@@ -611,21 +597,21 @@ def read_edge_list(path) -> Graph:
         header = fh.readline().split()
         if len(header) not in (2, 4):
             raise ValueError(f"bad header in {path!r}")
-        n, m = int(header[0]), int(header[1])
+        n, m = _line_ints(header[:2], path, 1)
         bipartition = None
         if len(header) == 4:
             if header[2] != "bipartite":
                 raise ValueError(f"bad header tag {header[2]!r}")
-            left_size = int(header[3])
+            (left_size,) = _line_ints(header[3:], path, 1)
             if not 0 <= left_size <= n:
                 raise ValueError("left side size out of range")
             bipartition = (range(left_size), range(left_size, n))
         edges = []
-        for _ in range(m):
+        for line_no in range(2, m + 2):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"expected {m} edge lines in {path!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append(tuple(_line_ints(parts, path, line_no)))
         if any(line.strip() for line in fh):
             raise ValueError(f"{path!r} has lines after the {m} declared edges")
     return Graph(n, edges, bipartition)

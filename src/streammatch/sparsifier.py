@@ -46,6 +46,10 @@ class AlgoParams:
             raise ValueError("beta_plus must be positive")
         if not self.beta_minus > 0:
             raise ValueError("beta_minus must be positive")
+        if self.beta_plus == math.inf:
+            raise ValueError("beta_plus must be finite")
+        if self.beta_minus == math.inf:
+            raise ValueError("beta_minus must be finite")
         if self.beta_minus > self.beta_plus:
             raise ValueError("beta_minus must not exceed beta_plus")
         if not 0.0 <= self.lam < 1.0:

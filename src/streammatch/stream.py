@@ -66,27 +66,17 @@ def make_stream(g: Graph, seed: int) -> EdgeStream:
     return EdgeStream(g, rng.permutation(m))
 
 
-BINOMIAL_CHUNK = 4096
-
-
 def sample_binomial(k: int, p: float, rng) -> int:
     """Number of successes in k independent Bernoulli(p) trials: the count
-    of `rng.random() < p` over k draws.
-
-    The draws are taken BINOMIAL_CHUNK at a time from the numpy Generator
-    `rng`, which yields the same doubles as k single draws, so the count
-    and the generator's state afterwards match the one-draw-at-a-time
-    loop. O(k) time, O(BINOMIAL_CHUNK) extra space.
+    of `rng.random() < p` over k draws. The numpy Generator `rng` gives
+    the k doubles in one call, the same doubles and the same state after
+    them as k single draws. O(k) time and space.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    count = 0
-    for start in range(0, k, BINOMIAL_CHUNK):
-        draws = rng.random(min(BINOMIAL_CHUNK, k - start))
-        count += int(np.count_nonzero(draws < p))
-    return count
+    return int(np.count_nonzero(rng.random(k) < p))
 
 
 def phase1_cut(m: int, eps: float) -> int:

@@ -385,6 +385,9 @@ def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     ("5", "0", "beta_minus must be positive"),
     ("5", "-2", "beta_minus must be positive"),
     ("-3", "-4", "beta_plus must be positive"),
+    ("inf", "3", "beta_plus must be finite"),
+    ("5", "inf", "beta_minus must be finite"),
+    ("inf", "inf", "beta_plus must be finite"),
 ])
 def test_cli_bad_beta_caps_name_the_cap(plus, minus, message, capsys):
     code = main(["run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "10",
@@ -448,6 +451,20 @@ def test_cli_extra_edge_lines_exit_1(tmp_path, capsys):
     path.write_text("4 2\n0 1\n2 3\n1 2\n")
     assert main(["run", "--algo", "greedy", "--instance", str(path), "--workers", "1"]) == 1
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text, line_no, line", [
+    ("4 2\n0 1\n1 x\n", 3, "1 x"),
+    ("4 2\n0.5 1\n2 3\n", 2, "0.5 1"),
+    ("four 2\n0 1\n2 3\n", 1, "four 2"),
+    ("4 2 bipartite two\n0 2\n1 3\n", 1, "two"),
+], ids=["edge-token", "edge-float", "header-count", "header-left-size"])
+def test_cli_non_integer_edge_list_token_names_the_line(tmp_path, capsys, text, line_no, line):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    assert main(["run", "--algo", "greedy", "--instance", str(path), "--workers", "1"]) == 1
+    message = f"{str(path)!r} line {line_no}: expected integers, got {line!r}"
+    assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
 
 
 def test_worker_env_cap(monkeypatch):
@@ -526,7 +543,7 @@ _BAD_VALUES = {
     "--n": ["-1", "0", "1", "x", "2.5"],
     "--p": ["-0.1", "1.5", "nan", "x"],
     "--eps": ["0", "0.5", "0.7", "-1", "nan", "x"],
-    "--beta-plus": ["0", "-3", "4", "x"],
+    "--beta-plus": ["0", "-3", "4", "x", "inf"],
     "--beta-minus": ["7", "x"],
     "--b": ["1", "0", "-2", "x"],
     "--trials": ["0", "-1", "x"],

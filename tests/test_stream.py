@@ -14,7 +14,6 @@ from streammatch import (
     sample_binomial,
     split_phases,
 )
-from streammatch.stream import BINOMIAL_CHUNK
 from util import random_bipartite
 import random
 
@@ -106,10 +105,7 @@ def test_sample_binomial_degenerate():
     assert sample_binomial(0, 0.5, rng) == 0
 
 
-@pytest.mark.parametrize(
-    "k",
-    [0, 1, BINOMIAL_CHUNK - 1, BINOMIAL_CHUNK, BINOMIAL_CHUNK + 1, 7554],
-)
+@pytest.mark.parametrize("k", [0, 1, 4095, 4096, 4097, 7554])
 @pytest.mark.parametrize("p", [0.0, 2 / 3, 1.0])
 def test_sample_binomial_matches_one_draw_at_a_time(k, p):
     for seed in (0, 1, 9):

@@ -121,11 +121,10 @@ def find_augmenting_path(
         adj.setdefault(v, []).append(u)
     for lst in adj.values():
         lst.sort()
-    verts = next(
-        _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()), max_len),
-        None,
-    )
-    if verts is None:
+    # the first path yielded is a shortest one, so none fits when it does not
+    paths = _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()))
+    verts = next(paths, None)
+    if verts is None or len(verts) - 1 > max_len:
         return None
     return Path(verts, allowed_set)
 
