@@ -5,11 +5,13 @@ short augmenting paths with their phase-based classification."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .graph import Edge, Graph, Matching, Path
 from .sparsifier import AlgoParams
-from .stream import Phase
+from .stream import EdgeStream, Phase, phase1_cut
 
 
 class UnknownEdgeError(KeyError):
@@ -33,39 +35,44 @@ class EdcsReport:
 
 
 def check_edcs(
-    g: Graph,
+    stream: EdgeStream,
     h: Graph,
-    u: Iterable[Edge],
+    u_index,
     params: AlgoParams,
-    suffix: Iterable[tuple[int, int]],
 ) -> EdcsReport:
     """Verify on the finished run that (i) every H edge has edge-degree at
-    most beta_plus and (ii) U is exactly the set of suffix edges whose
+    most beta_plus and (ii) `u_index` holds exactly the ascending 0-based
+    indices, in `stream.arrivals()`, of the Phase II edges whose
     H-edge-degree is below beta_minus.
 
-    Canonical input tuples are kept, not copied, and the missing and
-    extra edges are listed only when the two sets differ, so a passing
-    check allocates no tuple per edge."""
-    u_set = {e if e[0] < e[1] else (e[1], e[0]) for e in u}
+    Phase II starts at `phase1_cut`, and the expected indices come from a
+    comparison of its own over the stream's endpoint arrays. Indices out of
+    order, repeated or outside Phase II fail (ii); one outside the stream
+    names no edge of G and fails the subgraph check as well. The missing
+    and extra edges are listed, canonical and sorted, only on a mismatch."""
+    g = stream.graph
+    m = len(stream)
+    cut = phase1_cut(m, params.eps)
     deg = h.degrees
     cap_violations = tuple(
         e for e in h.edges if deg[e[0]] + deg[e[1]] > params.beta_plus
     )
-    beta_minus = params.beta_minus
-    expected = set()
-    for e in suffix:
-        a, b = e
-        if deg[a] + deg[b] < beta_minus:
-            expected.add(e if a < b else (b, a))
+    deg_array = np.fromiter(deg, np.int64, h.n)
+    lows, highs = stream.ends(cut + 1, m)
+    expected = cut + np.flatnonzero(deg_array[lows] + deg_array[highs] < params.beta_minus)
+    got = np.asarray(u_index, dtype=np.int64)
+    u_exact = np.array_equal(got, expected)
     missing = extra = ()
-    if expected != u_set:
-        missing = tuple(sorted(expected - u_set))
-        extra = tuple(sorted(u_set - expected))
-    subgraph_ok = h.edge_set <= g.edge_set and u_set <= g.edge_set
+    in_stream = True
+    if not u_exact:
+        inside = got[(got >= 0) & (got < m)]
+        in_stream = len(inside) == len(got)
+        missing = tuple(sorted(stream.edges_at(np.setdiff1d(expected, got))))
+        extra = tuple(sorted(stream.edges_at(np.setdiff1d(inside, expected))))
     return EdcsReport(
         degree_cap_ok=not cap_violations,
-        u_exact=not missing and not extra,
-        subgraph_ok=subgraph_ok,
+        u_exact=u_exact,
+        subgraph_ok=in_stream and h.edge_set <= g.edge_set,
         cap_violations=cap_violations,
         u_missing=missing,
         u_extra=extra,

@@ -37,7 +37,7 @@ from .graph import (
     edge_key,
     max_matching,
 )
-from .sparsifier import AlgoParams, run_sparsifier
+from .sparsifier import AlgoParams, Sparsifier, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
 
 
@@ -133,9 +133,10 @@ def phase2b(
       unmatched, leaves each end of e along that end's matched edge unless
       the end is the path's own free endpoint, and crosses e only once, so
       both ends reach the path's endpoints by walks in M | T. The answers
-      depend only on M and T, so they are kept until a path is applied.
-      Only "reaches" answers can then go stale, as the flip matches the
-      ends of the applied path P; a "does not reach" answer stays true.
+      depend only on M and T, so they are kept across arrivals. A flip can
+      make only "reaches" answers stale, as it matches the ends of the
+      applied path P, so only those are dropped; a "does not reach"
+      answer stays true.
       Say M' = M ^ P (e is in neither T nor M), and v, whose walks in
       M | T all end at matched vertices, walks in M' | T to a free w. The
       walk crosses an edge (a, b) that P added to the matching, or it was
@@ -146,7 +147,7 @@ def phase2b(
       in M | T with length <= 5, or Q uses e and is shorter than P, or
       v's walk in M | T reaches an end of P, or M | T holds an augmenting
       path of length 1 or 3 from an end of P. The search has left none of
-      these, so clearing the memo only refreshes "reaches" answers.
+      these, so v does not reach in M' | T either.
     - Only free vertices that begin a path through e are tried, in the
       full search's order, so the same path is found. At most one is
       applied: were Q another after P, P ^ Q would hold two disjoint
@@ -175,9 +176,10 @@ def phase2b(
         return base
 
     def apply(verts: list[int], edge: tuple, pos: int | None) -> None:
+        t_edges = t.edge_set
         for u, v in zip(verts[::2], verts[1::2]):
             uv = edge_key(u, v)
-            if uv != edge and uv not in t.edge_set:
+            if uv != edge and uv not in t_edges:
                 raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
         m.augment(verts)
         applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))
@@ -191,14 +193,20 @@ def phase2b(
     for verts in _augmenting_paths(partner_map, starts, nbrs):
         apply(verts, edge, pos)
 
-    reach: dict[int, bool] = {}
+    live: set[int] = set()  # reach a free vertex; dropped after each flip
+    dead: set[int] = set()  # reach none; stays true across flips
     t_nbrs = t_adj.__getitem__
 
     def reaches(v: int) -> bool:
-        r = reach.get(v)
-        if r is None:
-            r = reach[v] = next(_free_ends(v, partner_map, t_nbrs), None) is not None
-        return r
+        if v in live:
+            return True
+        if v in dead:
+            return False
+        if next(_free_ends(v, partner_map, t_nbrs), None) is None:
+            dead.add(v)
+            return False
+        live.add(v)
+        return True
 
     for pos, (x, y) in arrivals:
         if not (reaches(x) and reaches(y)):
@@ -208,17 +216,13 @@ def phase2b(
         verts = next(_augmenting_paths(partner_map, starts, nbrs), None)
         if verts is not None:
             apply(verts, edge, pos)
-            reach.clear()
+            live.clear()
     return m, tuple(applied)
 
 
 def greedy_match(stream: EdgeStream) -> Matching:
     """Maximal matching: accept each arriving edge with both endpoints free."""
-    m = Matching()
-    for u, v in stream.arrivals():
-        if not m.is_matched(u) and not m.is_matched(v):
-            m.add(u, v)
-    return m
+    return Matching._greedy(stream.arrivals())
 
 
 @dataclass(frozen=True)
@@ -226,13 +230,21 @@ class TrialDiagnostics:
     """Artifacts and measurements from one full streamed run."""
 
     split: PhaseSplit
-    h: Graph
-    u: frozenset[Edge]
+    sparsifier: Sparsifier
     t: Graph
     m_h: Matching
     m_aug: Matching
     mu_hu: int
     applied: tuple[AppliedPath, ...]
+
+    @property
+    def h(self) -> Graph:
+        return self.sparsifier.h
+
+    @property
+    def u(self) -> frozenset[Edge]:
+        """U as a set of edges, built on first use."""
+        return self.sparsifier.u
 
     @property
     def path_length_histogram(self) -> dict[int, int]:
@@ -268,8 +280,7 @@ def beats23_match(
         final = sp.hu_matching
     diag = TrialDiagnostics(
         split=split,
-        h=sp.h,
-        u=sp.u,
+        sparsifier=sp,
         t=t,
         m_h=m_h,
         m_aug=m_aug,

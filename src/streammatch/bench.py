@@ -162,12 +162,10 @@ def load_instance(config: TrialConfig) -> Graph:
 # per-trial execution
 
 
-def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool]:
+def _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    cut = phase1_cut(len(stream), config.params.eps)
-    suffix = stream.slice(cut + 1, len(stream))
     if config.checks.edcs:
-        checks["edcs"] = check_edcs(g, h, u_set, config.params, suffix).ok
+        checks["edcs"] = check_edcs(stream, sp.h, sp.u_index, config.params).ok
     if config.checks.dichotomy_deltas:
         for delta in config.checks.dichotomy_deltas:
             rep = check_dichotomy(
@@ -177,6 +175,7 @@ def _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu) -> dict[str, bool
             checks[f"dichotomy:{delta:g}"] = rep.holds
     if config.checks.census:
         # stream edges are g's own: canonical, distinct and in range
+        suffix = stream.slice(phase1_cut(len(stream), config.params.eps) + 1, len(stream))
         m_star = max_matching(_graph_of_canonical(g.n, suffix, g.bipartition))
         checks["census"] = path_census(m_star, m_h).short_path_bound_holds
     return checks
@@ -202,16 +201,16 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
         if config.algo == "bernstein":
             sp = run_sparsifier(stream, config.params)
             out = sp.hu_matching
-            h, u_set, m_h, mu_hu = sp.h, sp.u, max_matching(sp.h), len(out)
+            m_h, mu_hu = max_matching(sp.h), len(out)
         else:
             rng = np.random.default_rng(algo_seed)
             out, diag = beats23_match(stream, config.params, rng)
-            h, u_set, m_h, mu_hu = diag.h, diag.u, diag.m_h, diag.mu_hu
+            sp, m_h, mu_hu = diag.sparsifier, diag.m_h, diag.mu_hu
             t_size, m_size = len(diag.t.edges), len(diag.m_aug)
             path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
-        h_size, u_size, m_h_size = len(h.edges), len(u_set), len(m_h)
+        h_size, u_size, m_h_size = len(sp.h.edges), sp.u_size, len(m_h)
         if config.checks.any:
-            checks = _run_checks(config, g, stream, h, u_set, m_h, mu_g, mu_hu)
+            checks = _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu)
 
     return TrialRecord(
         trial=index,

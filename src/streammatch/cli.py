@@ -188,8 +188,9 @@ def main(argv=None) -> int:
         if args.command == "verify-gadgets":
             return _cmd_verify_gadgets(args)
         return _cmd_hard(args)
-    except (ValueError, OSError, KeyError, SafetyCapExceeded, BrokenExecutor) as exc:
-        print(f"match-bench: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, SafetyCapExceeded, BrokenExecutor,
+            MemoryError) as exc:
+        print(f"match-bench: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,11 @@ All tie-breaking is by lowest vertex index so results are reproducible.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from operator import eq, itemgetter
 from typing import Container, Iterable, Iterator, Sequence
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -51,10 +54,13 @@ class Graph:
     (left, right) bipartition tag.
 
     Adjacency lists are kept sorted so that every index-based search in
-    this package is deterministic.
+    this package is deterministic. The numpy forms of the edges
+    (`edge_array`, `endpoints`) are built on first use, so a graph that is
+    never streamed does not pay for them.
     """
 
-    __slots__ = ("n", "edges", "adj", "bipartition", "edge_set", "degrees")
+    __slots__ = ("n", "edges", "adj", "bipartition", "degrees", "_edge_set",
+                 "_edge_array", "_endpoints")
 
     def __init__(
         self,
@@ -96,6 +102,43 @@ class Graph:
             bipartition = (left, right)
         _fill_graph(self, n, norm, edge_set, bipartition)
 
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        """The edges as a frozenset. A validated graph built it as its
+        duplicate check; one from `_graph_of_canonical` builds it here, on
+        first use."""
+        edge_set = self._edge_set
+        if edge_set is None:
+            edge_set = self._edge_set = frozenset(self.edges)
+        return edge_set
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """`edges` as a 1-D object array holding the same tuples, built on
+        first use."""
+        arr = self._edge_array
+        if arr is None:
+            arr = self._edge_array = np.fromiter(self.edges, object, len(self.edges))
+        return arr
+
+    @property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(low ends, high ends) of `edges` as two int64 arrays, built on
+        first use."""
+        ends = self._endpoints
+        if ends is None:
+            m = len(self.edges)
+            pairs = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * m)
+            ends = self._endpoints = (pairs[0::2], pairs[1::2])
+        return ends
+
+    def __getstate__(self):
+        # the numpy forms are caches: a pickled graph, such as a pool
+        # worker's instance, leaves them out
+        state = {s: getattr(self, s) for s in Graph.__slots__}
+        state["_edge_array"] = state["_endpoints"] = None
+        return None, state
+
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_set
 
@@ -124,10 +167,10 @@ def _graph_of_canonical(
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; the bipartition is a `Graph.bipartition`
     pair. Nothing is validated, so use it only for edge sets the package
-    built itself, such as H | U or a stream slice."""
-    edges = tuple(edges)
+    built itself, such as H | U or a stream slice. Its `edge_set` is built
+    on first use."""
     g = object.__new__(Graph)
-    _fill_graph(g, n, edges, frozenset(edges), bipartition)
+    _fill_graph(g, n, tuple(edges), None, bipartition)
     return g
 
 
@@ -135,13 +178,14 @@ def _fill_graph(
     g: Graph,
     n: int,
     edges: tuple[Edge, ...],
-    edge_set: frozenset[Edge],
+    edge_set: frozenset[Edge] | None,
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
 ) -> None:
     """Set every field of g: `edges` are checked canonical edges,
-    `edge_set` is their set and `bipartition` is a `Graph.bipartition`
-    pair. Adjacency lists are sorted, so a search gives the same result
-    whatever order the edges came in."""
+    `edge_set` is their set or None to build it on first use, and
+    `bipartition` is a `Graph.bipartition` pair. Adjacency lists are
+    sorted, so a search gives the same result whatever order the edges
+    came in."""
     lists: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         lists[a].append(b)
@@ -152,9 +196,10 @@ def _fill_graph(
     g.n = n
     g.edges = edges
     g.adj = adj
-    g.edge_set = edge_set
     g.degrees = tuple(map(len, adj))
     g.bipartition = bipartition
+    g._edge_set = edge_set
+    g._edge_array = g._endpoints = None
 
 
 class Matching:
@@ -212,6 +257,19 @@ class Matching:
     @property
     def edges(self) -> frozenset[Edge]:
         return frozenset([(u, v) for u, v in self._partner.items() if u < v])
+
+    @classmethod
+    def _greedy(cls, edges: Iterable[Edge]) -> "Matching":
+        """Greedy maximal matching: each edge, in order, joins when both of
+        its ends are free. Filled in one pass and in the order that `add`
+        would use; `edges` must hold no self-loop."""
+        m = cls()
+        partner = m._partner
+        for u, v in edges:
+            if u not in partner and v not in partner:
+                partner[u] = v
+                partner[v] = u
+        return m
 
     @classmethod
     def _from_mate(cls, mate: Sequence[int]) -> "Matching":
@@ -606,12 +664,17 @@ def read_edge_list(path) -> Graph:
             if not 0 <= left_size <= n:
                 raise ValueError("left side size out of range")
             bipartition = (range(left_size), range(left_size, n))
+        # one int object per vertex, shared by all of its edges, as
+        # `instances.gen_random` gives; values out of range stay as read,
+        # so that `Graph` names them (a negative index would wrap)
+        vertex = list(range(n))
         edges = []
         for line_no in range(2, m + 2):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"expected {m} edge lines in {path!r}")
-            edges.append(tuple(_line_ints(parts, path, line_no)))
+            u, v = _line_ints(parts, path, line_no)
+            edges.append((vertex[u] if 0 <= u < n else u, vertex[v] if 0 <= v < n else v))
         if any(line.strip() for line in fh):
             raise ValueError(f"{path!r} has lines after the {m} declared edges")
     return Graph(n, edges, bipartition)

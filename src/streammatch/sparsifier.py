@@ -3,7 +3,8 @@
 Phase I maintains a subgraph H of the stream prefix in which every edge
 has bounded edge-degree (deg(u) + deg(v) <= beta_plus). Phase II collects
 the set U of all later edges whose edge-degree in the frozen H stays
-below beta_minus. A maximum matching of H | U is the sparsifier's output.
+below beta_minus, as their stream indices. A maximum matching of H | U is
+the sparsifier's output.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .graph import Edge, Graph, Matching, _graph_of_canonical, edge_key, max_matching
 from .stream import EdgeStream, phase1_cut
@@ -95,21 +98,34 @@ def default_u_cap(n: int) -> int:
     return max(n, 2) * max(1, math.ceil(math.log2(max(n, 2)))) * 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sparsifier:
-    """Frozen result of one streamed run: subgraph H, candidate set U,
+    """Frozen result of one streamed run: subgraph H, the candidate set U
+    as the ascending 0-based indices of its edges in `stream.arrivals()`,
     and the prefix length that Phase I consumed."""
 
+    stream: EdgeStream
     h: Graph
-    u: frozenset[Edge]
+    u_index: np.ndarray
     eps_cut: int
+
+    @property
+    def u_size(self) -> int:
+        return len(self.u_index)
+
+    @cached_property
+    def u(self) -> frozenset[Edge]:
+        """U as a set of canonical edges, built on first use."""
+        return frozenset(self.stream.edges_at(self.u_index))
 
     @cached_property
     def hu_graph(self) -> Graph:
         """H | U, built once. H holds prefix edges and U suffix edges, so
         the two are disjoint and the union needs no dedupe."""
         h = self.h
-        return _graph_of_canonical(h.n, h.edges + tuple(self.u), h.bipartition)
+        return _graph_of_canonical(
+            h.n, h.edges + tuple(self.stream.edges_at(self.u_index)), h.bipartition
+        )
 
     @cached_property
     def hu_matching(self) -> Matching:
@@ -168,24 +184,21 @@ def phase1_build_h(
 
 
 def phase2_collect_u(
-    suffix: Iterable[tuple[int, int]],
+    lows: np.ndarray,
+    highs: np.ndarray,
     h: Graph,
     params: AlgoParams,
-) -> set[Edge]:
-    """Single scan over the suffix: keep exactly the edges whose edge-degree
-    in the frozen H is below beta_minus."""
+) -> np.ndarray:
+    """Ascending indices i of the Phase II edges (lows[i], highs[i]) whose
+    edge-degree in the frozen H is below beta_minus: one comparison over
+    the endpoint arrays. Raises SafetyCapExceeded when more than
+    `default_u_cap` edges qualify."""
+    deg = np.fromiter(h.degrees, np.int64, h.n)
+    index = np.flatnonzero(deg[lows] + deg[highs] < params.beta_minus)
     cap = default_u_cap(h.n)
-    deg = h.degrees
-    u_set: set[Edge] = set()
-    for e in suffix:
-        a, b = e
-        if deg[a] + deg[b] < params.beta_minus:
-            # keep the arriving tuple when it is canonical, as stream edges
-            # are: a fresh tuple per U edge adds garbage-collector passes
-            u_set.add(e if a < b else (b, a))
-            if len(u_set) > cap:
-                raise SafetyCapExceeded(f"|U| exceeded the safety cap of {cap}")
-    return u_set
+    if len(index) > cap:
+        raise SafetyCapExceeded(f"|U| exceeded the safety cap of {cap}")
+    return index
 
 
 def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
@@ -194,9 +207,8 @@ def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
     cut = phase1_cut(m, params.eps)
     g = stream.graph
     h = phase1_build_h(stream.slice(1, cut), g.n, params, g.bipartition)
-    suffix = stream.slice(cut + 1, m)
-    u_set = phase2_collect_u(suffix, h, params)
-    return Sparsifier(h, frozenset(u_set), cut)
+    lows, highs = stream.ends(cut + 1, m)
+    return Sparsifier(stream, h, cut + phase2_collect_u(lows, highs, h, params), cut)
 
 
 def bernstein_match(stream: EdgeStream, params: AlgoParams) -> Matching:

@@ -25,10 +25,11 @@ class Phase(enum.Enum):
 class EdgeStream:
     """Random-order arrival sequence over a graph's edges.
 
-    Positions are 1-indexed: the stream is e_1, ..., e_m.
+    Positions are 1-indexed: the stream is e_1, ..., e_m. `order` is the
+    permutation as a read-only int64 array: e_i is `graph.edges[order[i - 1]]`.
     """
 
-    __slots__ = ("graph", "order", "_arrivals")
+    __slots__ = ("graph", "order", "_arrival_array", "_arrivals", "_ends")
 
     def __init__(self, graph: Graph, order):
         arr = np.asarray(order)
@@ -40,21 +41,45 @@ class EdgeStream:
         ):
             raise ValueError("order must be a 1-D integer permutation of the edge indices")
         self.graph = graph
-        self.order: tuple[int, ...] = tuple(arr.tolist())
-        self._arrivals: tuple[Edge, ...] = tuple(map(graph.edges.__getitem__, self.order))
+        self.order: np.ndarray = arr.astype(np.int64)
+        self.order.flags.writeable = False
+        # one take over the graph's object array: the arrivals are the
+        # graph's own edge tuples
+        self._arrival_array = graph.edge_array[self.order]
+        self._arrivals: tuple[Edge, ...] = tuple(self._arrival_array.tolist())
+        self._ends: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.order)
 
+    def _check_range(self, a: int, b: int) -> None:
+        if not (1 <= a <= b + 1 <= len(self.order) + 1):
+            raise IndexError(f"slice ({a}, {b}) out of range 1..{len(self.order)}")
+
     def slice(self, a: int, b: int) -> tuple[Edge, ...]:
         """Edges e_a..e_b in arrival order (1-indexed, inclusive); empty
         for b = a - 1, so slice(m + 1, m) is the empty suffix."""
-        if not (1 <= a <= b + 1 <= len(self.order) + 1):
-            raise IndexError(f"slice ({a}, {b}) out of range 1..{len(self.order)}")
+        self._check_range(a, b)
         return self._arrivals[a - 1 : b]
+
+    def ends(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(low ends, high ends) of e_a..e_b as int64 arrays, with the
+        conventions of `slice`. The stream's endpoint arrays are gathered
+        from the graph's on first use."""
+        self._check_range(a, b)
+        ends = self._ends
+        if ends is None:
+            lows, highs = self.graph.endpoints
+            ends = self._ends = (lows[self.order], highs[self.order])
+        return ends[0][a - 1 : b], ends[1][a - 1 : b]
 
     def arrivals(self) -> tuple[Edge, ...]:
         return self._arrivals
+
+    def edges_at(self, index: np.ndarray) -> list[Edge]:
+        """The arrivals at 0-based indices `index` (e_{i+1} for each i),
+        in the order given, gathered with one take."""
+        return self._arrival_array[index].tolist()
 
 
 def make_stream(g: Graph, seed: int) -> EdgeStream:

@@ -42,58 +42,82 @@ def _sparsifier_run(seed: int, bipartite: bool = True):
 
 def test_check_edcs_passes_on_real_runs():
     for seed in range(10):
-        g, _, sp, params, suffix = _sparsifier_run(seed)
-        report = check_edcs(g, sp.h, sp.u, params, suffix)
+        g, s, sp, params, _ = _sparsifier_run(seed, bipartite=seed % 2 == 0)
+        report = check_edcs(s, sp.h, sp.u_index, params)
         assert report.ok, report
+        assert report.u_missing == () and report.u_extra == ()
 
 
 def test_check_edcs_flags_degree_violation():
     # star with center degree 4: every edge has edge-degree 5 > beta_plus=4
     h = Graph(5, [(0, i) for i in range(1, 5)])
-    params = params_with_betas(0.1, 4, 4)
-    report = check_edcs(h, h, set(), params, ())
+    params = params_with_betas(0.3, 4, 4)
+    report = check_edcs(make_stream(h, 0), h, [], params)
     assert not report.degree_cap_ok
     assert report.cap_violations
+    assert report.u_exact  # every Phase II edge has edge-degree 5 >= 4
     assert not report.ok
 
 
-def test_check_edcs_flags_tampered_u():
+def _nonempty_u_run(min_u: int = 1):
     for seed in range(20):
-        g, _, sp, params, suffix = _sparsifier_run(seed)
-        if not sp.u:
-            continue
-        tampered = set(sp.u)
-        tampered.pop()
-        report = check_edcs(g, sp.h, tampered, params, suffix)
-        assert not report.u_exact and report.u_missing
-        return
-    pytest.fail("no run produced a nonempty U")
+        run = _sparsifier_run(seed)
+        if run[2].u_size >= min_u:
+            return run
+    pytest.fail("no run produced a large enough U")
 
 
-def test_check_edcs_accepts_reversed_tuples():
-    for seed in range(10):
-        g, _, sp, params, suffix = _sparsifier_run(seed, bipartite=seed % 2 == 0)
-        reversed_u = {(b, a) for a, b in sp.u}
-        reversed_suffix = [(b, a) if (a + b) % 2 else (a, b) for a, b in suffix]
-        report = check_edcs(g, sp.h, reversed_u, params, reversed_suffix)
-        assert report.u_exact and report.ok, report
+def test_check_edcs_flags_tampered_u():
+    g, s, sp, params, _ = _nonempty_u_run()
+    dropped = sp.u_index[0]
+    report = check_edcs(s, sp.h, sp.u_index[1:], params)
+    assert not report.u_exact and not report.ok
+    assert report.u_missing == (s.arrivals()[dropped],) and report.u_extra == ()
+    assert report.subgraph_ok
+
+
+def test_check_edcs_flags_repeated_and_unordered_indices():
+    g, s, sp, params, _ = _nonempty_u_run(min_u=2)
+    index = sp.u_index.tolist()
+    for tampered in (index + index[-1:], index[::-1], [index[0]] + index):
+        report = check_edcs(s, sp.h, tampered, params)
+        # the same set of edges, so nothing is listed, yet the check fails
+        assert not report.u_exact and not report.ok
+        assert report.u_missing == () and report.u_extra == ()
+        assert report.subgraph_ok
+
+
+def test_check_edcs_flags_indices_outside_phase2():
+    g, s, sp, params, _ = _nonempty_u_run()
+    index = sp.u_index.tolist()
+    arrivals = s.arrivals()
+    # a Phase I index names an edge of G that is not a Phase II edge
+    report = check_edcs(s, sp.h, [sp.eps_cut - 1] + index, params)
+    assert not report.u_exact and report.subgraph_ok
+    assert report.u_extra == (arrivals[sp.eps_cut - 1],) and report.u_missing == ()
+    # an index outside the stream names no edge of G at all
+    for bad in (-1, len(s)):
+        report = check_edcs(s, sp.h, sorted(index + [bad]), params)
+        assert not report.u_exact and not report.subgraph_ok
         assert report.u_missing == () and report.u_extra == ()
 
 
 def test_check_edcs_lists_exact_missing_and_extra():
     runs = 0
     for seed in range(20):
-        g, _, sp, params, suffix = _sparsifier_run(seed)
-        outside = sorted(set(suffix) - sp.u) + sorted(sp.h.edges)
-        if len(sp.u) < 2 or len(outside) < 2:
+        g, s, sp, params, _ = _sparsifier_run(seed)
+        index = sp.u_index.tolist()
+        outside = sorted(set(range(len(s))) - set(index))  # Phase I and II
+        if len(index) < 2 or len(outside) < 2:
             continue
-        dropped = sorted(sp.u)[::-1][:2]  # the two largest U edges
-        added = outside[:2]
-        tampered = (sp.u - set(dropped)) | {(b, a) for a, b in added}
-        report = check_edcs(g, sp.h, tampered, params, suffix)
+        dropped = index[-2:]
+        added = [outside[0], outside[-1]]
+        tampered = sorted(set(index[:-2]) | set(added))
+        report = check_edcs(s, sp.h, tampered, params)
         assert not report.u_exact and report.subgraph_ok
-        assert report.u_missing == tuple(sorted(dropped))
-        assert report.u_extra == tuple(sorted(added))
+        arrivals = s.arrivals()
+        assert report.u_missing == tuple(sorted(arrivals[i] for i in dropped))
+        assert report.u_extra == tuple(sorted(arrivals[i] for i in added))
         runs += 1
     assert runs >= 5
 

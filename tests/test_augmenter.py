@@ -132,8 +132,8 @@ def test_phase2b_no_path_leaves_state_unchanged():
 def test_phase2b_rejects_a_path_outside_t():
     # T whose adjacency lists hold an edge that its edge set lacks
     m_h = Matching([(1, 2)])
-    t = build_t([(0, 1), (2, 3)], m_h, b=5, n=4)
-    t.edge_set = frozenset({(0, 1)})
+    t = build_t([(0, 1)], m_h, b=5, n=4)
+    t.adj = build_t([(0, 1), (2, 3)], m_h, b=5, n=4).adj
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
         phase2b(m_h, t, [])
 
@@ -198,6 +198,21 @@ def test_greedy_p4_trap():
     m = greedy_match(s)
     assert m.edges == {(1, 2)}
     assert len(m) == 1  # ratio exactly 1/2
+
+
+def test_greedy_fills_the_table_as_add_would():
+    rnd = random.Random(15)
+    for trial in range(20):
+        g = random_general(rnd, 30, 0.2)
+        if not g.edges:
+            continue
+        s = make_stream(g, trial)
+        want = Matching()
+        for u, v in s.arrivals():
+            if not want.is_matched(u) and not want.is_matched(v):
+                want.add(u, v)
+        got = greedy_match(s)
+        assert list(got.partner_map.items()) == list(want.partner_map.items())
 
 
 def test_greedy_perfect_matching_graph():
@@ -319,9 +334,16 @@ def test_beats23_boundary_pass_when_tau_covers_phase2():
 
 def _beats23_cases(kind):
     """(stream, params) pairs: seeded bipartite and general streams, parity
-    gadgets with tight caps (most II.B arrivals apply a path there), and
-    streams whose II.A covers Phase II (only the closing pass runs)."""
+    gadgets with tight caps (most II.B arrivals apply a path there),
+    general graphs with tight caps (many II.B flips, each keeping the reach
+    memo's "does not reach" answers) and streams whose II.A covers Phase
+    II (only the closing pass runs)."""
     rnd = random.Random(kind)
+    if kind == "general-flips":
+        params = params_with_betas(0.05, 2, 1, 2.0 / 3.0, 500)
+        for seed in range(8):
+            yield make_stream(random_general(rnd, 100, 0.04), seed), params
+        return
     if kind == "gadget":
         params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
         for seed in range(6):
@@ -339,7 +361,7 @@ def _beats23_cases(kind):
         yield make_stream(g, seed), params
 
 
-@pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "closing"])
+@pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "general-flips", "closing"])
 def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     # beats23 resumes its first step, skips later arrivals by reach and
     # builds M | H | U from H | U; the reference restarts every search,

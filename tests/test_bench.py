@@ -380,6 +380,14 @@ def test_cli_bad_arguments_exit_1_without_traceback(argv, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_cli_out_of_memory_exits_1_without_traceback(capsys):
+    # n = 10^8 asks numpy for 8.9 PiB, a request that fails at once
+    argv = ["run", "--algo", "greedy", "--gen", "general-gnp", "--n", "100000000",
+            "--p", "0"]
+    assert main(argv) == 1
+    assert "Unable to allocate" in _assert_one_line_error(capsys).err
+
+
 @pytest.mark.parametrize("plus, minus, message", [
     ("5", "6", "beta_minus must not exceed beta_plus"),
     ("5", "0", "beta_minus must be positive"),

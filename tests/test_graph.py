@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from streammatch import (
     trivial_family,
     write_edge_list,
 )
+from streammatch.graph import _graph_of_canonical
 from util import (
     apply_augmenting_path,
     exists_augmenting,
@@ -196,6 +198,26 @@ def _assert_same_graph(got, want):
     assert got.degrees == want.degrees
     assert got.edge_set == want.edge_set
     assert got.bipartition == want.bipartition
+
+
+def test_lazy_edge_set_and_numpy_forms():
+    rnd = random.Random(6)
+    g = random_general(rnd, 30, 0.2)
+    lazy = _graph_of_canonical(g.n, g.edges)
+    assert lazy._edge_set is None  # built on first use only
+    assert lazy.edge_set == frozenset(g.edges) == g.edge_set
+    assert lazy.edge_set is lazy.edge_set
+    assert g._edge_array is None and g._endpoints is None
+    assert all(a is b for a, b in zip(g.edge_array, g.edges)) and len(g.edge_array) == len(g.edges)
+    lows, highs = g.endpoints
+    assert lows.dtype == highs.dtype == np.int64
+    assert list(zip(lows.tolist(), highs.tolist())) == list(g.edges)
+    # a pickled graph leaves the numpy forms out and builds them again
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy._edge_array is None and copy._endpoints is None
+    assert copy.edge_array.tolist() == list(g.edges)
+    empty = Graph(3)
+    assert len(empty.edge_array) == 0 and [len(a) for a in empty.endpoints] == [0, 0]
 
 
 @pytest.mark.parametrize("kind", ["bipartite", "general"])
@@ -388,6 +410,19 @@ def test_edge_list_round_trip(tmp_path):
     path = tmp_path / "g.edges"
     write_edge_list(g, path)
     assert read_edge_list(path) == g
+
+
+def test_edge_list_shares_one_int_per_vertex(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("1000 3\n300 700\n700 999\n1 300\n")
+    g = read_edge_list(path)
+    assert g.edges == ((300, 700), (700, 999), (1, 300))
+    assert g.edges[0][1] is g.edges[1][0] and g.edges[0][0] is g.edges[2][1]
+    # out-of-range values stay as read, so Graph names the edge
+    for bad in ("300 1000", "-1 300"):
+        path.write_text(f"1000 1\n{bad}\n")
+        with pytest.raises(ValueError, match=f"edge \\({bad.replace(' ', ', ')}\\) out of range"):
+            read_edge_list(path)
 
 
 def test_edge_list_rejects_duplicates(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from streammatch import (
@@ -17,7 +18,7 @@ from streammatch import (
     phase2_collect_u,
     run_sparsifier,
 )
-from util import random_bipartite
+from util import random_bipartite, random_general
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +135,19 @@ def test_phase1_cap_invariant_random_runs():
 # Phase II
 
 
+def _collect(suffix, h, params) -> list[int]:
+    """phase2_collect_u over the endpoint arrays of a list of edges."""
+    lows, highs = np.array(suffix, dtype=np.int64).reshape(-1, 2).T
+    index = phase2_collect_u(lows, highs, h, params)
+    assert index.dtype == np.int64 or len(index) == 0
+    return index.tolist()
+
+
 def test_phase2_empty_h_takes_all():
     params = params_with_betas(0.1, 4, 3)
     h = Graph(6)
     suffix = [(0, 1), (3, 2), (4, 5)]
-    assert phase2_collect_u(suffix, h, params) == {(0, 1), (2, 3), (4, 5)}
+    assert _collect(suffix, h, params) == [0, 1, 2]
 
 
 def test_phase2_threshold_never_met():
@@ -146,14 +155,14 @@ def test_phase2_threshold_never_met():
     # H is a star: center degree 3, so any suffix edge touching the center
     # and a leaf has edge-degree 4 >= beta_minus
     h = Graph(5, star(3))
-    assert phase2_collect_u([(0, 4)], h, params) == set()
+    assert _collect([(0, 4)], h, params) == []
 
 
 def test_phase2_perfect_matching_h_includes_matched_pairs():
     params = params_with_betas(0.1, 4, 3)
     h = Graph(4, [(0, 1), (2, 3)])
     # edge between two matched vertices has edge-degree 2 < 3
-    assert phase2_collect_u([(0, 2)], h, params) == {(0, 2)}
+    assert _collect([(0, 2)], h, params) == [0]
 
 
 def test_phase2_exactness_rescan():
@@ -170,6 +179,34 @@ def test_phase2_exactness_rescan():
         assert recomputed == set(sp.u)
 
 
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_u_index_equals_per_edge_rule(kind):
+    # U's indices are those the per-edge scan keeps, ascending, and the
+    # lazy U is the frozenset of the same stream tuples that scan built
+    rnd = random.Random(kind)
+    for trial in range(20):
+        if kind == "bipartite":
+            g = random_bipartite(rnd, 20, 20, rnd.choice([0.1, 0.25, 0.5]))
+        else:
+            g = random_general(rnd, 40, rnd.choice([0.05, 0.15, 0.3]))
+        if len(g.edges) < 10:
+            continue
+        s = make_stream(g, trial)
+        params = params_with_betas(0.2, rnd.choice([4, 8, 12]), rnd.choice([2, 3, 4]))
+        sp = run_sparsifier(s, params)
+        deg = sp.h.degrees
+        arrivals = s.arrivals()
+        want = [
+            i for i in range(sp.eps_cut, len(s))
+            if deg[arrivals[i][0]] + deg[arrivals[i][1]] < params.beta_minus
+        ]
+        assert sp.u_index.tolist() == want
+        assert sp.u_size == len(want)
+        assert sp.u == frozenset(arrivals[i] for i in want)
+        assert sp.u is sp.u  # built once
+        assert all(any(e is arrivals[i] for i in want) for e in sp.u)
+
+
 def test_phase2_safety_cap(monkeypatch):
     import streammatch.sparsifier as sparsifier
 
@@ -177,9 +214,12 @@ def test_phase2_safety_cap(monkeypatch):
     h = Graph(8)
     suffix = [(0, 1), (2, 3), (4, 5), (6, 7)]
     monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 2)
-    assert len(phase2_collect_u(suffix[:2], h, params)) == 2
+    assert _collect(suffix[:2], h, params) == [0, 1]  # |U| at the cap
     with pytest.raises(SafetyCapExceeded, match="safety cap of 2"):
-        phase2_collect_u(suffix, h, params)
+        _collect(suffix[:3], h, params)  # one above it
+    # edges outside U do not count towards the cap
+    h_star = Graph(8, star(3))
+    assert _collect([(0, 4), (4, 5), (0, 5), (6, 7)], h_star, params) == [1, 3]
     assert default_u_cap(200) == 200 * 8 * 32
 
 

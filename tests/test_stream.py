@@ -45,13 +45,37 @@ def test_edge_stream_rejects_non_permutation(order):
     "order", [[2, 0, 3, 1], np.array([2, 0, 3, 1]), np.array([2, 0, 3, 1], dtype=np.uint32)],
     ids=["list", "numpy", "numpy-uint32"],
 )
-def test_edge_stream_accepts_permutation_as_python_ints(order):
+def test_edge_stream_keeps_permutation_as_int64_array(order):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     s = EdgeStream(g, order)
-    # numpy ints here would change pickled tasks and the reports' JSON
-    assert s.order == (2, 0, 3, 1) and all(type(i) is int for i in s.order)
+    assert s.order.dtype == np.int64 and s.order.tolist() == [2, 0, 3, 1]
+    assert not s.order.flags.writeable
+    if isinstance(order, np.ndarray):
+        order[0] = 3  # the stream holds its own copy
+        assert s.order.tolist() == [2, 0, 3, 1]
     assert s.arrivals() == ((2, 3), (0, 1), (3, 4), (1, 2))
-    assert all(type(i) is int for i in make_stream(g, 3).order)
+
+
+def test_arrivals_are_the_graphs_own_tuples():
+    g = random_bipartite(random.Random(4), 8, 8, 0.4)
+    s = make_stream(g, 11)
+    assert all(s.arrivals()[i] is g.edges[s.order[i]] for i in range(len(s)))
+    index = np.array([4, 0, 7])
+    assert all(e is s.arrivals()[i] for e, i in zip(s.edges_at(index), index.tolist()))
+
+
+def test_ends_are_the_slices_endpoints():
+    g = random_bipartite(random.Random(5), 8, 8, 0.4)
+    s = make_stream(g, 12)
+    m = len(s)
+    for a, b in [(1, m), (3, 9), (m + 1, m), (5, 4), (m, m)]:
+        lows, highs = s.ends(a, b)
+        assert lows.dtype == highs.dtype == np.int64
+        assert list(zip(lows.tolist(), highs.tolist())) == list(s.slice(a, b))
+    with pytest.raises(IndexError):
+        s.ends(0, m)
+    with pytest.raises(IndexError):
+        s.ends(1, m + 1)
 
 
 def test_empty_graph_rejected():
@@ -61,8 +85,8 @@ def test_empty_graph_rejected():
 
 def test_same_seed_same_order():
     g = random_bipartite(random.Random(1), 6, 6, 0.5)
-    assert make_stream(g, 99).order == make_stream(g, 99).order
-    assert make_stream(g, 99).order != make_stream(g, 100).order
+    assert np.array_equal(make_stream(g, 99).order, make_stream(g, 99).order)
+    assert not np.array_equal(make_stream(g, 99).order, make_stream(g, 100).order)
 
 
 def test_every_edge_appears_once():
@@ -77,7 +101,7 @@ def test_permutation_uniformity_m3():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     counts = {perm: 0 for perm in itertools.permutations(range(3))}
     for seed in range(6000):
-        counts[make_stream(g, seed).order] += 1
+        counts[tuple(make_stream(g, seed).order.tolist())] += 1
     for perm, c in counts.items():
         assert abs(c / 6000 - 1 / 6) < 0.02, (perm, c)
 
