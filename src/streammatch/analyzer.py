@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, Path
+from .graph import Edge, Graph, Matching, Path, _missing_edges
 from .sparsifier import AlgoParams
 from .stream import EdgeStream, Phase, phase1_cut
 
@@ -72,7 +72,7 @@ def check_edcs(
     return EdcsReport(
         degree_cap_ok=not cap_violations,
         u_exact=u_exact,
-        subgraph_ok=in_stream and h.edge_set <= g.edge_set,
+        subgraph_ok=in_stream and h.n <= g.n and not _missing_edges(g.adj, h.edges),
         cap_violations=cap_violations,
         u_missing=missing,
         u_extra=extra,

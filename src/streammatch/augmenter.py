@@ -33,7 +33,10 @@ from .graph import (
     Graph,
     Matching,
     _augmenting_paths,
+    _ends_of,
     _graph_of_canonical,
+    _graph_plus,
+    _missing_edges,
     edge_key,
     max_matching,
 )
@@ -66,7 +69,7 @@ def build_t(
             chosen.append(edge_key(x, y))
             deg[v] += 1
             deg[u] += 1
-    return _graph_of_canonical(n, chosen)
+    return _graph_of_canonical(n, chosen, _ends_of(chosen))
 
 
 class AppliedPath(NamedTuple):
@@ -273,9 +276,10 @@ def beats23_match(
     # none outside, its adjacency is H | U's own, so max_matching would
     # return the H | U matching edge for edge
     hu = sp.hu_graph
-    extra = sorted(m_aug.edges - hu.edge_set)
+    m_edges = [(u, v) for u, v in m_aug.partner_map.items() if u < v]
+    extra = sorted(_missing_edges(hu.adj, m_edges))
     if extra:
-        final = max_matching(_graph_of_canonical(g.n, hu.edges + tuple(extra), hu.bipartition))
+        final = max_matching(_graph_plus(hu, extra, _ends_of(extra)))
     else:
         final = sp.hu_matching
     diag = TrialDiagnostics(

@@ -175,8 +175,10 @@ def _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu) -> dict[str, bool]:
             checks[f"dichotomy:{delta:g}"] = rep.holds
     if config.checks.census:
         # stream edges are g's own: canonical, distinct and in range
-        suffix = stream.slice(phase1_cut(len(stream), config.params.eps) + 1, len(stream))
-        m_star = max_matching(_graph_of_canonical(g.n, suffix, g.bipartition))
+        cut, m = phase1_cut(len(stream), config.params.eps), len(stream)
+        suffix = _graph_of_canonical(g.n, stream.slice(cut + 1, m), stream.ends(cut + 1, m),
+                                     g.bipartition)
+        m_star = max_matching(suffix)
         checks["census"] = path_census(m_star, m_h).short_path_bound_holds
     return checks
 

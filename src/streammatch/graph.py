@@ -8,9 +8,10 @@ All tie-breaking is by lowest vertex index so results are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from itertools import chain
-from operator import eq, itemgetter
+from itertools import accumulate, chain
+from operator import index
 from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,11 +34,26 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _first_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
-    """Error for the first edge, in input order, that is a self-loop, out
-    of range for n vertices, or a repeat of an earlier edge."""
+MAX_VERTICES = 2**31 - 1  # largest n whose adjacency codes v * n + w fit in int64
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+
+
+def _first_edge_error(n: int, edges: Iterable[tuple[int, int]]) -> ValueError:
+    """Error for the first edge, in input order, that has an end that is
+    not an integer, is a self-loop, is out of range for n vertices, or
+    repeats an earlier edge."""
     seen: set[Edge] = set()
     for u, v in edges:
+        try:
+            index(u), index(v)
+        except TypeError:
+            return ValueError(f"edge ({u!r}, {v!r}) has an end that is not an integer")
         if u == v:
             return ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -49,14 +65,47 @@ def _first_edge_error(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
     raise AssertionError("no offending edge found")
 
 
+def _ends_of(edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """(first ends, second ends) of a sequence of pairs as int64 arrays.
+    Each end goes through `operator.index`, which raises TypeError for a
+    float or a string, where numpy alone would truncate or parse it."""
+    pairs = np.fromiter(map(index, chain.from_iterable(edges)), np.int64, 2 * len(edges))
+    return pairs[0::2], pairs[1::2]
+
+
+_vertex_table = np.arange(0).astype(object)
+
+
+def _vertex_ints(n: int) -> np.ndarray:
+    """Object array of the ints 0..n-1, drawn from one table for the whole
+    process and extended on demand, so that every graph's edges and
+    adjacency lists hold the same int object for a vertex. Dict and set
+    lookups across graphs then match vertices by identity: with a table
+    per graph, the exact matchings and the census of a gadget-tight trial
+    ran 10-20% slower in process."""
+    global _vertex_table
+    have = len(_vertex_table)
+    if have < n:
+        _vertex_table = np.concatenate((_vertex_table, np.arange(have, n).astype(object)))
+    return _vertex_table[:n]
+
+
+def _adjacency_codes(n: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Both orientations of every edge as codes v * n + w, sorted: by v,
+    then by w."""
+    codes = np.concatenate((lows * n + highs, highs * n + lows))
+    codes.sort()  # not lexsort or a stable argsort, which are 10-20x slower
+    return codes
+
+
 class Graph:
     """Simple undirected graph with adjacency lists and an optional
     (left, right) bipartition tag.
 
     Adjacency lists are kept sorted so that every index-based search in
-    this package is deterministic. The numpy forms of the edges
-    (`edge_array`, `endpoints`) are built on first use, so a graph that is
-    never streamed does not pay for them.
+    this package is deterministic. `endpoints` holds the edges' ends as
+    int64 arrays, from which the adjacency was built; `edge_set` and the
+    object array `edge_array` are built on first use.
     """
 
     __slots__ = ("n", "edges", "adj", "bipartition", "degrees", "_edge_set",
@@ -68,45 +117,21 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        _check_vertex_count(n)
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
-        edge_set = frozenset(norm)
-        if norm:
-            # not zip(*norm): it allocates an iterator per edge, which makes
-            # the garbage collector run more often
-            lows = list(map(itemgetter(0), norm))
-            highs = list(map(itemgetter(1), norm))
-            if (
-                len(edge_set) != len(norm)
-                or min(lows) < 0
-                or max(highs) >= n
-                or any(map(eq, lows, highs))
-            ):
-                raise _first_edge_error(n, edges)
-        if bipartition is not None:
-            left = frozenset(bipartition[0])
-            right = frozenset(bipartition[1])
-            if left & right:
-                raise ValueError("bipartition sides overlap")
-            if left | right != frozenset(range(n)):
-                raise ValueError("bipartition must cover all vertices")
-            side = bytearray(n)
-            for v in left:
-                side[v] = 1
-            for a, b in norm:
-                if side[a] == side[b]:
-                    raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
-            bipartition = (left, right)
-        _fill_graph(self, n, norm, edge_set, bipartition)
+        try:
+            if edges and set(map(len, edges)) != {2}:
+                raise ValueError
+            firsts, seconds = _ends_of(edges)
+        except (TypeError, ValueError, OverflowError):
+            # not pairs of int64s: the scan names the fault
+            raise _first_edge_error(n, edges) from None
+        _check_and_fill(self, n, firsts, seconds, bipartition)
 
     @property
     def edge_set(self) -> frozenset[Edge]:
-        """The edges as a frozenset. A validated graph built it as its
-        duplicate check; one from `_graph_of_canonical` builds it here, on
-        first use."""
+        """The edges as a frozenset, built on first use."""
         edge_set = self._edge_set
         if edge_set is None:
             edge_set = self._edge_set = frozenset(self.edges)
@@ -123,13 +148,11 @@ class Graph:
 
     @property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """(low ends, high ends) of `edges` as two int64 arrays, built on
-        first use."""
+        """(low ends, high ends) of `edges` as two int64 arrays. Set when
+        the graph is built; a pickled copy builds them again on first use."""
         ends = self._endpoints
         if ends is None:
-            m = len(self.edges)
-            pairs = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * m)
-            ends = self._endpoints = (pairs[0::2], pairs[1::2])
+            ends = self._endpoints = _ends_of(self.edges)
         return ends
 
     def __getstate__(self):
@@ -140,7 +163,7 @@ class Graph:
         return None, state
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
+        return 0 <= u < self.n and not _missing_edges(self.adj, ((u, v),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -159,47 +182,127 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}{tag})"
 
 
+def _graph_of_ends(
+    n: int,
+    firsts: np.ndarray,
+    seconds: np.ndarray,
+    bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
+) -> Graph:
+    """`Graph(n, zip(firsts, seconds), bipartition)` from two int64 arrays
+    of edge ends, with the same checks, for a caller that holds the arrays
+    and would otherwise build a Python pair per edge only to pass them."""
+    _check_vertex_count(n)
+    g = object.__new__(Graph)
+    _check_and_fill(g, n, np.asarray(firsts, np.int64), np.asarray(seconds, np.int64), bipartition)
+    return g
+
+
+def _check_and_fill(
+    g: Graph,
+    n: int,
+    firsts: np.ndarray,
+    seconds: np.ndarray,
+    bipartition: tuple[Iterable[int], Iterable[int]] | None,
+) -> None:
+    """Check the edges (firsts[i], seconds[i]) for a `Graph` on n vertices
+    and fill g with them, or raise the error that names the first bad edge
+    in input order; the bipartition is checked after the edges."""
+    lows = np.minimum(firsts, seconds)
+    highs = np.maximum(firsts, seconds)
+    codes = _adjacency_codes(n, lows, highs)
+    # a repeated edge, and a self-loop's two orientations, give equal
+    # neighbouring codes
+    if len(codes) and (lows.min() < 0 or highs.max() >= n or (codes[1:] == codes[:-1]).any()):
+        raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
+    if bipartition is not None:
+        left = frozenset(bipartition[0])
+        right = frozenset(bipartition[1])
+        if left & right:
+            raise ValueError("bipartition sides overlap")
+        if left | right != frozenset(range(n)):
+            raise ValueError("bipartition must cover all vertices")
+        side = np.zeros(n, bool)
+        side[np.fromiter(left, np.int64, len(left))] = True
+        same = np.flatnonzero(side[lows] == side[highs])
+        if len(same):
+            a, b = lows[same[0]], highs[same[0]]
+            raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
+        bipartition = (left, right)
+    _fill_graph(g, n, None, (lows, highs), codes, bipartition)
+
+
+def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[Edge]:
+    """The edges (u, v), in the order given, whose v is not in the sorted
+    adjacency list adj[u]: one bisection each, and no edge set built."""
+    missing = []
+    for u, v in edges:
+        row = adj[u]
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            missing.append((u, v))
+    return missing
+
+
 def _graph_of_canonical(
     n: int,
-    edges: Iterable[Edge],
+    edges: Sequence[Edge],
+    ends: tuple[np.ndarray, np.ndarray],
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
 ) -> Graph:
     """Graph on edges known to be canonical, distinct, in range and, with
-    a bipartition, crossing it; the bipartition is a `Graph.bipartition`
-    pair. Nothing is validated, so use it only for edge sets the package
-    built itself, such as H | U or a stream slice. Its `edge_set` is built
-    on first use."""
+    a bipartition, crossing it; `ends` are their (low, high) ends as int64
+    arrays, and the bipartition is a `Graph.bipartition` pair. Nothing is
+    validated, so use it only for edge sets the package built itself, such
+    as H | U or a stream slice."""
     g = object.__new__(Graph)
-    _fill_graph(g, n, tuple(edges), None, bipartition)
+    lows, highs = ends
+    _fill_graph(g, n, tuple(edges), ends, _adjacency_codes(n, lows, highs), bipartition)
     return g
+
+
+def _graph_plus(g: Graph, edges: Sequence[Edge], ends: tuple[np.ndarray, np.ndarray]) -> Graph:
+    """g with `edges` added after its own: canonical edges that g lacks,
+    with `ends` their (low, high) ends as int64 arrays."""
+    lows, highs = g.endpoints
+    union_ends = (np.concatenate((lows, ends[0])), np.concatenate((highs, ends[1])))
+    return _graph_of_canonical(g.n, g.edges + tuple(edges), union_ends, g.bipartition)
 
 
 def _fill_graph(
     g: Graph,
     n: int,
-    edges: tuple[Edge, ...],
-    edge_set: frozenset[Edge] | None,
+    edges: tuple[Edge, ...] | None,
+    ends: tuple[np.ndarray, np.ndarray],
+    codes: np.ndarray,
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
 ) -> None:
-    """Set every field of g: `edges` are checked canonical edges,
-    `edge_set` is their set or None to build it on first use, and
-    `bipartition` is a `Graph.bipartition` pair. Adjacency lists are
-    sorted, so a search gives the same result whatever order the edges
-    came in."""
-    lists: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        lists[a].append(b)
-        lists[b].append(a)
-    for lst in lists:
-        lst.sort()
-    adj = tuple(map(tuple, lists))
+    """Set every field of g from checked canonical edges: `ends` are their
+    (low, high) ends, `codes` their `_adjacency_codes`, `edges` their
+    tuples or None to build them from `ends`, and `bipartition` is a
+    `Graph.bipartition` pair. Adjacency lists are sorted, so a search gives
+    the same result whatever order the edges came in. A vertex is one int
+    object (`_vertex_ints`) in `adj` and in edges built here."""
+    vertex = _vertex_ints(n)
+    if edges is None:
+        edges = tuple(zip(vertex[ends[0]].tolist(), vertex[ends[1]].tolist()))
+    owners, nbrs = np.divmod(codes, max(n, 1))
+    degrees = np.bincount(owners, minlength=n)
+    flat = tuple(vertex[nbrs].tolist())
+    # isolated vertices keep the shared empty tuple; a loop that slices
+    # only the others beat `map(slice, ...)` over all of them
+    adj = [()] * n
+    start = 0
+    touched = np.flatnonzero(degrees)
+    for v, stop in zip(touched.tolist(), accumulate(degrees[touched].tolist())):
+        adj[v] = flat[start:stop]
+        start = stop
     g.n = n
     g.edges = edges
-    g.adj = adj
-    g.degrees = tuple(map(len, adj))
+    g.adj = tuple(adj)
+    g.degrees = tuple(degrees.tolist())
     g.bipartition = bipartition
-    g._edge_set = edge_set
-    g._edge_array = g._endpoints = None
+    g._edge_set = g._edge_array = None
+    g._endpoints = ends
 
 
 class Matching:
@@ -656,6 +759,10 @@ def read_edge_list(path) -> Graph:
         if len(header) not in (2, 4):
             raise ValueError(f"bad header in {path!r}")
         n, m = _line_ints(header[:2], path, 1)
+        try:
+            _check_vertex_count(n)
+        except ValueError as exc:
+            raise ValueError(f"{path!r}: {exc}") from None
         bipartition = None
         if len(header) == 4:
             if header[2] != "bipartite":
@@ -664,17 +771,12 @@ def read_edge_list(path) -> Graph:
             if not 0 <= left_size <= n:
                 raise ValueError("left side size out of range")
             bipartition = (range(left_size), range(left_size, n))
-        # one int object per vertex, shared by all of its edges, as
-        # `instances.gen_random` gives; values out of range stay as read,
-        # so that `Graph` names them (a negative index would wrap)
-        vertex = list(range(n))
         edges = []
         for line_no in range(2, m + 2):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"expected {m} edge lines in {path!r}")
-            u, v = _line_ints(parts, path, line_no)
-            edges.append((vertex[u] if 0 <= u < n else u, vertex[v] if 0 <= v < n else v))
+            edges.append(tuple(_line_ints(parts, path, line_no)))
         if any(line.strip() for line in fh):
             raise ValueError(f"{path!r} has lines after the {m} declared edges")
     return Graph(n, edges, bipartition)

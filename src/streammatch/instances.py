@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, edge_key, max_matching, write_edge_list
+from .graph import Edge, Graph, _graph_of_ends, edge_key, max_matching, write_edge_list
 
 
 class NotInducedError(ValueError):
@@ -56,6 +56,14 @@ def xor_gadget(bits: Sequence[int]) -> XorGadget:
         raise ValueError("need at least 3 bits")
     if k % 2 == 0:
         raise ValueError("bit count must be odd")
+    edges, bit_edges = _gadget_edges(bits)
+    return XorGadget(bits, Graph(2 * k, edges), 0, 2 * k - 1, bit_edges)
+
+
+def _gadget_edges(bits: tuple[int, ...]) -> tuple[list[Edge], tuple[tuple[Edge, ...], ...]]:
+    """The canonical edges of `xor_gadget(bits)`, for checked bits, and
+    the edges that each bit chose."""
+    k = len(bits)
 
     def a(i: int) -> int:
         return 2 * i - 1
@@ -79,7 +87,7 @@ def xor_gadget(bits: Sequence[int]) -> XorGadget:
     last = edge_key(t, a(k - 1) if bits[-1] == 0 else b(k - 1))
     edges.append(last)
     bit_edges.append((last,))
-    return XorGadget(bits, Graph(2 * k, edges), s, t, tuple(bit_edges))
+    return edges, tuple(bit_edges)
 
 
 def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
@@ -186,14 +194,13 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
         for x in head:
             parity_head ^= x
         bits = head + (parities[v] ^ parity_head,)
-        gadget = xor_gadget(bits)
         offset = base_n + v * extra
         final_local = 2 * k - 1
 
         def remap(local: int) -> int:
             return v if local == final_local else offset + local
 
-        for x, y in gadget.graph.edges:
+        for x, y in _gadget_edges(bits)[0]:
             edges.append(edge_key(remap(x), remap(y)))
         gadget_bits.append(bits)
         gadget_vertices.append(tuple(remap(i) for i in range(2 * k)))
@@ -264,16 +271,6 @@ def matched_base(n_side: int) -> Graph:
     return Graph(2 * n_side, edges, (range(n_side), range(n_side, 2 * n_side)))
 
 
-def _shared_ints(n: int, lows: np.ndarray, highs: np.ndarray) -> list[Edge]:
-    """Edges (lows[i], highs[i]) as pairs of Python ints, with one int
-    object per vertex shared by all of its edges. Lookups in the trials'
-    dicts and sets then match vertices by identity and touch fewer
-    objects: with an int object per endpoint, checked dense-c10 trials
-    of bernstein and beats23 ran about 10% slower."""
-    vertex = list(range(n)).__getitem__
-    return list(zip(map(vertex, lows.tolist()), map(vertex, highs.tolist())))
-
-
 def gen_random(
     kind: str,
     n: int,
@@ -296,13 +293,13 @@ def gen_random(
             raise ValueError("p must lie in [0, 1]")
         # nonzero is row-major: pair (i, j) in nested-loop order
         rows, cols = np.nonzero(rng.random((n, n)) < p)
-        return Graph(2 * n, _shared_ints(2 * n, rows, cols + n), (range(n), range(n, 2 * n)))
+        return _graph_of_ends(2 * n, rows, cols + n, (range(n), range(n, 2 * n)))
     if kind == "general-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         lows, highs = np.triu_indices(n, 1)  # pairs i < j in nested-loop order
         keep = rng.random(len(lows)) < p
-        return Graph(n, _shared_ints(n, lows[keep], highs[keep]))
+        return _graph_of_ends(n, lows[keep], highs[keep])
     if kind == "planted-matching":
         if plant is None or not 1 <= plant <= n // 2:
             raise ValueError("plant size must lie in [1, n//2]")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, _graph_of_canonical, edge_key, max_matching
+from .graph import Edge, Graph, Matching, _graph_plus, edge_key, max_matching
 from .stream import EdgeStream, phase1_cut
 
 
@@ -122,10 +122,9 @@ class Sparsifier:
     def hu_graph(self) -> Graph:
         """H | U, built once. H holds prefix edges and U suffix edges, so
         the two are disjoint and the union needs no dedupe."""
-        h = self.h
-        return _graph_of_canonical(
-            h.n, h.edges + tuple(self.stream.edges_at(self.u_index)), h.bipartition
-        )
+        stream, index = self.stream, self.u_index
+        lows, highs = stream.ends(1, len(stream))
+        return _graph_plus(self.h, stream.edges_at(index), (lows[index], highs[index]))
 
     @cached_property
     def hu_matching(self) -> Matching:

@@ -34,11 +34,16 @@ class EdgeStream:
     def __init__(self, graph: Graph, order):
         arr = np.asarray(order)
         m = len(graph.edges)
-        if (
-            arr.shape != (m,)
-            or (m and arr.dtype.kind not in "iu")  # () comes out as float64
-            or not np.array_equal(np.sort(arr), np.arange(m))
-        ):
+        ok = arr.shape == (m,) and (
+            m == 0  # () comes out as float64
+            or (arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < m)
+        )
+        if ok and m:
+            # m indices in range are a permutation iff they hit every index
+            hit = np.zeros(m, bool)
+            hit[arr] = True
+            ok = hit.all()
+        if not ok:
             raise ValueError("order must be a 1-D integer permutation of the edge indices")
         self.graph = graph
         self.order: np.ndarray = arr.astype(np.int64)

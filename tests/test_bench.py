@@ -454,6 +454,16 @@ def test_cli_broken_pool_exits_1(monkeypatch, capsys):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n", ["99999999999999999999", "2147483648"])
+def test_cli_vertex_count_above_limit_exits_1(tmp_path, capsys, n):
+    # rejected before anything of size n is allocated
+    path = tmp_path / "g.edges"
+    path.write_text(f"{n} 1\n0 1\n")
+    assert main(["run", "--algo", "greedy", "--instance", str(path), "--workers", "1"]) == 1
+    message = f"{str(path)!r}: vertex count {n} is above the limit of 2147483647"
+    assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
+
+
 def test_cli_extra_edge_lines_exit_1(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("4 2\n0 1\n2 3\n1 2\n")

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from streammatch import (
     trivial_family,
     write_edge_list,
 )
-from streammatch.graph import _graph_of_canonical
+from streammatch.graph import (
+    MAX_VERTICES,
+    _graph_of_canonical,
+    _graph_of_ends,
+    _missing_edges,
+)
 from util import (
     apply_augmenting_path,
     exists_augmenting,
@@ -30,6 +36,7 @@ from util import (
     random_bipartite,
     random_general,
     random_instance,
+    reference_fill,
 )
 
 
@@ -59,6 +66,80 @@ def test_graph_rejects_first_bad_edge(n, edges, bipartition, message):
     with pytest.raises(ValueError) as exc:
         Graph(n, edges, bipartition)
     assert str(exc.value) == message
+    # the array-taking builder of the generators checks the same way
+    firsts, seconds = np.array(edges, dtype=np.int64).T
+    with pytest.raises(ValueError) as exc:
+        _graph_of_ends(n, firsts, seconds, bipartition)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 2**70)], f"edge (2, {2**70}) out of range for n=3"),
+        ([(0, 1), (1.5, 2), (1, 1)], "edge (1.5, 2) has an end that is not an integer"),
+        ([(0, 1), (1, "2")], "edge (1, '2') has an end that is not an integer"),
+    ],
+    ids=["beyond-int64", "float", "string"],
+)
+def test_graph_rejects_ends_that_no_int64_holds(edges, message):
+    # numpy alone would wrap, truncate or parse these
+    with pytest.raises(ValueError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 2**63, 10**20])
+def test_graph_rejects_vertex_count_above_int64_codes(n):
+    # checked before anything of size n is allocated
+    with pytest.raises(ValueError, match=f"vertex count {n} is above the limit of {MAX_VERTICES}"):
+        Graph(n, [(0, 1)])
+    with pytest.raises(ValueError, match="above the limit"):
+        _graph_of_ends(n, np.array([0]), np.array([1]))
+
+
+def _fill_cases():
+    yield 0, [], None
+    yield 4, [], None  # no edges
+    yield 7, [(5, 2), (0, 6), (2, 0)], None  # isolated vertices, unsorted, (v, u) order
+    yield 6, [(4, 1), (3, 0)], (range(3), range(3, 6))
+    rnd = random.Random(14)
+    for _ in range(30):
+        for g in (random_general(rnd, rnd.randint(1, 40), rnd.choice([0.05, 0.2, 0.6])),
+                  random_bipartite(rnd, rnd.randint(1, 20), rnd.randint(1, 20), 0.3)):
+            edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+            rnd.shuffle(edges)
+            yield g.n, edges, g.bipartition
+
+
+def test_fill_equals_reference_fill():
+    for n, edges, bipartition in _fill_cases():
+        canonical = [edge_key(u, v) for u, v in edges]
+        adj, degrees = reference_fill(n, edges)
+        g = Graph(n, edges, bipartition)
+        assert g.adj == adj and g.degrees == degrees and g.edges == tuple(canonical)
+        lows, highs = g.endpoints
+        assert lows.tolist() == [u for u, _ in canonical]
+        assert highs.tolist() == [v for _, v in canonical]
+        same = _graph_of_canonical(n, g.edges, g.endpoints, g.bipartition)
+        assert same.adj == adj and same.degrees == degrees and same.edges is g.edges
+        edge_set = set(canonical)
+        assert _missing_edges(g.adj, canonical) == []
+        for u in range(-1, n + 1):
+            for v in range(n):
+                assert g.has_edge(u, v) == ((u, v) in edge_set or (v, u) in edge_set)
+
+
+def test_fill_holds_one_int_object_per_vertex():
+    # above 256 vertices, whose ints CPython does not cache on its own
+    g = random_general(random.Random(15), 300, 0.03)
+    flipped = Graph(g.n, [(v, u) for u, v in g.edges])
+    same = _graph_of_canonical(g.n, g.edges, g.endpoints)
+    seen: dict[int, int] = {}
+    for graph in (g, flipped, same):
+        for w in chain(chain.from_iterable(graph.adj), chain.from_iterable(graph.edges)):
+            assert seen.setdefault(w, w) is w
+    assert len(seen) > 256
 
 
 def test_graph_adjacency_consistent():
@@ -203,19 +284,22 @@ def _assert_same_graph(got, want):
 def test_lazy_edge_set_and_numpy_forms():
     rnd = random.Random(6)
     g = random_general(rnd, 30, 0.2)
-    lazy = _graph_of_canonical(g.n, g.edges)
-    assert lazy._edge_set is None  # built on first use only
-    assert lazy.edge_set == frozenset(g.edges) == g.edge_set
-    assert lazy.edge_set is lazy.edge_set
-    assert g._edge_array is None and g._endpoints is None
-    assert all(a is b for a, b in zip(g.edge_array, g.edges)) and len(g.edge_array) == len(g.edges)
+    # the endpoint arrays are set at construction, the sets on first use
+    assert g._endpoints is not None
+    assert g._edge_set is None and g._edge_array is None
     lows, highs = g.endpoints
     assert lows.dtype == highs.dtype == np.int64
     assert list(zip(lows.tolist(), highs.tolist())) == list(g.edges)
+    lazy = _graph_of_canonical(g.n, g.edges, g.endpoints)
+    assert lazy._edge_set is None and lazy.endpoints is g.endpoints
+    assert lazy.edge_set == frozenset(g.edges) == g.edge_set
+    assert lazy.edge_set is lazy.edge_set
+    assert all(a is b for a, b in zip(g.edge_array, g.edges)) and len(g.edge_array) == len(g.edges)
     # a pickled graph leaves the numpy forms out and builds them again
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy._edge_array is None and copy._endpoints is None
     assert copy.edge_array.tolist() == list(g.edges)
+    assert [a.tolist() for a in copy.endpoints] == [lows.tolist(), highs.tolist()]
     empty = Graph(3)
     assert len(empty.edge_array) == 0 and [len(a) for a in empty.endpoints] == [0, 0]
 

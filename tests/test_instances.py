@@ -238,9 +238,8 @@ def test_gen_random_golden(kind, n, p, plant, seed):
     # Python ints, not numpy scalars: the repr below would differ, and
     # numpy scalars make every later dict and set lookup slower
     assert all(type(x) is int for e in g.edges for x in e)
-    if kind != "planted-matching":
-        # and one int object per vertex, shared by its edges
-        assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
+    # and one int object per vertex, shared by its edges
+    assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
     sides = None if g.bipartition is None else tuple(sorted(s) for s in g.bipartition)
     digest = hashlib.sha256(repr((g.n, g.edges, sides)).encode()).hexdigest()
     assert digest == GOLDEN_GRAPHS[kind, n, p, plant, seed]

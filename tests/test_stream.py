@@ -29,11 +29,12 @@ def test_single_edge_stream():
     [
         np.array([0, 1, 1, 3]),
         np.array([0, 1, 2, 4]),
+        np.array([0, 1, 2, -1]),
         np.array([0, 1, 2]),
         np.array([[0, 1], [2, 3]]),
         np.array([0.0, 1.0, 2.0, 3.0]),
     ],
-    ids=["duplicate", "out-of-range", "wrong-length", "2-d", "float"],
+    ids=["duplicate", "out-of-range", "negative", "wrong-length", "2-d", "float"],
 )
 def test_edge_stream_rejects_non_permutation(order):
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -11,6 +11,20 @@ from streammatch import Graph, Matching, Path, edge_key
 from streammatch.graph import _augmenting_paths
 
 
+def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
+    """(adj, degrees) of a graph on n vertices by appending each edge's
+    ends to two per-vertex lists and sorting each list: the fill that
+    `Graph` must agree with."""
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        lists[a].append(b)
+        lists[b].append(a)
+    for lst in lists:
+        lst.sort()
+    adj = tuple(map(tuple, lists))
+    return adj, tuple(map(len, adj))
+
+
 def random_general(rnd: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < p]
     return Graph(n, edges)
