@@ -465,37 +465,84 @@ def max_matching(g: Graph) -> Matching:
     return Matching._from_mate(mate)
 
 
-def _hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
-    """Hopcroft-Karp on a bipartite graph; returns the mate array (-1 = free)."""
+def _greedy_mates(n: int, adj, order: Iterable[int]) -> tuple[list[int], list[int]]:
+    """(mate array, roots) after matching each vertex of `order`, in turn,
+    if it is still free, to its first free neighbour in `adj` order. The
+    roots are the vertices of `order` left free that have a neighbour, in
+    `order`'s order: the only ones an augmenting search can start from."""
     mate = [-1] * n
+    roots = []
+    for v in order:
+        if mate[v] == -1:
+            for u in adj[v]:
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+            else:
+                if adj[v]:
+                    roots.append(v)
+    return mate, roots
+
+
+def _hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
+    """Hopcroft-Karp on a bipartite graph; returns the mate array (-1 = free).
+
+    `left` is the left side in ascending order. The mates are those of the
+    textbook form, which in every phase runs a BFS from all free left
+    vertices and then a layered DFS from each of them in ascending order
+    (`tests/util.py` keeps it as `reference_hopcroft_karp`). Three of its
+    steps change nothing and are skipped:
+
+    - Phase 1. Every left vertex is free and at dist 0, so no vertex has
+      dist 1 and the DFS from a root takes its first free neighbour in
+      `adj` order, or dead-ends. That is the greedy pass over the left
+      side in ascending order (`_greedy_mates`, which the blossom oracle
+      starts with too) that runs here, without phase 1's BFS.
+    - Left vertices without neighbours. None of them joins a path, and
+      their dist is never read, so they are not roots.
+    - Matched roots. An augmenting path from a root matches no other
+      left vertex that was free, so the roots of a phase are the free
+      roots of the one before whose search failed, in the same order;
+      when none is left, the search returns, as the BFS would have found
+      no free right vertex.
+
+    A phase's BFS works layer by layer, and a layer that sees a free
+    right vertex is its last. That assigns the same dists as a BFS queue
+    cut off at the first such layer, so the DFS walks the same paths.
+    Dists are reset only where the phase wrote them.
+    """
+    mate, roots = _greedy_mates(n, adj, left)
     INF = n + 1
     dist = [INF] * n
-    while True:
-        queue = deque()
-        for u in left:
-            if mate[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        reach = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= reach:
-                continue
-            for v in adj[u]:
-                w = mate[v]
-                if w == -1:
-                    if reach == INF:
-                        reach = dist[u] + 1
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if reach == INF:
-            return mate
-        for root in left:
-            if mate[root] == -1:
-                _hk_augment(root, adj, mate, dist)
+    while roots:
+        for u in roots:
+            dist[u] = 0
+        reached = list(roots)
+        layer = roots
+        depth = 0
+        found = False
+        while layer and not found:
+            depth += 1
+            following = []
+            for u in layer:
+                for v in adj[u]:
+                    w = mate[v]
+                    if w == -1:
+                        found = True
+                    elif dist[w] == INF:
+                        dist[w] = depth
+                        following.append(w)
+            reached += following
+            layer = following
+        if not found:
+            break
+        for root in roots:
+            _hk_augment(root, adj, mate, dist)
+        roots = [u for u in roots if mate[u] == -1]
+        for u in reached:
+            dist[u] = INF
+    return mate
 
 
 def _hk_augment(root: int, adj, mate: list[int], dist: list[int]) -> bool:
@@ -539,15 +586,7 @@ def _blossom(n: int, adj) -> list[int]:
     call and reset only where the search wrote, plus a member list per
     contracted blossom, and roots without neighbours are skipped.
     """
-    mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
-
+    mate, roots = _greedy_mates(n, adj, range(n))
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
@@ -625,8 +664,8 @@ def _blossom(n: int, adj) -> list[int]:
                     used[mate[to]] = True
                     queue.append(mate[to])
 
-    for v in range(n):
-        if mate[v] == -1 and adj[v]:
+    for v in roots:
+        if mate[v] == -1:
             find_augmenting(v)
             for u in tree:
                 used[u] = False
@@ -788,14 +827,22 @@ def write_edge_list(g: Graph, path) -> None:
     A bipartition tag is only representable when the left side is the
     contiguous prefix 0..L-1.
     """
-    header = f"{g.n} {len(g.edges)}"
+    left_size = None
     if g.bipartition is not None:
         left = g.bipartition[0]
         left_size = len(left)
         if left != frozenset(range(left_size)):
             raise ValueError("bipartition is not a contiguous prefix; cannot serialize")
+    _write_edges(path, g.n, g.edges, left_size)
+
+
+def _write_edges(path, n: int, edges: Sequence[Edge], left_size: int | None = None) -> None:
+    """Write n and the edges, in their order, in the edge-list format, with
+    a bipartite tag when left_size is given. The caller vouches for the
+    edges: they are not checked."""
+    header = f"{n} {len(edges)}"
+    if left_size is not None:
         header += f" bipartite {left_size}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in edges)

@@ -14,10 +14,12 @@ from streammatch import (
     brute_force_matching_size,
     build_hard_instance,
     edge_key,
+    gen_random,
     make_stream,
     matched_base,
     max_matching,
     params_with_betas,
+    phase1_cut,
     read_edge_list,
     run_sparsifier,
     trivial_family,
@@ -27,6 +29,7 @@ from streammatch.graph import (
     MAX_VERTICES,
     _graph_of_canonical,
     _graph_of_ends,
+    _hopcroft_karp,
     _missing_edges,
 )
 from util import (
@@ -37,6 +40,7 @@ from util import (
     random_general,
     random_instance,
     reference_fill,
+    reference_hopcroft_karp,
 )
 
 
@@ -243,6 +247,16 @@ def _edcs_tight_like(rnd, k, p, keep):
     return Graph(3 * k, [e for e in edges if rnd.random() < keep])
 
 
+def _gadget_runs():
+    """(parity-gadget instance, its sparsifier run) pairs; the instances'
+    left sides are not a prefix."""
+    params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
+    for side, seed in ((20, 0), (20, 1), (60, 2)):
+        base = matched_base(side)
+        g = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(seed)).graph
+        yield g, run_sparsifier(make_stream(g, seed), params)
+
+
 def _golden_matching_graphs():
     """200 seeded sparse random general graphs (20 <= n <= 80, mean degree
     2 to 6: a few of them change matching if blossom members are queued
@@ -254,12 +268,7 @@ def _golden_matching_graphs():
         yield random_general(rnd, n, rnd.choice([2, 3, 4, 6]) / n)
     for seed in (0, 1):
         yield _edcs_tight_like(random.Random(seed), 100, 0.4, 0.5)
-    params = params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500)
-    for side, seed in ((20, 0), (20, 1), (60, 2)):
-        base = matched_base(side)
-        inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(seed))
-        g = inst.graph
-        sp = run_sparsifier(make_stream(g, seed), params)
+    for g, sp in _gadget_runs():
         yield g
         yield sp.h
         yield Graph(g.n, sp.hu_graph.edges)  # untagged: the blossom oracle runs
@@ -270,6 +279,81 @@ def test_max_matching_golden_edges():
     for g in _golden_matching_graphs():
         digest.update(repr(sorted(max_matching(g).edges)).encode())
     assert digest.hexdigest() == GOLDEN_MATCHINGS
+
+
+def _shuffled_bipartite(rnd, n, p):
+    """Bipartite graph on n vertices whose left side is a random subset,
+    not a prefix. About a fifth of the vertices, on either side, get no
+    edge; the rest get each cross pair w.p. p, handed to `Graph`
+    shuffled and in either orientation."""
+    order = list(range(n))
+    rnd.shuffle(order)
+    cut = rnd.randint(0, n)
+    left, right = order[:cut], order[cut:]
+    isolated = {v for v in range(n) if rnd.random() < 0.2}
+    edges = [(u, v) if rnd.random() < 0.5 else (v, u) for u in left for v in right
+             if u not in isolated and v not in isolated and rnd.random() < p]
+    rnd.shuffle(edges)
+    return Graph(n, edges, (left, right))
+
+
+def _dense_c10_matching_graphs(seeds):
+    """The three bipartite graphs that a dense-c10 bernstein trial matches
+    exactly, per stream seed: H, H | U and the census's Phase II suffix."""
+    g = gen_random("bipartite-gnp", 400, 0.05, seed=1)
+    params = params_with_betas(0.05, 50, 45, 2.0 / 3.0, 500)
+    for seed in seeds:
+        stream = make_stream(g, seed)
+        sp = run_sparsifier(stream, params)
+        cut = phase1_cut(len(stream), params.eps)
+        yield sp.h
+        yield sp.hu_graph
+        yield Graph(g.n, stream.slice(cut + 1, len(stream)), g.bipartition)
+
+
+def test_hopcroft_karp_equals_reference():
+    # Here a DFS meets a vertex whose free neighbour an earlier path of the
+    # same phase took, and goes on to that vertex's later neighbours: the
+    # BFS must have scanned every edge of the layer that first saw a free
+    # vertex. About 1 in 10,000 of the random graphs below is like it.
+    left = [2, 7, 8, 9, 10, 12, 13, 15]
+    graphs = [Graph(16, [(2, 4), (7, 11), (11, 15), (1, 2), (0, 8), (0, 9), (1, 10), (6, 7),
+                         (3, 10), (13, 14), (5, 7), (6, 8), (4, 13), (5, 12), (14, 15), (3, 12)],
+                    (left, [v for v in range(16) if v not in left]))]
+    rnd = random.Random(2026)
+    graphs += [_shuffled_bipartite(rnd, rnd.randint(0, 60), 0.02 * 45 ** rnd.random())
+               for _ in range(2000)]
+    for g, sp in _gadget_runs():
+        graphs += [g, sp.h, sp.hu_graph]  # all bipartite-tagged
+    graphs += _dense_c10_matching_graphs((1, 2, 3))
+    for g in graphs:
+        left = sorted(g.bipartition[0])
+        assert _hopcroft_karp(g.n, g.adj, left) == reference_hopcroft_karp(g.n, g.adj, left)
+
+
+# SHA-256 of sorted(max_matching(g).edges) over _golden_hk_graphs(), which
+# are all bipartite-tagged: pins which maximum matching Hopcroft-Karp picks.
+# Re-record it only for a change meant to alter that.
+GOLDEN_HK_MATCHINGS = "652afbd14d526fa0269b08ca03799e6dbc17612b4e231622e80760c55a249a20"
+
+
+def _golden_hk_graphs():
+    """300 seeded small bipartite graphs, a sparse H-like graph (800
+    vertices, about 400 edges, most vertices isolated) and the three
+    exactly matched graphs of one dense-c10 stream."""
+    rnd = random.Random(78)
+    for _ in range(300):
+        yield _shuffled_bipartite(rnd, rnd.randint(0, 60), rnd.choice([0.02, 0.05, 0.1, 0.3, 0.9]))
+    yield gen_random("bipartite-gnp", 400, 0.0025, seed=16)
+    yield from _dense_c10_matching_graphs((1,))
+
+
+def test_hopcroft_karp_golden_edges():
+    digest = hashlib.sha256()
+    for g in _golden_hk_graphs():
+        assert g.bipartition is not None
+        digest.update(repr(sorted(max_matching(g).edges)).encode())
+    assert digest.hexdigest() == GOLDEN_HK_MATCHINGS
 
 
 def _assert_same_graph(got, want):

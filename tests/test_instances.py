@@ -15,10 +15,12 @@ from streammatch import (
     matched_base,
     max_matching,
     mu_with_and_without_special,
+    read_edge_list,
     removed_special_bound,
     save_hard_instance,
     trivial_family,
     verify_induced,
+    write_edge_list,
     xor_gadget,
 )
 from util import maximum_matchings
@@ -271,10 +273,13 @@ def test_hard_instance_sidecar_round_trip(tmp_path):
     assert sidecar["parities"] == list(inst.parities)
     assert sidecar["k"] == 3 and sidecar["r"] == 1 and sidecar["t"] == len(base.edges)
     assert len(sidecar["z_bits"]) == len(base.edges)
-    from streammatch import read_edge_list
-
+    assert sidecar["left"] == sorted(inst.graph.bipartition[0])
+    # the edges read back in the instance's order, with no bipartite tag,
+    # and the file is the one write_edge_list gives for the untagged graph
     loaded = read_edge_list(path)
-    assert loaded.edge_set == inst.graph.edge_set
+    assert loaded.edges == inst.graph.edges and loaded.bipartition is None
+    write_edge_list(Graph(inst.graph.n, inst.graph.edges), tmp_path / "plain.edges")
+    assert path.read_bytes() == (tmp_path / "plain.edges").read_bytes()
 
 
 def test_load_family(tmp_path):

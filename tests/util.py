@@ -1,11 +1,13 @@
 """Shared test helpers: small random instance makers, independent
-brute-force oracles and the unanchored Phase II.B reference loop that
-the library code must agree with."""
+brute-force oracles, and the references that the library code must
+agree with: the adjacency fill, textbook Hopcroft-Karp and the
+unanchored Phase II.B loop."""
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from collections import deque
+from typing import Iterable, Iterator
 
 from streammatch import Graph, Matching, Path, edge_key
 from streammatch.graph import _augmenting_paths
@@ -23,6 +25,69 @@ def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
         lst.sort()
     adj = tuple(map(tuple, lists))
     return adj, tuple(map(len, adj))
+
+
+def reference_hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
+    """Hopcroft-Karp on a bipartite graph; returns the mate array (-1 = free).
+
+    The textbook form, with a BFS in every phase and every left vertex
+    as a root: `graph._hopcroft_karp` must return the same mate array."""
+    mate = [-1] * n
+    INF = n + 1
+    dist = [INF] * n
+    while True:
+        queue = deque()
+        for u in left:
+            if mate[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        reach = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= reach:
+                continue
+            for v in adj[u]:
+                w = mate[v]
+                if w == -1:
+                    if reach == INF:
+                        reach = dist[u] + 1
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if reach == INF:
+            return mate
+        for root in left:
+            if mate[root] == -1:
+                _reference_hk_augment(root, adj, mate, dist)
+
+
+def _reference_hk_augment(root: int, adj, mate: list[int], dist: list[int]) -> bool:
+    """Iterative layered DFS from one free left vertex; augments in place."""
+    stack: list[tuple[int, Iterator[int], int]] = [(root, iter(adj[root]), -1)]
+    while stack:
+        u, it, _via = stack[-1]
+        pushed = False
+        for v in it:
+            w = mate[v]
+            if w == -1:
+                mate[u] = v
+                mate[v] = u
+                for j in range(len(stack) - 2, -1, -1):
+                    uj = stack[j][0]
+                    vj = stack[j + 1][2]
+                    mate[uj] = vj
+                    mate[vj] = uj
+                return True
+            if dist[w] == dist[u] + 1:
+                stack.append((w, iter(adj[w]), v))
+                pushed = True
+                break
+        if not pushed:
+            dist[u] = len(dist) + 1  # dead end for this phase
+            stack.pop()
+    return False
 
 
 def random_general(rnd: random.Random, n: int, p: float) -> Graph:
