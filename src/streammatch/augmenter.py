@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .graph import (
     Edge,
     Graph,
@@ -53,23 +55,36 @@ def build_t(
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
-    unmatched endpoint has T-degree below b at its arrival.
+    unmatched endpoint has T-degree below b at its arrival. The admission
+    loop visits only the edges with exactly one matched end: the others
+    are never kept and change no degree, so dropping them with one numpy
+    mask first changes no decision. Each remaining edge's matched and
+    unmatched end are read from arrays worked out up front.
     """
+    firsts, seconds = _ends_of(phase2a)
+    return _build_t(np.minimum(firsts, seconds), np.maximum(firsts, seconds), m_h, b, n)
+
+
+def _build_t(lows: np.ndarray, highs: np.ndarray, m_h: Matching, b: int, n: int) -> Graph:
+    """`build_t` over the canonical edges (lows[i], highs[i]), given as
+    int64 arrays such as a stream slice's `ends`."""
     if b < 2:
         raise ValueError("b must be at least 2")
-    matched = m_h.partner_map
+    partner_map = m_h.partner_map
+    matched = np.zeros(n, bool)
+    matched[np.fromiter(partner_map, np.int64, len(partner_map))] = True
+    low_in = matched[lows]
+    one = np.flatnonzero(low_in != matched[highs])  # exactly one matched end
+    lows, highs, low_in = lows[one], highs[one], low_in[one]
     deg = [0] * n
-    chosen: list[Edge] = []
-    for x, y in phase2a:
-        x_in = x in matched
-        if x_in == (y in matched):
-            continue
-        v, u = (x, y) if x_in else (y, x)
+    kept: list[int] = []
+    ends = zip(np.where(low_in, lows, highs).tolist(), np.where(low_in, highs, lows).tolist())
+    for i, (v, u) in enumerate(ends):  # v is the matched end, u the unmatched one
         if deg[v] < 2 and deg[u] < b:
-            chosen.append(edge_key(x, y))
+            kept.append(i)
             deg[v] += 1
             deg[u] += 1
-    return _graph_of_canonical(n, chosen, _ends_of(chosen))
+    return _graph_of_canonical(n, None, (lows[kept], highs[kept]))
 
 
 class AppliedPath(NamedTuple):
@@ -98,6 +113,29 @@ def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
         for w in nbrs(z):
             if w not in partner_map:
                 yield w
+
+
+def _reaching(partner_map, t: Graph) -> np.ndarray:
+    """For every vertex v of t, whether `_free_ends(v, partner_map, nbrs)`
+    over T's adjacency yields anything, as one bool array worked out by
+    numpy over T's endpoint arrays and a mate array of the matching."""
+    n = t.n
+    mate = np.full(n, -1, np.int64)
+    mate[np.fromiter(partner_map, np.int64, len(partner_map))] = np.fromiter(
+        partner_map.values(), np.int64, len(partner_map))
+    free = mate < 0
+    lows, highs = t.endpoints
+
+    def has_nbr_in(mask: np.ndarray) -> np.ndarray:
+        out = np.zeros(n, bool)
+        out[lows[mask[highs]]] = True
+        out[highs[mask[lows]]] = True
+        return out
+
+    # a free vertex's mate entry is -1, which reads the last vertex's
+    # value; `free |` discards that read
+    step = free | has_nbr_in(free)[mate]  # y free, or mate(y) has a free neighbour
+    return free | has_nbr_in(step)[mate]
 
 
 def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
@@ -136,10 +174,13 @@ def phase2b(
       unmatched, leaves each end of e along that end's matched edge unless
       the end is the path's own free endpoint, and crosses e only once, so
       both ends reach the path's endpoints by walks in M | T. The answers
-      depend only on M and T, so they are kept across arrivals. A flip can
-      make only "reaches" answers stale, as it matches the ends of the
-      applied path P, so only those are dropped; a "does not reach"
-      answer stays true.
+      depend only on M and T. Right after the first step they are worked
+      out for every vertex at once (`_reaching`), and an arrival with an
+      end that does not reach is skipped before any call; most vertices
+      are such ends. A flip can make only "reaches" answers stale, as it
+      matches the ends of the applied path P, so only those are dropped
+      and asked again of `_free_ends`; a "does not reach" answer stays
+      true, so the skip is exact for every later arrival.
       Say M' = M ^ P (e is in neither T nor M), and v, whose walks in
       M | T all end at matched vertices, walks in M' | T to a free w. The
       walk crosses an edge (a, b) that P added to the matching, or it was
@@ -190,29 +231,30 @@ def phase2b(
     arrivals = iter(arrivals)
     pos, e = next(arrivals, (None, None))
     edge = ()
+    starts = np.zeros(t.n, bool)  # the vertices of T, and e's ends
+    for ends in t.endpoints:
+        starts[ends] = True
     if e is not None:
         edge = ea, eb = edge_key(*e)
-    starts = sorted({v for v, d in enumerate(t.degrees) if d}.union(edge))
-    for verts in _augmenting_paths(partner_map, starts, nbrs):
+        starts[[ea, eb]] = True
+    for verts in _augmenting_paths(partner_map, np.flatnonzero(starts).tolist(), nbrs):
         apply(verts, edge, pos)
 
+    alive = _reaching(partner_map, t).tolist()  # False: reaches none, now or after a flip
     live: set[int] = set()  # reach a free vertex; dropped after each flip
-    dead: set[int] = set()  # reach none; stays true across flips
     t_nbrs = t_adj.__getitem__
 
     def reaches(v: int) -> bool:
         if v in live:
             return True
-        if v in dead:
-            return False
         if next(_free_ends(v, partner_map, t_nbrs), None) is None:
-            dead.add(v)
+            alive[v] = False
             return False
         live.add(v)
         return True
 
     for pos, (x, y) in arrivals:
-        if not (reaches(x) and reaches(y)):
+        if not (alive[x] and alive[y] and reaches(x) and reaches(y)):
             continue
         edge = ea, eb = edge_key(x, y)
         starts = _path_ends_through(edge, partner_map, nbrs)
@@ -269,7 +311,7 @@ def beats23_match(
     sp = run_sparsifier(stream, params)
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    t = build_t(stream.slice(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
+    t = _build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
     m_aug, applied = phase2b(m_h, t, enumerate(stream.slice(iia_end + 1, m), iia_end + 1))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it. With

@@ -245,18 +245,21 @@ def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[
 
 def _graph_of_canonical(
     n: int,
-    edges: Sequence[Edge],
+    edges: Sequence[Edge] | None,
     ends: tuple[np.ndarray, np.ndarray],
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
 ) -> Graph:
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; `ends` are their (low, high) ends as int64
-    arrays, and the bipartition is a `Graph.bipartition` pair. Nothing is
-    validated, so use it only for edge sets the package built itself, such
-    as H | U or a stream slice."""
+    arrays, `edges` their tuples or None to build them from `ends`, and
+    the bipartition is a `Graph.bipartition` pair. Nothing is validated,
+    so use it only for edge sets the package built itself, such as H | U
+    or a stream slice."""
     g = object.__new__(Graph)
     lows, highs = ends
-    _fill_graph(g, n, tuple(edges), ends, _adjacency_codes(n, lows, highs), bipartition)
+    if edges is not None:
+        edges = tuple(edges)
+    _fill_graph(g, n, edges, ends, _adjacency_codes(n, lows, highs), bipartition)
     return g
 
 

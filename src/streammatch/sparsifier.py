@@ -144,30 +144,51 @@ def phase1_build_h(
     On arrival of (u, v): insert iff deg_H(u) + deg_H(v) < beta_minus;
     then, while any H edge has edge-degree above beta_plus, evict the
     lexicographically smallest violating edge. Insertion only raises the
-    degrees of u and v and eviction only lowers degrees, so the violation
-    scan stays local to edges incident to u or v.
+    degrees of u and v and eviction only lowers degrees, so a violation
+    can only sit on an edge at u or v, and the scan looks only there.
+
+    The scan is skipped when deg(u) + top and deg(v) + top are both at
+    most beta_plus, where top is the largest degree any vertex has reached
+    so far. Degrees rise only by insertion, which updates top, and fall
+    only by eviction, so top bounds every current degree, and no edge at u
+    or v can then exceed the cap: the skipped scan would find nothing.
+    With caps far above the degrees the scan never runs; with tight caps
+    the skip seldom fires, and most arrivals are rejected before it.
     """
+    # integer caps: for an integer degree sum s, s >= beta_minus iff
+    # s >= ceil(beta_minus), and s > beta_plus iff s > floor(beta_plus)
+    reject_from = math.ceil(params.beta_minus)
+    cap = math.floor(params.beta_plus)
     deg = [0] * n
     adj: list[set[int]] = [set() for _ in range(n)]
     present: dict[Edge, None] = {}
+    top = 0  # largest degree reached so far
     for a, b in prefix:
-        e = edge_key(a, b)
+        e = (a, b) if a < b else (b, a)
         u, v = e
         if e in present:
             raise ValueError(f"parallel edge {e} in prefix")
-        if deg[u] + deg[v] >= params.beta_minus:
+        if deg[u] + deg[v] >= reject_from:
             continue
         present[e] = None
         adj[u].add(v)
         adj[v].add(u)
         deg[u] += 1
         deg[v] += 1
+        du = deg[u]
+        dv = deg[v]
+        if du > top:
+            top = du
+        if dv > top:
+            top = dv
+        if du + top <= cap and dv + top <= cap:
+            continue
         while True:
             worst: Edge | None = None
             for x in (u, v):
                 dx = deg[x]
                 for y in adj[x]:
-                    if dx + deg[y] > params.beta_plus:
+                    if dx + deg[y] > cap:
                         cand = edge_key(x, y)
                         if worst is None or cand < worst:
                             worst = cand

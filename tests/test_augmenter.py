@@ -21,10 +21,12 @@ from streammatch import (
     run_sparsifier,
     trivial_family,
 )
+from streammatch.augmenter import _free_ends, _reaching
 from util import (
     find_augmenting_path,
     random_bipartite,
     random_general,
+    reference_build_t,
     reference_phase2b,
 )
 
@@ -92,6 +94,37 @@ def test_build_t_caps_hold_on_random_runs():
             assert t.degrees[v] >= 2 or t.degrees[u] >= b, (x, y)
 
 
+@pytest.mark.parametrize("b", [2, 3, 500])
+@pytest.mark.parametrize("kind", ["bipartite", "general"])
+def test_build_t_matches_reference(kind, b):
+    # the masked admission loop builds the T of the per-arrival loop: same
+    # edges in the same order, same adjacency and degrees, on pairs given
+    # in either order; b = 2 makes the unmatched-side cap bind
+    rnd = random.Random(f"build_t-{kind}-{b}")
+    unmatched_capped = 0
+    for trial in range(25):
+        if kind == "bipartite":
+            side = rnd.randint(5, 20)
+            g = random_bipartite(rnd, side, side, rnd.choice([0.15, 0.3, 0.6]))
+        else:
+            g = random_general(rnd, rnd.randint(10, 40), rnd.choice([0.1, 0.25, 0.5]))
+        if len(g.edges) < 4:
+            continue
+        s = make_stream(g, trial)
+        cut = rnd.randint(1, len(s) // 2)
+        m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
+        phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.slice(cut + 1, len(s))]
+        t = build_t(phase2a, m_h, b, g.n)
+        ref = reference_build_t(phase2a, m_h, b, g.n)
+        assert t.edges == ref.edges, trial
+        assert t.adj == ref.adj and t.degrees == ref.degrees, trial
+        unmatched_capped += ref.edges != reference_build_t(phase2a, m_h, g.n, g.n).edges
+    for m_h in (Matching(), Matching([(0, 1)])):
+        assert build_t([], m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
+    if b == 2:
+        assert unmatched_capped
+
+
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
         build_t([(0, 1), (1, 2)], Matching([(1, 3)]), b=1, n=4)
@@ -138,10 +171,10 @@ def test_phase2b_rejects_a_path_outside_t():
         phase2b(m_h, t, [])
 
 
-def test_phase2b_anchored_search_matches_reference():
+def _phase2b_cases():
+    """(trial, m_h, t, II.B arrivals) on seeded random bipartite and
+    general graphs, with random Phase I and II.A lengths and b."""
     rnd = random.Random(2024)
-    lengths = set()
-    later_hits = 0
     for trial in range(50):
         if trial % 2:
             g = random_general(rnd, rnd.randint(12, 30), rnd.choice([0.15, 0.25, 0.4]))
@@ -155,18 +188,50 @@ def test_phase2b_anchored_search_matches_reference():
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
         t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]), g.n)
-        arrivals = list(enumerate(s.slice(iia_end + 1, len(s)), iia_end + 1))
+        yield trial, m_h, t, list(enumerate(s.slice(iia_end + 1, len(s)), iia_end + 1))
 
+
+def test_phase2b_anchored_search_matches_reference():
+    lengths = set()
+    later_hits = 0
+    for trial, m_h, t, arrivals in _phase2b_cases():
         m, applied = phase2b(m_h, t, arrivals)
         ref_matching, ref_applied = reference_phase2b(m_h, t, arrivals)
 
         assert [tuple(p) for p in applied] == ref_applied, trial
         assert m == ref_matching, trial
         lengths.update(p.length for p in applied)
-        later_hits += sum(p.arrival != iia_end + 1 for p in applied)
+        later_hits += sum(p.arrival != arrivals[0][0] for p in applied)
     # the anchored search ran and found paths of every length
     assert lengths == {1, 3, 5}
     assert later_hits > 50
+
+
+def test_phase2b_reach_skip_is_exact():
+    # after the first step, `_reaching` gives `_free_ends`' answer at every
+    # vertex, and replaying the later applied paths, no vertex that did not
+    # reach a free vertex then reaches one after any flip
+    dead_total = later_flips = 0
+    for trial, m_h, t, arrivals in _phase2b_cases():
+        _, applied = phase2b(m_h, t, arrivals)
+        m = m_h.copy()
+        first = [p for p in applied if p.arrival == arrivals[0][0]]
+        for p in first:
+            m.augment(p.vertices)
+
+        def walk_reaches(v):
+            return next(_free_ends(v, m.partner_map, t.adj.__getitem__), None) is not None
+
+        reach = _reaching(m.partner_map, t)
+        assert reach.tolist() == [walk_reaches(v) for v in range(t.n)], trial
+        dead = np.flatnonzero(~reach).tolist()
+        dead_total += len(dead)
+        for p in applied[len(first):]:
+            m.augment(p.vertices)
+            later_flips += 1
+            assert not any(walk_reaches(v) for v in dead), (trial, p)
+            assert _reaching(m.partner_map, t).tolist() == [walk_reaches(v) for v in range(t.n)]
+    assert dead_total > 100 and later_flips > 50
 
 
 def test_phase2b_anchored_start_four_steps_back_from_e():

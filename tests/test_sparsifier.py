@@ -18,7 +18,7 @@ from streammatch import (
     phase2_collect_u,
     run_sparsifier,
 )
-from util import random_bipartite, random_general
+from util import random_bipartite, random_general, reference_phase1_build_h
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,57 @@ def test_phase1_cap_invariant_random_runs():
         for u, v in h.edges:
             assert h.degrees[u] + h.degrees[v] <= params.beta_plus
         assert len(h.edges) <= g.n * params.beta_plus
+
+
+def _insert_only(prefix, n, params) -> list[tuple[int, int]]:
+    """The edges Phase I would keep if it never evicted."""
+    deg = [0] * n
+    kept = []
+    for a, b in prefix:
+        if deg[a] + deg[b] < params.beta_minus:
+            kept.append((min(a, b), max(a, b)))
+            deg[a] += 1
+            deg[b] += 1
+    return kept
+
+
+# (beta_plus, beta_minus): caps that reject and evict, fractional caps, and
+# loose caps that keep every edge, where the eviction scan is mostly skipped
+PHASE1_CAPS = [(3, 3), (4, 3), (8, 7), (5.5, 3.5), (50, 45)]
+
+
+@pytest.mark.parametrize("caps", PHASE1_CAPS, ids=lambda c: f"{c[0]}/{c[1]}")
+def test_phase1_matches_reference(caps):
+    # the skipped eviction scan and the integer caps build the H of the
+    # per-edge loop that scans after every insertion: same edges in the
+    # same order, same adjacency and degrees
+    params = params_with_betas(0.1, *caps)
+    rnd = random.Random(f"phase1-{caps}")
+    rejected = evicted = 0
+    for trial in range(30):
+        if trial % 2:
+            g = random_general(rnd, rnd.randint(10, 40), rnd.choice([0.1, 0.3, 0.6]))
+        else:
+            side = rnd.randint(5, 20)
+            g = random_bipartite(rnd, side, side, rnd.choice([0.1, 0.3, 0.6]))
+        if not g.edges:
+            continue
+        arrivals = make_stream(g, trial).arrivals()
+        prefix = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in arrivals]
+        prefix = prefix[: rnd.randint(1, len(prefix))]
+        h = phase1_build_h(prefix, g.n, params, g.bipartition)
+        ref = reference_phase1_build_h(prefix, g.n, params, g.bipartition)
+        assert h.edges == ref.edges, trial
+        assert h.adj == ref.adj and h.degrees == ref.degrees, trial
+        assert h.bipartition == ref.bipartition
+        kept = _insert_only(prefix, g.n, params)
+        rejected += len(kept) < len(prefix)
+        evicted += list(h.edges) != kept
+    assert phase1_build_h((), 4, params).edges == reference_phase1_build_h((), 4, params).edges
+    if caps == (50, 45):
+        assert not rejected and not evicted
+    else:
+        assert rejected and evicted
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared test helpers: small random instance makers, independent
 brute-force oracles, and the references that the library code must
-agree with: the adjacency fill, textbook Hopcroft-Karp and the
-unanchored Phase II.B loop."""
+agree with: the adjacency fill, textbook Hopcroft-Karp, the unanchored
+Phase II.B loop, and the per-edge Phase I and Phase II.A loops."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections import deque
 from typing import Iterable, Iterator
 
 from streammatch import Graph, Matching, Path, edge_key
-from streammatch.graph import _augmenting_paths
+from streammatch.graph import Edge, _augmenting_paths, _ends_of, _graph_of_canonical
 
 
 def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
@@ -231,3 +231,62 @@ def reference_phase2b(m_h, t, arrivals):
             m = apply_augmenting_path(m, path)
             applied.append((pos, len(path), path.vertices))
     return m, applied
+
+
+def reference_build_t(phase2a, m_h: Matching, b: int, n: int) -> Graph:
+    """Phase II.A by the definition, one dict lookup per arrival: keep an
+    edge with exactly one M_H-matched end iff that end has T-degree below
+    2 and the other below b. `augmenter.build_t` must build the same T."""
+    if b < 2:
+        raise ValueError("b must be at least 2")
+    matched = m_h.partner_map
+    deg = [0] * n
+    chosen: list[Edge] = []
+    for x, y in phase2a:
+        x_in = x in matched
+        if x_in == (y in matched):
+            continue
+        v, u = (x, y) if x_in else (y, x)
+        if deg[v] < 2 and deg[u] < b:
+            chosen.append(edge_key(x, y))
+            deg[v] += 1
+            deg[u] += 1
+    return _graph_of_canonical(n, chosen, _ends_of(chosen))
+
+
+def reference_phase1_build_h(prefix, n: int, params, bipartition=None) -> Graph:
+    """Phase I with the eviction scan after every insertion:
+    `sparsifier.phase1_build_h` must build the same H."""
+    deg = [0] * n
+    adj: list[set[int]] = [set() for _ in range(n)]
+    present: dict[Edge, None] = {}
+    for a, b in prefix:
+        e = edge_key(a, b)
+        u, v = e
+        if e in present:
+            raise ValueError(f"parallel edge {e} in prefix")
+        if deg[u] + deg[v] >= params.beta_minus:
+            continue
+        present[e] = None
+        adj[u].add(v)
+        adj[v].add(u)
+        deg[u] += 1
+        deg[v] += 1
+        while True:
+            worst: Edge | None = None
+            for x in (u, v):
+                dx = deg[x]
+                for y in adj[x]:
+                    if dx + deg[y] > params.beta_plus:
+                        cand = edge_key(x, y)
+                        if worst is None or cand < worst:
+                            worst = cand
+            if worst is None:
+                break
+            wu, wv = worst
+            del present[worst]
+            adj[wu].discard(wv)
+            adj[wv].discard(wu)
+            deg[wu] -= 1
+            deg[wv] -= 1
+    return Graph(n, list(present), bipartition)
