@@ -220,10 +220,11 @@ def phase2b(
         return base
 
     def apply(verts: list[int], edge: tuple, pos: int | None) -> None:
-        t_edges = t.edge_set
-        for u, v in zip(verts[::2], verts[1::2]):
-            uv = edge_key(u, v)
-            if uv != edge and uv not in t_edges:
+        # the path's unmatched edges, but for the arrival, must lie in T:
+        # one bisection each into T's sorted adjacency rows, which a II.B
+        # arrival is never in
+        for u, v in _missing_edges(t_adj, zip(verts[::2], verts[1::2])):
+            if edge_key(u, v) != edge:
                 raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
         m.augment(verts)
         applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))

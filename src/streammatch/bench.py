@@ -70,6 +70,8 @@ class TrialConfig:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.trials < 1:
             raise ValueError("trial count must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.gen is None) == (self.instance_path is None):
             raise ValueError("exactly one of gen / instance_path is required")
         if self.algo != "greedy" and self.params is None:

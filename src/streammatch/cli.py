@@ -31,13 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(f"{self.prog}: error: {message}")
 
 
+# the flag, besides --n, that each generator kind needs
+_GEN_PARAM_FLAG = {"bipartite-gnp": "p", "general-gnp": "p", "planted-matching": "plant"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="match-bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run seeded trials of one algorithm")
     run.add_argument("--algo", required=True, choices=["greedy", "bernstein", "beats23"])
-    run.add_argument("--gen", choices=["bipartite-gnp", "general-gnp", "planted-matching"])
+    run.add_argument("--gen", choices=sorted(_GEN_PARAM_FLAG))
     run.add_argument("--n", type=int)
     run.add_argument("--p", type=float)
     run.add_argument("--plant", type=int)
@@ -79,7 +83,10 @@ def _parse_checks(spec: str) -> CheckConfig:
         elif item == "census":
             census = True
         elif item.startswith("dichotomy:"):
-            deltas.append(float(item.split(":", 1)[1]))
+            try:
+                deltas.append(float(item.split(":", 1)[1]))
+            except ValueError:
+                raise ValueError(f"check {item!r} needs a number after 'dichotomy:'") from None
         else:
             raise ValueError(f"unknown check {item!r}")
     return CheckConfig(edcs=edcs, dichotomy_deltas=tuple(deltas), census=census)
@@ -99,6 +106,9 @@ def _cmd_run(args) -> int:
     if args.gen:
         if args.n is None:
             raise ValueError(f"--gen {args.gen} needs --n")
+        flag = _GEN_PARAM_FLAG[args.gen]
+        if getattr(args, flag) is None:
+            raise ValueError(f"--gen {args.gen} needs --{flag}")
         gen = GeneratorSpec(args.gen, args.n, args.p, args.plant)
     config = TrialConfig(
         algo=args.algo,
@@ -150,6 +160,8 @@ def _cmd_hard(args) -> int:
         raise ValueError("--trivial must be at least 1")
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.base:
         base, matchings = instances.load_family(args.base)
         if not matchings:

@@ -105,11 +105,12 @@ class Graph:
     Adjacency lists are kept sorted so that every index-based search in
     this package is deterministic. `endpoints` holds the edges' ends as
     int64 arrays, from which the adjacency was built; `edge_set` and the
-    object array `edge_array` are built on first use.
+    object array `edge_array` are built on first use, and `max_matching`
+    keeps its mate array on the graph on its first call.
     """
 
     __slots__ = ("n", "edges", "adj", "bipartition", "degrees", "_edge_set",
-                 "_edge_array", "_endpoints")
+                 "_edge_array", "_endpoints", "_mate")
 
     def __init__(
         self,
@@ -156,10 +157,10 @@ class Graph:
         return ends
 
     def __getstate__(self):
-        # the numpy forms are caches: a pickled graph, such as a pool
-        # worker's instance, leaves them out
+        # the numpy forms and the mate array are caches: a pickled graph
+        # leaves them out (a forked pool worker inherits them instead)
         state = {s: getattr(self, s) for s in Graph.__slots__}
-        state["_edge_array"] = state["_endpoints"] = None
+        state["_edge_array"] = state["_endpoints"] = state["_mate"] = None
         return None, state
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -304,7 +305,7 @@ def _fill_graph(
     g.adj = tuple(adj)
     g.degrees = tuple(degrees.tolist())
     g.bipartition = bipartition
-    g._edge_set = g._edge_array = None
+    g._edge_set = g._edge_array = g._mate = None
     g._endpoints = ends
 
 
@@ -460,11 +461,19 @@ def max_matching(g: Graph) -> Matching:
     Bipartite-tagged graphs are solved with Hopcroft-Karp; general graphs
     with a blossom-contraction augmenting search. Both break ties by
     lowest vertex index.
+
+    The first call keeps the mate array on g, so a later call on the same
+    graph, such as a trial's H | U when the sparsifier kept every edge of
+    G, costs one pass over it. Every call returns a new `Matching`, which
+    the caller may change without touching any other call's result.
     """
-    if g.bipartition is not None:
-        mate = _hopcroft_karp(g.n, g.adj, sorted(g.bipartition[0]))
-    else:
-        mate = _blossom(g.n, g.adj)
+    mate = g._mate
+    if mate is None:
+        if g.bipartition is not None:
+            mate = _hopcroft_karp(g.n, g.adj, sorted(g.bipartition[0]))
+        else:
+            mate = _blossom(g.n, g.adj)
+        g._mate = mate
     return Matching._from_mate(mate)
 
 

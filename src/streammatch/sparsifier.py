@@ -121,15 +121,22 @@ class Sparsifier:
     @cached_property
     def hu_graph(self) -> Graph:
         """H | U, built once. H holds prefix edges and U suffix edges, so
-        the two are disjoint and the union needs no dedupe."""
+        the two are disjoint and the union needs no dedupe. |H| + |U|
+        reaches m only when every edge was kept; H | U is then the stream's
+        graph itself, which is returned without a build."""
         stream, index = self.stream, self.u_index
+        if len(self.h.edges) + len(index) == len(stream):
+            return stream.graph
         lows, highs = stream.ends(1, len(stream))
         return _graph_plus(self.h, stream.edges_at(index), (lows[index], highs[index]))
 
     @cached_property
     def hu_matching(self) -> Matching:
         """Maximum matching of H | U, the sparsifier's output, computed
-        once. Callers must not modify it."""
+        once. When H | U is the stream's graph, it is read from the mate
+        array that `max_matching` keeps on that graph, so once G has been
+        matched exactly, as `run_trials` does for mu(G), it costs one pass
+        over that array. Callers must not modify it."""
         return max_matching(self.hu_graph)
 
 

@@ -8,6 +8,7 @@ import pytest
 from streammatch import (
     Graph,
     Matching,
+    augmenter,
     beats23_match,
     build_hard_instance,
     build_t,
@@ -162,13 +163,16 @@ def test_phase2b_no_path_leaves_state_unchanged():
     assert applied == ()
 
 
-def test_phase2b_rejects_a_path_outside_t():
-    # T whose adjacency lists hold an edge that its edge set lacks
+def test_phase2b_rejects_a_path_outside_t(monkeypatch):
+    # a search that yields a path whose unmatched edge (2, 3) T lacks
     m_h = Matching([(1, 2)])
     t = build_t([(0, 1)], m_h, b=5, n=4)
-    t.adj = build_t([(0, 1), (2, 3)], m_h, b=5, n=4).adj
+    monkeypatch.setattr(augmenter, "_augmenting_paths", lambda *args: iter([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
         phase2b(m_h, t, [])
+    # the same path through the current arrival (2, 3) is applied
+    m, applied = phase2b(m_h, t, [(5, (3, 2))])
+    assert m.edges == {(0, 1), (2, 3)} and applied[0].arrival == 5
 
 
 def _phase2b_cases():

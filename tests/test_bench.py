@@ -46,6 +46,8 @@ def test_config_validation():
         TrialConfig(algo="magic", gen=GeneratorSpec("bipartite-gnp", 4, 0.5))
     with pytest.raises(ValueError):
         TrialConfig(algo="greedy", gen=GeneratorSpec("bipartite-gnp", 4, 0.5), trials=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        TrialConfig(algo="greedy", gen=GeneratorSpec("bipartite-gnp", 4, 0.5), seed=-1)
     with pytest.raises(ValueError):
         TrialConfig(algo="greedy")  # neither generator nor file
     with pytest.raises(ValueError):
@@ -401,6 +403,28 @@ def test_cli_bad_beta_caps_name_the_cap(plus, minus, message, capsys):
     code = main(["run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "10",
                  "--p", "0.3", "--beta-plus", plus, "--beta-minus", minus, "--workers", "1"])
     assert code == 1
+    assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
+
+
+_GNP = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+        "--workers", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_GNP + ["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["hard", "--trivial", "3", "--trials", "1", "--seed", "-4"],
+     "--seed must be non-negative, got -4"),
+    (_GNP + ["--checks", "edcs,dichotomy:x"],
+     "check 'dichotomy:x' needs a number after 'dichotomy:'"),
+    (_GNP + ["--checks", "dichotomy:"], "check 'dichotomy:' needs a number after 'dichotomy:'"),
+    (_GNP[:-4] + ["--workers", "1"], "--gen bipartite-gnp needs --p"),
+    (["run", "--algo", "greedy", "--gen", "general-gnp", "--n", "10"],
+     "--gen general-gnp needs --p"),
+    (["run", "--algo", "greedy", "--gen", "planted-matching", "--n", "10"],
+     "--gen planted-matching needs --plant"),
+])
+def test_cli_bad_values_name_the_flag(argv, message, capsys):
+    assert main(argv) == 1
     assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
 
 

@@ -388,21 +388,50 @@ def test_lazy_edge_set_and_numpy_forms():
     assert len(empty.edge_array) == 0 and [len(a) for a in empty.endpoints] == [0, 0]
 
 
+def test_max_matching_keeps_its_mate_array_and_returns_fresh_matchings():
+    rnd = random.Random(9)
+    for g in (random_bipartite(rnd, 15, 15, 0.1), random_general(rnd, 30, 0.06)):
+        assert g._mate is None
+        first = max_matching(g)
+        mate = g._mate
+        second = max_matching(g)
+        assert g._mate is mate is not None
+        assert first == second and first is not second
+        # a caller that changes its matching leaves every other call's alone
+        u, v = [x for x in range(g.n) if not first.is_matched(x)][:2]
+        first.augment([u, v])
+        assert len(first) == len(second) + 1
+        assert max_matching(g) == second and (u, v) not in second
+        # a pickled copy leaves the mate array out; it and a graph rebuilt
+        # from the same edges, in another order, give the same matching
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy._mate is None
+        rebuilt = Graph(g.n, list(reversed(g.edges)), g.bipartition)
+        assert max_matching(copy).edges == max_matching(rebuilt).edges == second.edges
+
+
 @pytest.mark.parametrize("kind", ["bipartite", "general"])
 def test_hu_graph_equals_validated_graph(kind):
-    # the unvalidated builder gives H | U exactly as Graph builds it from
-    # the sorted union
+    # H | U equals the graph Graph builds from the sorted union, and has
+    # its maximum matching: built unvalidated when tight caps drop edges,
+    # and the stream's own graph when the caps lie above H's degrees (at
+    # eps 0.1 the prefix is short) and every edge is kept
     rnd = random.Random(kind)
-    params = params_with_betas(0.1, 8, 6, b=3)
-    for seed in range(6):
-        if kind == "bipartite":
-            g = random_bipartite(rnd, 25, 25, 0.2)
-        else:
-            g = random_general(rnd, 50, 0.12)
-        sp = run_sparsifier(make_stream(g, seed), params)
-        hu = sp.hu_graph
-        assert sp.hu_graph is hu
-        _assert_same_graph(hu, Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition))
+    for keeps_all, params in ((False, params_with_betas(0.4, 4, 3, b=3)),
+                              (True, params_with_betas(0.1, 8, 6, b=3))):
+        for seed in range(6):
+            if kind == "bipartite":
+                g = random_bipartite(rnd, 25, 25, 0.2)
+            else:
+                g = random_general(rnd, 50, 0.12)
+            stream = make_stream(g, seed)
+            sp = run_sparsifier(stream, params)
+            hu = sp.hu_graph
+            assert sp.hu_graph is hu
+            assert (hu is stream.graph) == keeps_all
+            union = Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition)
+            _assert_same_graph(hu, union)
+            assert max_matching(hu).edges == max_matching(union).edges
 
 
 def test_matching_from_mate_array_equals_added_edges():
