@@ -84,7 +84,7 @@ def _build_t(lows: np.ndarray, highs: np.ndarray, m_h: Matching, b: int, n: int)
             kept.append(i)
             deg[v] += 1
             deg[u] += 1
-    return _graph_of_canonical(n, None, (lows[kept], highs[kept]))
+    return _graph_of_canonical(n, (lows[kept], highs[kept]))
 
 
 class AppliedPath(NamedTuple):
@@ -93,7 +93,7 @@ class AppliedPath(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
+def _free_ends(a: int, partner_map, adj) -> Iterator[int]:
     """Free vertices that the walk from `a` reaches: `a` itself if free,
     else mate -> neighbour, then once more mate -> neighbour. An
     augmenting path of length <= 5 with `a` at an even position from
@@ -105,20 +105,20 @@ def _free_ends(a: int, partner_map, nbrs) -> Iterator[int]:
     if mate is None:
         yield a
         return
-    for y in nbrs(mate):
+    for y in adj[mate]:
         z = partner_map.get(y)
         if z is None:
             yield y
             continue
-        for w in nbrs(z):
+        for w in adj[z]:
             if w not in partner_map:
                 yield w
 
 
 def _reaching(partner_map, t: Graph) -> np.ndarray:
-    """For every vertex v of t, whether `_free_ends(v, partner_map, nbrs)`
-    over T's adjacency yields anything, as one bool array worked out by
-    numpy over T's endpoint arrays and a mate array of the matching."""
+    """For every vertex v of t, whether `_free_ends(v, partner_map, t.adj)`
+    yields anything, as one bool array worked out by numpy over T's
+    endpoint arrays and a mate array of the matching."""
     n = t.n
     mate = np.full(n, -1, np.int64)
     mate[np.fromiter(partner_map, np.int64, len(partner_map))] = np.fromiter(
@@ -138,7 +138,7 @@ def _reaching(partner_map, t: Graph) -> np.ndarray:
     return free | has_nbr_in(step)[mate]
 
 
-def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
+def _path_ends_through(edge, partner_map, adj) -> list[int]:
     """Ascending free vertices that begin an augmenting path of length
     <= 5 through `edge`.
 
@@ -146,13 +146,20 @@ def _path_ends_through(edge, partner_map, nbrs) -> list[int]:
     end of the edge sits at an even position in either direction. From
     position 0 that end is u itself; from position 2 or 4 the walk back to
     u crosses a matched edge by `partner_map`, then an unmatched one by
-    `nbrs`, once or twice (`_free_ends`). The search discards the
+    `adj`, once or twice (`_free_ends`). The search discards the
     vertices that begin no path.
     """
     ends: set[int] = set()
     for a in edge:
-        ends.update(_free_ends(a, partner_map, nbrs))
+        ends.update(_free_ends(a, partner_map, adj))
     return sorted(ends)
+
+
+def _row_with(row: Sequence[int], v: int) -> list[int]:
+    """A copy of the sorted adjacency row with v put in its place."""
+    merged = list(row)
+    bisect.insort(merged, v)
+    return merged
 
 
 def phase2b(
@@ -204,20 +211,10 @@ def phase2b(
     m = m_h.copy()
     partner_map = m.partner_map
     t_adj = t.adj
+    # the searches read T's rows, with the current arrival's two rows
+    # swapped for sorted copies that hold it while its search runs
+    rows = list(t_adj)
     applied: list[AppliedPath] = []
-    ea = eb = -1  # ends of the current arrival; -1 when there is none
-
-    def nbrs(v: int):
-        base = t_adj[v]
-        if v == ea:
-            merged = list(base)
-            bisect.insort(merged, eb)
-            return merged
-        if v == eb:
-            merged = list(base)
-            bisect.insort(merged, ea)
-            return merged
-        return base
 
     def apply(verts: list[int], edge: tuple, pos: int | None) -> None:
         # the path's unmatched edges, but for the arrival, must lie in T:
@@ -238,17 +235,19 @@ def phase2b(
     if e is not None:
         edge = ea, eb = edge_key(*e)
         starts[[ea, eb]] = True
-    for verts in _augmenting_paths(partner_map, np.flatnonzero(starts).tolist(), nbrs):
+        rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
+    for verts in _augmenting_paths(partner_map, np.flatnonzero(starts).tolist(), rows):
         apply(verts, edge, pos)
+    for v in edge:
+        rows[v] = t_adj[v]
 
     alive = _reaching(partner_map, t).tolist()  # False: reaches none, now or after a flip
     live: set[int] = set()  # reach a free vertex; dropped after each flip
-    t_nbrs = t_adj.__getitem__
 
     def reaches(v: int) -> bool:
         if v in live:
             return True
-        if next(_free_ends(v, partner_map, t_nbrs), None) is None:
+        if next(_free_ends(v, partner_map, t_adj), None) is None:
             alive[v] = False
             return False
         live.add(v)
@@ -258,8 +257,10 @@ def phase2b(
         if not (alive[x] and alive[y] and reaches(x) and reaches(y)):
             continue
         edge = ea, eb = edge_key(x, y)
-        starts = _path_ends_through(edge, partner_map, nbrs)
-        verts = next(_augmenting_paths(partner_map, starts, nbrs), None)
+        rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
+        starts = _path_ends_through(edge, partner_map, rows)
+        verts = next(_augmenting_paths(partner_map, starts, rows), None)
+        rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
             apply(verts, edge, pos)
             live.clear()
@@ -322,7 +323,7 @@ def beats23_match(
     m_edges = [(u, v) for u, v in m_aug.partner_map.items() if u < v]
     extra = sorted(_missing_edges(hu.adj, m_edges))
     if extra:
-        final = max_matching(_graph_plus(hu, extra, _ends_of(extra)))
+        final = max_matching(_graph_plus(hu, _ends_of(extra)))
     else:
         final = sp.hu_matching
     diag = TrialDiagnostics(

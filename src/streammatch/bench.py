@@ -178,8 +178,7 @@ def _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu) -> dict[str, bool]:
     if config.checks.census:
         # stream edges are g's own: canonical, distinct and in range
         cut, m = phase1_cut(len(stream), config.params.eps), len(stream)
-        suffix = _graph_of_canonical(g.n, stream.slice(cut + 1, m), stream.ends(cut + 1, m),
-                                     g.bipartition)
+        suffix = _graph_of_canonical(g.n, stream.ends(cut + 1, m), g.bipartition)
         m_star = max_matching(suffix)
         checks["census"] = path_census(m_star, m_h).short_path_bound_holds
     return checks
@@ -210,9 +209,9 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
             rng = np.random.default_rng(algo_seed)
             out, diag = beats23_match(stream, config.params, rng)
             sp, m_h, mu_hu = diag.sparsifier, diag.m_h, diag.mu_hu
-            t_size, m_size = len(diag.t.edges), len(diag.m_aug)
+            t_size, m_size = diag.t.m, len(diag.m_aug)
             path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
-        h_size, u_size, m_h_size = len(sp.h.edges), sp.u_size, len(m_h)
+        h_size, u_size, m_h_size = sp.h.m, sp.u_size, len(m_h)
         if config.checks.any:
             checks = _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu)
 
@@ -276,7 +275,7 @@ def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialRepo
     share; it never starts more workers than there are trials."""
     workers = min(resolve_workers(max_workers), config.trials)
     g = load_instance(config)
-    if not g.edges:
+    if not g.m:
         raise ValueError("instance has no edges")
     mu_g = len(max_matching(g))
     if workers == 1:

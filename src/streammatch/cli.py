@@ -21,7 +21,7 @@ from .bench import (
     emit_report,
     run_trials,
 )
-from .graph import brute_force_matching_size, max_matching
+from .graph import BRUTE_FORCE_VERTEX_LIMIT, brute_force_matching_size, max_matching
 from .sparsifier import SafetyCapExceeded, derive_params, params_with_betas
 
 
@@ -133,6 +133,10 @@ def _cmd_run(args) -> int:
 def _cmd_verify_gadgets(args) -> int:
     if args.kmax < 3:
         raise ValueError("gadget length k must be odd and at least 3")
+    limit = BRUTE_FORCE_VERTEX_LIMIT
+    if args.kmax > limit // 2:  # a gadget of length k has 2k vertices
+        raise ValueError(f"--kmax must be at most {limit // 2}, got {args.kmax}: "
+                         f"brute force is limited to {limit} vertices")
     failures = 0
     for k in range(3, args.kmax + 1, 2):
         bad = 0

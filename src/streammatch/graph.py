@@ -103,14 +103,17 @@ class Graph:
     (left, right) bipartition tag.
 
     Adjacency lists are kept sorted so that every index-based search in
-    this package is deterministic. `endpoints` holds the edges' ends as
-    int64 arrays, from which the adjacency was built; `edge_set` and the
-    object array `edge_array` are built on first use, and `max_matching`
-    keeps its mate array on the graph on its first call.
+    this package is deterministic, and they are a canonical form of the
+    edge set: graphs compare and hash by (n, adj, bipartition). The one
+    edge store is `endpoints`, the (low, high) ends of the edges as int64
+    arrays, from which the adjacency was built; `m` is the edge count.
+    The tuples of `edges` and the object array `edge_array` are built on
+    first use, and `max_matching` keeps its mate array on the graph on its
+    first call.
     """
 
-    __slots__ = ("n", "edges", "adj", "bipartition", "degrees", "_edge_set",
-                 "_edge_array", "_endpoints", "_mate")
+    __slots__ = ("n", "m", "endpoints", "adj", "bipartition", "degrees", "_edges",
+                 "_edge_array", "_mate")
 
     def __init__(
         self,
@@ -131,12 +134,15 @@ class Graph:
         _check_and_fill(self, n, firsts, seconds, bipartition)
 
     @property
-    def edge_set(self) -> frozenset[Edge]:
-        """The edges as a frozenset, built on first use."""
-        edge_set = self._edge_set
-        if edge_set is None:
-            edge_set = self._edge_set = frozenset(self.edges)
-        return edge_set
+    def edges(self) -> tuple[Edge, ...]:
+        """The canonical edges as (low, high) tuples in `endpoints` order,
+        built on first use; a vertex is one int object (`_vertex_ints`)."""
+        edges = self._edges
+        if edges is None:
+            vertex = _vertex_ints(self.n)
+            lows, highs = self.endpoints
+            edges = self._edges = tuple(zip(vertex[lows].tolist(), vertex[highs].tolist()))
+        return edges
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -144,24 +150,14 @@ class Graph:
         first use."""
         arr = self._edge_array
         if arr is None:
-            arr = self._edge_array = np.fromiter(self.edges, object, len(self.edges))
+            arr = self._edge_array = np.fromiter(self.edges, object, self.m)
         return arr
 
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """(low ends, high ends) of `edges` as two int64 arrays. Set when
-        the graph is built; a pickled copy builds them again on first use."""
-        ends = self._endpoints
-        if ends is None:
-            ends = self._endpoints = _ends_of(self.edges)
-        return ends
-
-    def __getstate__(self):
-        # the numpy forms and the mate array are caches: a pickled graph
-        # leaves them out (a forked pool worker inherits them instead)
-        state = {s: getattr(self, s) for s in Graph.__slots__}
-        state["_edge_array"] = state["_endpoints"] = state["_mate"] = None
-        return None, state
+    def __reduce__(self):
+        # a pickle carries the edge store alone: the adjacency is built
+        # again from it, and the caches are left out (a forked pool worker
+        # inherits them instead)
+        return _graph_of_canonical, (self.n, self.endpoints, self.bipartition)
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and not _missing_edges(self.adj, ((u, v),))
@@ -171,16 +167,16 @@ class Graph:
             return NotImplemented
         return (
             self.n == other.n
-            and self.edge_set == other.edge_set
+            and self.adj == other.adj
             and self.bipartition == other.bipartition
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_set, self.bipartition))
+        return hash((self.n, self.adj, self.bipartition))
 
     def __repr__(self) -> str:
         tag = ", bipartite" if self.bipartition is not None else ""
-        return f"Graph(n={self.n}, m={len(self.edges)}{tag})"
+        return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
 def _graph_of_ends(
@@ -229,7 +225,7 @@ def _check_and_fill(
             a, b = lows[same[0]], highs[same[0]]
             raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
         bipartition = (left, right)
-    _fill_graph(g, n, None, (lows, highs), codes, bipartition)
+    _fill_graph(g, n, (lows, highs), codes, bipartition)
 
 
 def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[Edge]:
@@ -246,52 +242,43 @@ def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[
 
 def _graph_of_canonical(
     n: int,
-    edges: Sequence[Edge] | None,
     ends: tuple[np.ndarray, np.ndarray],
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
 ) -> Graph:
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; `ends` are their (low, high) ends as int64
-    arrays, `edges` their tuples or None to build them from `ends`, and
-    the bipartition is a `Graph.bipartition` pair. Nothing is validated,
-    so use it only for edge sets the package built itself, such as H | U
-    or a stream slice."""
+    arrays and the bipartition is a `Graph.bipartition` pair. Nothing is
+    validated, so use it only for edge sets the package built itself,
+    such as H | U or a stream slice."""
     g = object.__new__(Graph)
-    lows, highs = ends
-    if edges is not None:
-        edges = tuple(edges)
-    _fill_graph(g, n, edges, ends, _adjacency_codes(n, lows, highs), bipartition)
+    _fill_graph(g, n, ends, _adjacency_codes(n, *ends), bipartition)
     return g
 
 
-def _graph_plus(g: Graph, edges: Sequence[Edge], ends: tuple[np.ndarray, np.ndarray]) -> Graph:
-    """g with `edges` added after its own: canonical edges that g lacks,
-    with `ends` their (low, high) ends as int64 arrays."""
+def _graph_plus(g: Graph, ends: tuple[np.ndarray, np.ndarray]) -> Graph:
+    """g with edges added after its own: canonical edges that g lacks,
+    given by their (low, high) ends as int64 arrays."""
     lows, highs = g.endpoints
     union_ends = (np.concatenate((lows, ends[0])), np.concatenate((highs, ends[1])))
-    return _graph_of_canonical(g.n, g.edges + tuple(edges), union_ends, g.bipartition)
+    return _graph_of_canonical(g.n, union_ends, g.bipartition)
 
 
 def _fill_graph(
     g: Graph,
     n: int,
-    edges: tuple[Edge, ...] | None,
     ends: tuple[np.ndarray, np.ndarray],
     codes: np.ndarray,
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
 ) -> None:
     """Set every field of g from checked canonical edges: `ends` are their
-    (low, high) ends, `codes` their `_adjacency_codes`, `edges` their
-    tuples or None to build them from `ends`, and `bipartition` is a
-    `Graph.bipartition` pair. Adjacency lists are sorted, so a search gives
-    the same result whatever order the edges came in. A vertex is one int
-    object (`_vertex_ints`) in `adj` and in edges built here."""
+    (low, high) ends, `codes` their `_adjacency_codes`, and `bipartition`
+    is a `Graph.bipartition` pair. Adjacency lists are sorted, so a search
+    gives the same result whatever order the edges came in. A vertex is
+    one int object (`_vertex_ints`) in `adj`."""
     vertex = _vertex_ints(n)
-    if edges is None:
-        edges = tuple(zip(vertex[ends[0]].tolist(), vertex[ends[1]].tolist()))
-    owners, nbrs = np.divmod(codes, max(n, 1))
+    owners, others = np.divmod(codes, max(n, 1))
     degrees = np.bincount(owners, minlength=n)
-    flat = tuple(vertex[nbrs].tolist())
+    flat = tuple(vertex[others].tolist())
     # isolated vertices keep the shared empty tuple; a loop that slices
     # only the others beat `map(slice, ...)` over all of them
     adj = [()] * n
@@ -301,12 +288,12 @@ def _fill_graph(
         adj[v] = flat[start:stop]
         start = stop
     g.n = n
-    g.edges = edges
+    g.m = len(ends[0])
+    g.endpoints = ends
     g.adj = tuple(adj)
     g.degrees = tuple(degrees.tolist())
     g.bipartition = bipartition
-    g._edge_set = g._edge_array = g._mate = None
-    g._endpoints = ends
+    g._edges = g._edge_array = g._mate = None
 
 
 class Matching:
@@ -421,10 +408,10 @@ class Path:
     """Simple path given as a vertex sequence.
 
     `allowed` holds canonical (min, max) edges and is only probed with
-    `in`, never copied: pass a set the caller already has, such as a
-    `Graph.edge_set`, and a path costs O(its length). Consecutive
-    vertices must be joined by an edge of `allowed`, and vertices must
-    be distinct.
+    `in`, never copied: pass a set the caller already has, such as the
+    census's symmetric difference of two matchings' edge sets, and a path
+    costs O(its length). Consecutive vertices must be joined by an edge of
+    `allowed`, and vertices must be distinct.
     """
 
     __slots__ = ("vertices", "edges")
@@ -722,46 +709,46 @@ def brute_force_matching_size(g: Graph) -> int:
 # bounded-length augmenting paths
 
 
-def _path1(u, partner_map, nbrs) -> list[int] | None:
-    for v in nbrs(u):
+def _path1(u, partner_map, adj) -> list[int] | None:
+    for v in adj[u]:
         if v not in partner_map:
             return [u, v]
     return None
 
 
-def _path3(u, partner_map, nbrs) -> list[int] | None:
-    for x1 in nbrs(u):
+def _path3(u, partner_map, adj) -> list[int] | None:
+    for x1 in adj[u]:
         x2 = partner_map.get(x1)
         if x2 is None:
             continue
-        for w in nbrs(x2):
+        for w in adj[x2]:
             if w != u and w not in partner_map:
                 return [u, x1, x2, w]
     return None
 
 
-def _path5(u, partner_map, nbrs) -> list[int] | None:
-    for x1 in nbrs(u):
+def _path5(u, partner_map, adj) -> list[int] | None:
+    for x1 in adj[u]:
         x2 = partner_map.get(x1)
         if x2 is None:
             continue
-        for x3 in nbrs(x2):
+        for x3 in adj[x2]:
             if x3 == x1 or x3 == u or x3 not in partner_map:
                 continue
             x4 = partner_map[x3]
-            for w in nbrs(x4):
+            for w in adj[x4]:
                 if w != u and w not in partner_map:
                     return [u, x1, x2, x3, x4, w]
     return None
 
 
-def _augmenting_paths(partner_map, starts, nbrs) -> Iterator[list[int]]:
+def _augmenting_paths(partner_map, starts, adj) -> Iterator[list[int]]:
     """Augmenting paths of length 1, 3 or 5, shortest first; within
     a length, from the lowest free start first, then by ascending
     neighbour index.
 
-    `starts` is an ascending iterable of candidate endpoints, `nbrs(v)`
-    yields the allowed-edge neighbors of v in ascending order, and
+    `starts` is an ascending iterable of candidate endpoints, `adj[v]`
+    holds the allowed-edge neighbours of v in ascending order, and
     `partner_map` is the matching's vertex -> mate table. Matched edges
     are traversed through the partner table only, so every odd-position
     edge of a yielded path comes from the allowed universe.
@@ -784,7 +771,7 @@ def _augmenting_paths(partner_map, starts, nbrs) -> Iterator[list[int]]:
     for first_from in (_path1, _path3, _path5):
         for u in starts:
             if u not in partner_map:
-                path = first_from(u, partner_map, nbrs)
+                path = first_from(u, partner_map, adj)
                 if path is not None:
                     yield path
 
@@ -814,6 +801,8 @@ def read_edge_list(path) -> Graph:
             _check_vertex_count(n)
         except ValueError as exc:
             raise ValueError(f"{path!r}: {exc}") from None
+        if m < 0:
+            raise ValueError(f"{path!r}: edge count must be non-negative, got {m}")
         bipartition = None
         if len(header) == 4:
             if header[2] != "bipartite":

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, _graph_of_ends, _write_edges, edge_key, max_matching
+from .graph import Edge, Graph, _graph_of_ends, _missing_edges, _write_edges, edge_key, max_matching
 
 
 class NotInducedError(ValueError):
@@ -98,10 +98,11 @@ def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> 
     used: set[Edge] = set()
     for matching in matchings:
         edges = frozenset(edge_key(u, v) for u, v in matching)
+        # in range first: adj[-1] would read the last vertex's row
+        if not all(0 <= u and v < g.n for u, v in edges) or _missing_edges(g.adj, edges):
+            return False
         verts: set[int] = set()
         for u, v in edges:
-            if edge_key(u, v) not in g.edge_set:
-                return False
             if u in verts or v in verts:
                 return False
             verts.add(u)

@@ -125,10 +125,10 @@ class Sparsifier:
         reaches m only when every edge was kept; H | U is then the stream's
         graph itself, which is returned without a build."""
         stream, index = self.stream, self.u_index
-        if len(self.h.edges) + len(index) == len(stream):
+        if self.h.m + len(index) == len(stream):
             return stream.graph
         lows, highs = stream.ends(1, len(stream))
-        return _graph_plus(self.h, stream.edges_at(index), (lows[index], highs[index]))
+        return _graph_plus(self.h, (lows[index], highs[index]))
 
     @cached_property
     def hu_matching(self) -> Matching:

@@ -33,7 +33,7 @@ class EdgeStream:
 
     def __init__(self, graph: Graph, order):
         arr = np.asarray(order)
-        m = len(graph.edges)
+        m = graph.m
         ok = arr.shape == (m,) and (
             m == 0  # () comes out as float64
             or (arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < m)
@@ -89,7 +89,7 @@ class EdgeStream:
 
 def make_stream(g: Graph, seed: int) -> EdgeStream:
     """Uniform-random arrival order for g's edges under the given seed."""
-    m = len(g.edges)
+    m = g.m
     if m == 0:
         raise ValueError("cannot stream an empty graph")
     rng = np.random.default_rng(seed)

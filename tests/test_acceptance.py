@@ -110,7 +110,7 @@ def test_c04_dichotomy():
         if mu_g == 0:
             continue
         mu_h = len(max_matching(sp.h))
-        hu = Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition)
+        hu = Graph(g.n, sorted(frozenset(sp.h.edges) | sp.u), g.bipartition)
         mu_hu = len(max_matching(hu))
         for delta in deltas:
             if not check_dichotomy(mu_g, mu_h, mu_hu, params.lam, delta, bipartite).holds:
@@ -186,7 +186,7 @@ def test_c07_augmentation_soundness(beats23_runs):
             arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
-                assert e in diag.t.edge_set or e == arrival_edge
+                assert diag.t.has_edge(*e) or e == arrival_edge
     _report(7, "augmentation soundness", "100 trials, 0 violations")
 
 

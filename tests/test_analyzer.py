@@ -166,7 +166,7 @@ def test_dichotomy_sweep_on_sparsifier_runs():
         mu_h = len(max_matching(sp.h))
         mu_hu = len(
             max_matching(
-                Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition)
+                Graph(g.n, sorted(frozenset(sp.h.edges) | sp.u), g.bipartition)
             )
         )
         for delta in (0.05, 0.1, 0.2):

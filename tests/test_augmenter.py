@@ -54,7 +54,7 @@ def test_build_t_unmatched_side_cap():
     m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
     t = build_t(arrivals, m_h, b=2, n=11)
-    assert t.edge_set == {(0, 1), (0, 3)}
+    assert frozenset(t.edges) == {(0, 1), (0, 3)}
 
 
 def test_build_t_keeps_admission_order():
@@ -68,7 +68,7 @@ def test_build_t_matched_side_cap():
     # matched vertex 1 sees three unmatched suitors; degree cap 2 binds
     m_h = Matching([(1, 2)])
     t = build_t([(1, 3), (1, 4), (1, 5)], m_h, b=5, n=6)
-    assert t.edge_set == {(1, 3), (1, 4)}
+    assert frozenset(t.edges) == {(1, 3), (1, 4)}
 
 
 def test_build_t_caps_hold_on_random_runs():
@@ -81,13 +81,14 @@ def test_build_t_caps_hold_on_random_runs():
         arrivals = s.slice(11, len(s))
         t = build_t(arrivals, m_h, b, g.n)
         matched = m_h.partner_map
+        t_edges = frozenset(t.edges)
         for v in range(g.n):
             assert t.degrees[v] <= (2 if v in matched else b)
-        for x, y in t.edges:
+        for x, y in t_edges:
             assert (x in matched) != (y in matched), (x, y)
         # maximality: replaying the arrivals finds no admissible skipped edge
         for x, y in arrivals:
-            if (x in matched) == (y in matched) or edge_key(x, y) in t.edge_set:
+            if (x in matched) == (y in matched) or edge_key(x, y) in t_edges:
                 continue
             v, u = (x, y) if x in matched else (y, x)
             # degrees at arrival time are bounded by final degrees, so a
@@ -224,7 +225,7 @@ def test_phase2b_reach_skip_is_exact():
             m.augment(p.vertices)
 
         def walk_reaches(v):
-            return next(_free_ends(v, m.partner_map, t.adj.__getitem__), None) is not None
+            return next(_free_ends(v, m.partner_map, t.adj), None) is not None
 
         reach = _reaching(m.partner_map, t)
         assert reach.tolist() == [walk_reaches(v) for v in range(t.n)], trial
@@ -334,7 +335,7 @@ def test_beats23_soundness_invariants():
             arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
-                assert e in diag.t.edge_set or e == arrival_edge
+                assert diag.t.has_edge(*e) or e == arrival_edge
 
 
 def test_beats23_m_nondecreasing_and_histogram_consistent():
@@ -394,7 +395,7 @@ def test_beats23_boundary_pass_when_tau_covers_phase2():
         assert diag.split.tau == diag.split.m - diag.split.eps_cut
         assert all(p.arrival is None for p in diag.applied)
         assert len(diag.m_aug) == len(diag.m_h) + len(diag.applied)
-        allowed = diag.t.edge_set | diag.m_aug.edges
+        allowed = frozenset(diag.t.edges) | diag.m_aug.edges
         assert find_augmenting_path(diag.m_aug, allowed) is None
         assert len(out) >= len(diag.m_aug)
         boundary += len(diag.applied)
@@ -457,11 +458,11 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         assert [tuple(p) for p in diag.applied] == ref_applied, trial
         assert diag.m_aug == ref_m, trial
         g = s.graph
-        union = sorted(diag.h.edge_set | diag.u | ref_m.edges)
+        hu = frozenset(diag.h.edges) | diag.u
+        union = sorted(hu | ref_m.edges)
         assert out == max_matching(Graph(g.n, union, g.bipartition)), trial
-        assert diag.mu_hu == len(max_matching(Graph(g.n, sorted(diag.h.edge_set | diag.u),
-                                                     g.bipartition)))
-        m_inside_hu.append(ref_m.edges <= diag.h.edge_set | diag.u)
+        assert diag.mu_hu == len(max_matching(Graph(g.n, sorted(hu), g.bipartition)))
+        m_inside_hu.append(ref_m.edges <= hu)
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
         if kind == "closing":

@@ -23,6 +23,7 @@ from streammatch import (
 )
 from streammatch.bench import trial_seeds
 from streammatch.cli import main
+from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT
 
 
 def _config(algo="beats23", trials=4, checks=CheckConfig(), kind="bipartite-gnp", n=30, p=0.2):
@@ -555,6 +556,12 @@ def test_cli_structural_failure_exit_code(monkeypatch, capsys):
     ('{"n": null, "left_size": 3, "edges": [[0, 3]], "matchings": [[[0, 3]]]}', "'n'"),
     ('{"n": 6, "left_size": 3, "edges": [5], "matchings": [[[0, 3]]]}', "'edges'"),
     ('{"n": 6, "edges": [[0, 3]], "matchings": [[[0, 3]]]}', "'left_size'"),
+    # a matching vertex out of range: -3 would read as vertex 3, and 6
+    # would index past the adjacency
+    ('{"n": 6, "left_size": 3, "edges": [[0, 3], [1, 4], [2, 5]], "matchings": [[[-3, 0]]]}',
+     "induced-matching family"),
+    ('{"n": 6, "left_size": 3, "edges": [[0, 3], [1, 4], [2, 5]], "matchings": [[[6, 7]]]}',
+     "induced-matching family"),
 ])
 def test_cli_malformed_family_file_exits_1(tmp_path, capsys, content, field):
     path = tmp_path / "family.json"
@@ -570,6 +577,17 @@ def test_cli_verify_gadgets_small_kmax_exits_1(capsys, kmax):
     captured = _assert_one_line_error(capsys)
     assert captured.out == ""
     assert "k must be odd and at least 3" in captured.err
+
+
+@pytest.mark.parametrize("kmax", ["9", "10", "100"])
+def test_cli_verify_gadgets_large_kmax_exits_1(capsys, kmax):
+    # a gadget of length k has 2k vertices, above the brute-force limit
+    # from k = 9 on; nothing is checked or printed first
+    assert BRUTE_FORCE_VERTEX_LIMIT // 2 == 8
+    assert main(["verify-gadgets", "--kmax", kmax]) == 1
+    captured = _assert_one_line_error(capsys)
+    assert captured.out == ""
+    assert f"--kmax must be at most 8, got {kmax}" in captured.err
 
 
 # ---------------------------------------------------------------------------

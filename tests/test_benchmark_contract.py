@@ -21,9 +21,9 @@ def _load(name: str):
     return module
 
 
-def test_benchmark_validation_runs_on_every_algorithm():
-    validate = _load("validate")
-    workloads = _load("workloads")
+def _tiny(workloads):
+    """A tiny one-worker workload of two trials per algorithm, and its
+    instance."""
     tiny = workloads.Workload(
         "tiny", "gnp", 0.3, 6, 5,
         workers={a: 1 for a in workloads.ALGOS},
@@ -31,7 +31,14 @@ def test_benchmark_validation_runs_on_every_algorithm():
     )
     gen = GeneratorSpec("bipartite-gnp", 12, 0.3)
     g = bench.load_instance(TrialConfig("greedy", gen=gen, seed=1))
-    inst = workloads.Instance(g, len(max_matching(g)), gen, None)
+    return tiny, workloads.Instance(g, len(max_matching(g)), gen, None)
+
+
+def test_benchmark_validation_runs_on_every_algorithm():
+    validate = _load("validate")
+    workloads = _load("workloads")
+    tiny, inst = _tiny(workloads)
+    g = inst.graph
     for algo in workloads.ALGOS:
         config = workloads.trial_config(tiny, inst, algo, seed=1)
         report = bench.run_trials(config, max_workers=1)
@@ -63,4 +70,25 @@ def test_tracer_targets_that_no_longer_resolve():
         ("augmenter", "phase1_build_h"),  # still traced at sparsifier.phase1_build_h
         ("augmenter", "TwoBMatching"),
         ("augmenter", "phase2b_step"),
+    }
+
+
+def test_tracer_counter_hooks_read_names_that_exist():
+    # A counter hook that reads a renamed attribute (say `Graph.edges` or
+    # `TrialDiagnostics.u`) marks its span as broken, and the per-layer
+    # metrics it feeds as ABSENT. Run every algorithm traced and require
+    # that no hook broke and that every hook that exists counted.
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    tiny, inst = _tiny(workloads)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for algo in workloads.ALGOS:
+            bench.run_trials(workloads.trial_config(tiny, inst, algo, seed=1), max_workers=1)
+    assert tracer.spans and tracer.broken == set()
+    hooked = {span for _mod, _attr, span, hook in tracing.TARGETS
+              if hook is not None and span in tracer.present}
+    counted = {sp.name for sp in tracer.spans if sp.counts}
+    assert hooked == counted == {
+        "sparsifier.phase1_build_h", "sparsifier.phase2_collect_u", "augmenter.beats23_match",
     }

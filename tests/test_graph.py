@@ -11,6 +11,7 @@ from streammatch import (
     Matching,
     NotAugmentingError,
     Path,
+    augmenter,
     brute_force_matching_size,
     build_hard_instance,
     edge_key,
@@ -125,8 +126,9 @@ def test_fill_equals_reference_fill():
         lows, highs = g.endpoints
         assert lows.tolist() == [u for u, _ in canonical]
         assert highs.tolist() == [v for _, v in canonical]
-        same = _graph_of_canonical(n, g.edges, g.endpoints, g.bipartition)
-        assert same.adj == adj and same.degrees == degrees and same.edges is g.edges
+        same = _graph_of_canonical(n, g.endpoints, g.bipartition)
+        assert same.adj == adj and same.degrees == degrees and same.edges == g.edges
+        assert same.endpoints is g.endpoints and same == g
         edge_set = set(canonical)
         assert _missing_edges(g.adj, canonical) == []
         for u in range(-1, n + 1):
@@ -138,7 +140,7 @@ def test_fill_holds_one_int_object_per_vertex():
     # above 256 vertices, whose ints CPython does not cache on its own
     g = random_general(random.Random(15), 300, 0.03)
     flipped = Graph(g.n, [(v, u) for u, v in g.edges])
-    same = _graph_of_canonical(g.n, g.edges, g.endpoints)
+    same = _graph_of_canonical(g.n, g.endpoints)
     seen: dict[int, int] = {}
     for graph in (g, flipped, same):
         for w in chain(chain.from_iterable(graph.adj), chain.from_iterable(graph.edges)):
@@ -185,10 +187,10 @@ def test_path_requires_adjacent_distinct_vertices():
     assert p.edges == ((0, 1), (1, 2))
     g = Graph(4, [(1, 0), (2, 1), (2, 3)])
     with pytest.raises(ValueError, match="not adjacent"):
-        Path([0, 1, 3], g.edge_set)
+        Path([0, 1, 3], frozenset(g.edges))
     with pytest.raises(ValueError, match="distinct"):
-        Path([0, 1, 2, 1], g.edge_set)
-    assert Path([3, 2, 1, 0], g.edge_set).edges == ((2, 3), (1, 2), (0, 1))
+        Path([0, 1, 2, 1], frozenset(g.edges))
+    assert Path([3, 2, 1, 0], frozenset(g.edges)).edges == ((2, 3), (1, 2), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +363,60 @@ def _assert_same_graph(got, want):
     assert len(got.edges) == len(want.edges) and set(got.edges) == set(want.edges)
     assert got.adj == want.adj
     assert got.degrees == want.degrees
-    assert got.edge_set == want.edge_set
     assert got.bipartition == want.bipartition
 
 
-def test_lazy_edge_set_and_numpy_forms():
+def test_graph_keeps_endpoints_and_builds_tuples_on_first_read():
     rnd = random.Random(6)
     g = random_general(rnd, 30, 0.2)
-    # the endpoint arrays are set at construction, the sets on first use
-    assert g._endpoints is not None
-    assert g._edge_set is None and g._edge_array is None
+    # the endpoint arrays and the edge count are set at construction, the
+    # tuples and the object array on first read
+    assert g._edges is None and g._edge_array is None
     lows, highs = g.endpoints
-    assert lows.dtype == highs.dtype == np.int64
-    assert list(zip(lows.tolist(), highs.tolist())) == list(g.edges)
-    lazy = _graph_of_canonical(g.n, g.edges, g.endpoints)
-    assert lazy._edge_set is None and lazy.endpoints is g.endpoints
-    assert lazy.edge_set == frozenset(g.edges) == g.edge_set
-    assert lazy.edge_set is lazy.edge_set
-    assert all(a is b for a, b in zip(g.edge_array, g.edges)) and len(g.edge_array) == len(g.edges)
-    # a pickled graph leaves the numpy forms out and builds them again
+    assert lows.dtype == highs.dtype == np.int64 and g.m == len(lows) > 0
+    edges = g.edges
+    assert g.edges is edges and list(zip(lows.tolist(), highs.tolist())) == list(edges)
+    assert all(a is b for a, b in zip(g.edge_array, edges)) and len(g.edge_array) == g.m
+    # a pickled copy carries the endpoints, leaves the caches out and
+    # builds equal tuples and object array again
     copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and copy._edge_array is None and copy._endpoints is None
-    assert copy.edge_array.tolist() == list(g.edges)
+    assert copy._edges is None and copy._edge_array is None and copy._mate is None
     assert [a.tolist() for a in copy.endpoints] == [lows.tolist(), highs.tolist()]
+    assert copy == g and copy.edges == edges and copy.edge_array.tolist() == list(edges)
     empty = Graph(3)
-    assert len(empty.edge_array) == 0 and [len(a) for a in empty.endpoints] == [0, 0]
+    assert empty.m == 0 and empty.edges == () and len(empty.edge_array) == 0
+    # graphs compare and hash by their sorted adjacency: the edge order
+    # and the orientation of each pair do not matter
+    for h in (random_general(rnd, 40, 0.1), random_bipartite(rnd, 12, 15, 0.3)):
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in h.edges]
+        rnd.shuffle(pairs)
+        other = Graph(h.n, pairs, h.bipartition)
+        assert other.edges != h.edges and other == h and hash(other) == hash(h)
+        assert Graph(h.n, h.edges[1:], h.bipartition) != h
+
+
+def test_beats23_trial_builds_no_tuples_for_its_own_graphs(monkeypatch):
+    # at gadget-tight's caps H | U is not G, and M | H | U is built; none
+    # of T, H | U and M | H | U is read as tuples
+    graph_plus = augmenter._graph_plus
+    plus_graphs = []
+
+    def recorded(*args):
+        plus_graphs.append(graph_plus(*args))
+        return plus_graphs[-1]
+
+    monkeypatch.setattr(augmenter, "_graph_plus", recorded)
+    base = matched_base(60)
+    g = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(1)).graph
+    params = params_with_betas(0.45, 2, 1)
+    for seed in range(10):
+        stream = make_stream(g, seed)
+        _, diag = augmenter.beats23_match(stream, params, np.random.default_rng(seed))
+        hu = diag.sparsifier.hu_graph
+        assert hu is not g and diag.t.m > 0
+        for graph in (diag.t, hu, *plus_graphs):
+            assert graph._edges is None and graph._edge_array is None
+    assert plus_graphs  # M | H | U was built
 
 
 def test_max_matching_keeps_its_mate_array_and_returns_fresh_matchings():
@@ -429,7 +460,7 @@ def test_hu_graph_equals_validated_graph(kind):
             hu = sp.hu_graph
             assert sp.hu_graph is hu
             assert (hu is stream.graph) == keeps_all
-            union = Graph(g.n, sorted(sp.h.edge_set | sp.u), g.bipartition)
+            union = Graph(g.n, sorted(frozenset(sp.h.edges) | sp.u), g.bipartition)
             _assert_same_graph(hu, union)
             assert max_matching(hu).edges == max_matching(union).edges
 
@@ -643,6 +674,15 @@ def test_edge_list_rejects_lines_past_the_declared_count(tmp_path):
     path.write_text("3 2\n0 1\n1 2\n0 2\n")
     with pytest.raises(ValueError, match="after the 2 declared edges"):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("text", ["4 -1\n", "4 -1\n0 1\n"])
+def test_edge_list_rejects_negative_edge_count(tmp_path, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_edge_list(path)
+    assert str(info.value) == f"{path!r}: edge count must be non-negative, got -1"
 
 
 def test_edge_key_normalizes():

@@ -100,6 +100,14 @@ def test_verify_induced_rejects_overlap_and_foreign_edges():
     assert not verify_induced(g, [[(0, 1), (1, 2)]])  # not a matching
 
 
+@pytest.mark.parametrize("edge", [(-3, 0), (6, 7), (0, 6)])
+def test_verify_induced_rejects_vertices_out_of_range(edge):
+    # (-3, 0) would read as the base edge (3, 0) were -3 taken as an index
+    base = matched_base(3)
+    assert not verify_induced(base, [[edge]])
+    assert not verify_induced(base, [[(1, 4)], [edge, (2, 5)]])
+
+
 # ---------------------------------------------------------------------------
 # hard instances
 

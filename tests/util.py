@@ -201,7 +201,9 @@ def find_augmenting_path(
     for lst in adj.values():
         lst.sort()
     # the first path yielded is a shortest one, so none fits when it does not
-    paths = _augmenting_paths(matching.partner_map, sorted(adj), lambda v: adj.get(v, ()))
+    # every vertex that a search reaches is an end of an allowed edge, so
+    # it is a key of adj
+    paths = _augmenting_paths(matching.partner_map, sorted(adj), adj)
     verts = next(paths, None)
     if verts is None or len(verts) - 1 > max_len:
         return None
@@ -225,7 +227,7 @@ def reference_phase2b(m_h, t, arrivals):
     for pos, e in arrivals:
         arriving = set() if e is None else {edge_key(*e)}
         while True:
-            path = find_augmenting_path(m, t.edge_set | m.edges | arriving)
+            path = find_augmenting_path(m, frozenset(t.edges) | m.edges | arriving)
             if path is None:
                 break
             m = apply_augmenting_path(m, path)
@@ -251,7 +253,7 @@ def reference_build_t(phase2a, m_h: Matching, b: int, n: int) -> Graph:
             chosen.append(edge_key(x, y))
             deg[v] += 1
             deg[u] += 1
-    return _graph_of_canonical(n, chosen, _ends_of(chosen))
+    return _graph_of_canonical(n, _ends_of(chosen))
 
 
 def reference_phase1_build_h(prefix, n: int, params, bipartition=None) -> Graph:
