@@ -1,14 +1,16 @@
 """Streaming augmentation on top of the sparsifier.
 
 beats23 is Bernstein's two-phase sparsifier with two stages added, each
-in one place:
+one function with one code path, which `beats23_match` calls by its
+module name:
 
 - H (Phase I) and U (all of Phase II) come from `run_sparsifier`, and
   M_H is a maximum matching of H;
 - Phase II.A: `build_t` greedily stores a maximal (2, b)-matching T
   between M_H-matched and unmatched vertices;
 - Phase II.B: `phase2b` applies augmenting paths of length up to five
-  inside M | T | {current edge} after each arrival;
+  inside M | T | {current edge} after each arrival, walking each end of
+  an arrival at most once;
 - the answer is a maximum matching of M | H | U, which is the H | U
   matching itself when M lies inside H | U.
 
@@ -46,12 +48,12 @@ from .sparsifier import AlgoParams, Sparsifier, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
 
 
-def build_t(
-    phase2a: Sequence[tuple[int, int]], m_h: Matching, b: int, n: int
-) -> Graph:
-    """Greedy maximal (2, b)-matching over the Phase II.A arrivals of a
-    graph on n vertices: degree <= 2 at M_H-matched vertices, degree <= b
-    elsewhere. Its edges are in admission order.
+def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: int) -> Graph:
+    """Greedy maximal (2, b)-matching over the Phase II.A arrivals
+    (firsts[i], seconds[i]) of a graph on n vertices: degree <= 2 at
+    M_H-matched vertices, degree <= b elsewhere. The ends are int64
+    arrays in either orientation, such as a stream slice's `ends`. T's
+    edges are in admission order.
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
@@ -61,15 +63,9 @@ def build_t(
     mask first changes no decision. Each remaining edge's matched and
     unmatched end are read from arrays worked out up front.
     """
-    firsts, seconds = _ends_of(phase2a)
-    return _build_t(np.minimum(firsts, seconds), np.maximum(firsts, seconds), m_h, b, n)
-
-
-def _build_t(lows: np.ndarray, highs: np.ndarray, m_h: Matching, b: int, n: int) -> Graph:
-    """`build_t` over the canonical edges (lows[i], highs[i]), given as
-    int64 arrays such as a stream slice's `ends`."""
     if b < 2:
         raise ValueError("b must be at least 2")
+    lows, highs = np.minimum(firsts, seconds), np.maximum(firsts, seconds)
     partner_map = m_h.partner_map
     matched = np.zeros(n, bool)
     matched[np.fromiter(partner_map, np.int64, len(partner_map))] = True
@@ -138,23 +134,6 @@ def _reaching(partner_map, t: Graph) -> np.ndarray:
     return free | has_nbr_in(step)[mate]
 
 
-def _path_ends_through(edge, partner_map, adj) -> list[int]:
-    """Ascending free vertices that begin an augmenting path of length
-    <= 5 through `edge`.
-
-    On a path u x1 x2 x3 x4 w the interior vertices are matched, and one
-    end of the edge sits at an even position in either direction. From
-    position 0 that end is u itself; from position 2 or 4 the walk back to
-    u crosses a matched edge by `partner_map`, then an unmatched one by
-    `adj`, once or twice (`_free_ends`). The search discards the
-    vertices that begin no path.
-    """
-    ends: set[int] = set()
-    for a in edge:
-        ends.update(_free_ends(a, partner_map, adj))
-    return sorted(ends)
-
-
 def _row_with(row: Sequence[int], v: int) -> list[int]:
     """A copy of the sorted adjacency row with v put in its place."""
     merged = list(row)
@@ -183,11 +162,12 @@ def phase2b(
       both ends reach the path's endpoints by walks in M | T. The answers
       depend only on M and T. Right after the first step they are worked
       out for every vertex at once (`_reaching`), and an arrival with an
-      end that does not reach is skipped before any call; most vertices
-      are such ends. A flip can make only "reaches" answers stale, as it
-      matches the ends of the applied path P, so only those are dropped
-      and asked again of `_free_ends`; a "does not reach" answer stays
-      true, so the skip is exact for every later arrival.
+      end that does not reach is skipped before any walk; most vertices
+      are such ends. A flip can make a "reaches" answer stale, as it
+      matches the ends of the applied path P, so every other arrival
+      walks each of its ends once, and an end whose walk finds nothing is
+      marked as not reaching. A "does not reach" answer stays true, so
+      the skip is exact for every later arrival.
       Say M' = M ^ P (e is in neither T nor M), and v, whose walks in
       M | T all end at matched vertices, walks in M' | T to a free w. The
       walk crosses an edge (a, b) that P added to the matching, or it was
@@ -199,12 +179,20 @@ def phase2b(
       v's walk in M | T reaches an end of P, or M | T holds an augmenting
       path of length 1 or 3 from an end of P. The search has left none of
       these, so v does not reach in M' | T either.
-    - Only free vertices that begin a path through e are tried, in the
-      full search's order, so the same path is found. At most one is
-      applied: were Q another after P, P ^ Q would hold two disjoint
-      augmenting paths for the old matching, and the one without e would
-      lie in M | T and have length <= |Q| <= 5, since a path through e is
-      no shorter than P.
+    - Only the free vertices those two walks found are tried, in the
+      full search's order, so the same path is found: on a path
+      u x1 x2 x3 x4 w through e, one end of e sits at an even position
+      from u, and the walk from it back to u crosses a matched edge, then
+      an unmatched one, once or twice, or it is u itself. The walks read
+      T's rows, not the search's rows that hold e, and find the same
+      vertices: a walk from x leaves by M(x), which is not y since e is
+      not in M, so the only row with e it can read is y's, at its second
+      step, and the extra neighbour there is x, which is matched once the
+      walk gets that far (a free x yields itself and stops). The same
+      holds from y. At most one path is applied: were Q another after P,
+      P ^ Q would hold two disjoint augmenting paths for the old
+      matching, and the one without e would lie in M | T and have length
+      <= |Q| <= 5, since a path through e is no shorter than P.
 
     Raises ValueError if a path uses an edge outside T | {e} | M.
     """
@@ -242,28 +230,21 @@ def phase2b(
         rows[v] = t_adj[v]
 
     alive = _reaching(partner_map, t).tolist()  # False: reaches none, now or after a flip
-    live: set[int] = set()  # reach a free vertex; dropped after each flip
 
-    def reaches(v: int) -> bool:
-        if v in live:
-            return True
-        if next(_free_ends(v, partner_map, t_adj), None) is None:
-            alive[v] = False
-            return False
-        live.add(v)
-        return True
+    def walk(v: int) -> set[int]:
+        ends = set(_free_ends(v, partner_map, t_adj))
+        alive[v] = bool(ends)
+        return ends
 
     for pos, (x, y) in arrivals:
-        if not (alive[x] and alive[y] and reaches(x) and reaches(y)):
+        if not (alive[x] and alive[y] and (ends_x := walk(x)) and (ends_y := walk(y))):
             continue
         edge = ea, eb = edge_key(x, y)
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-        starts = _path_ends_through(edge, partner_map, rows)
-        verts = next(_augmenting_paths(partner_map, starts, rows), None)
+        verts = next(_augmenting_paths(partner_map, sorted(ends_x | ends_y), rows), None)
         rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
             apply(verts, edge, pos)
-            live.clear()
     return m, tuple(applied)
 
 
@@ -313,7 +294,7 @@ def beats23_match(
     sp = run_sparsifier(stream, params)
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    t = _build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
+    t = build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
     m_aug, applied = phase2b(m_h, t, enumerate(stream.slice(iia_end + 1, m), iia_end + 1))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it. With

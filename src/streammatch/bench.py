@@ -234,22 +234,13 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
 
 
 def resolve_workers(max_workers: int | None = None) -> int:
-    """Worker count: `max_workers`, else MATCH_BENCH_THREADS, else the
-    CPU count. An explicit count below 1 is an error, not a clamp."""
-    if max_workers is not None:
-        if max_workers < 1:
-            raise ValueError(f"worker count must be at least 1, got {max_workers}")
-        return max_workers
-    env = os.environ.get("MATCH_BENCH_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"MATCH_BENCH_THREADS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"MATCH_BENCH_THREADS must be at least 1, got {env!r}")
-        return workers
-    return max(1, os.cpu_count() or 1)
+    """Worker count: `max_workers`, else the CPU count. An explicit count
+    below 1 is an error, not a clamp."""
+    if max_workers is None:
+        return max(1, os.cpu_count() or 1)
+    if max_workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {max_workers}")
+    return max_workers
 
 
 # (config, g, mu_g) of the run this pool worker serves; set once per

@@ -93,10 +93,14 @@ def _gadget_edges(bits: tuple[int, ...]) -> tuple[list[Edge], tuple[tuple[Edge, 
 def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
     """True iff the matchings are pairwise edge-disjoint induced matchings
     of g: each is a matching, no edge repeats across them, and no g-edge
-    joins two vertices matched by the same M_i unless it belongs to M_i."""
-    normed: list[frozenset[Edge]] = []
+    joins two vertices matched by the same M_i unless it belongs to M_i.
+
+    One pass over g's edges: the matchings that match both ends of an
+    edge are those its ends' index lists share. There may be one, the
+    matching the edge belongs to, or none if it belongs to none."""
     used: set[Edge] = set()
-    for matching in matchings:
+    owners: dict[int, list[int]] = {}  # vertex -> the matchings that match it
+    for i, matching in enumerate(matchings):
         edges = frozenset(edge_key(u, v) for u, v in matching)
         # in range first: adj[-1] would read the last vertex's row
         if not all(0 <= u and v < g.n for u, v in edges) or _missing_edges(g.adj, edges):
@@ -110,11 +114,11 @@ def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> 
         if edges & used:
             return False
         used |= edges
-        normed.append(edges)
-    for edges in normed:
-        verts = {v for e in edges for v in e}
-        for u, v in g.edges:
-            if u in verts and v in verts and edge_key(u, v) not in edges:
+        for v in verts:
+            owners.setdefault(v, []).append(i)
+    for u, v in g.edges:
+        if u in owners and v in owners:
+            if len(set(owners[u]).intersection(owners[v])) > ((u, v) in used):
                 return False
     return True
 
@@ -174,10 +178,10 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
         raise ValueError("all matchings must have the same size")
     if r < 1:
         raise ValueError("matchings must be nonempty")
-    if not verify_induced(base, matchings):
-        raise NotInducedError("matchings must be pairwise disjoint induced matchings")
     if k % 2 == 0 or k < 3:
         raise ValueError("gadget length k must be odd and at least 3")
+    if not verify_induced(base, matchings):
+        raise NotInducedError("matchings must be pairwise disjoint induced matchings")
 
     t = len(matchings)
     j_star = int(rng.integers(t))

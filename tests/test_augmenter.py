@@ -23,6 +23,7 @@ from streammatch import (
     trivial_family,
 )
 from streammatch.augmenter import _free_ends, _reaching
+from streammatch.graph import _ends_of
 from util import (
     find_augmenting_path,
     random_bipartite,
@@ -37,7 +38,7 @@ from util import (
 
 
 def test_build_t_empty_matching_gives_empty_t():
-    t = build_t([(0, 1), (2, 3)], Matching(), b=5, n=4)
+    t = build_t(*_ends_of([(0, 1), (2, 3)]), Matching(), b=5, n=4)
     assert t.edges == ()
 
 
@@ -45,7 +46,7 @@ def test_build_t_membership_rule():
     # matched edge (x, y) = (0, 1); u = 2 unmatched; uz = (2, 3) has no
     # matched endpoint and is skipped
     m_h = Matching([(0, 1)])
-    t = build_t([(2, 0), (2, 1), (2, 3)], m_h, b=5, n=4)
+    t = build_t(*_ends_of([(2, 0), (2, 1), (2, 3)]), m_h, b=5, n=4)
     assert t.edges == ((0, 2), (1, 2))
 
 
@@ -53,13 +54,13 @@ def test_build_t_unmatched_side_cap():
     # u = 0 adjacent to five matched vertices; b = 2 keeps only the first two
     m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
-    t = build_t(arrivals, m_h, b=2, n=11)
+    t = build_t(*_ends_of(arrivals), m_h, b=2, n=11)
     assert frozenset(t.edges) == {(0, 1), (0, 3)}
 
 
 def test_build_t_keeps_admission_order():
     m_h = Matching([(1, 2), (3, 4)])
-    t = build_t([(4, 5), (0, 3), (1, 6), (0, 2)], m_h, b=2, n=7)
+    t = build_t(*_ends_of([(4, 5), (0, 3), (1, 6), (0, 2)]), m_h, b=2, n=7)
     assert t.edges == ((4, 5), (0, 3), (1, 6), (0, 2))
     assert t.adj[0] == (2, 3) and t.degrees == (2, 1, 1, 1, 1, 1, 1)
 
@@ -67,7 +68,7 @@ def test_build_t_keeps_admission_order():
 def test_build_t_matched_side_cap():
     # matched vertex 1 sees three unmatched suitors; degree cap 2 binds
     m_h = Matching([(1, 2)])
-    t = build_t([(1, 3), (1, 4), (1, 5)], m_h, b=5, n=6)
+    t = build_t(*_ends_of([(1, 3), (1, 4), (1, 5)]), m_h, b=5, n=6)
     assert frozenset(t.edges) == {(1, 3), (1, 4)}
 
 
@@ -79,7 +80,7 @@ def test_build_t_caps_hold_on_random_runs():
         m_h = max_matching(Graph(g.n, s.slice(1, 10), g.bipartition))
         b = rnd.choice([2, 3, 5])
         arrivals = s.slice(11, len(s))
-        t = build_t(arrivals, m_h, b, g.n)
+        t = build_t(*_ends_of(arrivals), m_h, b, g.n)
         matched = m_h.partner_map
         t_edges = frozenset(t.edges)
         for v in range(g.n):
@@ -116,20 +117,20 @@ def test_build_t_matches_reference(kind, b):
         cut = rnd.randint(1, len(s) // 2)
         m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
         phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.slice(cut + 1, len(s))]
-        t = build_t(phase2a, m_h, b, g.n)
+        t = build_t(*_ends_of(phase2a), m_h, b, g.n)
         ref = reference_build_t(phase2a, m_h, b, g.n)
         assert t.edges == ref.edges, trial
         assert t.adj == ref.adj and t.degrees == ref.degrees, trial
         unmatched_capped += ref.edges != reference_build_t(phase2a, m_h, g.n, g.n).edges
     for m_h in (Matching(), Matching([(0, 1)])):
-        assert build_t([], m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
+        assert build_t(*_ends_of([]), m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
     if b == 2:
         assert unmatched_capped
 
 
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
-        build_t([(0, 1), (1, 2)], Matching([(1, 3)]), b=1, n=4)
+        build_t(*_ends_of([(0, 1), (1, 2)]), Matching([(1, 3)]), b=1, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_two_b_matching_validates():
 
 def test_phase2b_applies_length_one_then_three():
     m_h = Matching([(1, 2)])
-    t = build_t([(0, 1), (2, 3)], m_h, b=5, n=10)
+    t = build_t(*_ends_of([(0, 1), (2, 3)]), m_h, b=5, n=10)
     m, applied = phase2b(m_h, t, [(42, (8, 9))])
     assert len(m) == 3
     assert sorted(p.length for p in applied) == [1, 3]
@@ -149,7 +150,7 @@ def test_phase2b_applies_length_one_then_three():
 
 def test_phase2b_length_five_through_current_edge():
     m_h = Matching([(1, 2), (3, 4)])
-    t = build_t([(0, 1), (4, 5)], m_h, b=5, n=6)
+    t = build_t(*_ends_of([(0, 1), (4, 5)]), m_h, b=5, n=6)
     m, applied = phase2b(m_h, t, [(1, (2, 3))])
     assert len(m) == 3
     assert [p.length for p in applied] == [5]
@@ -158,7 +159,7 @@ def test_phase2b_length_five_through_current_edge():
 
 def test_phase2b_no_path_leaves_state_unchanged():
     m_h = Matching([(1, 2), (3, 4)])
-    t = build_t([(0, 1)], m_h, b=5, n=5)
+    t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=5)
     m, applied = phase2b(m_h, t, [(1, (2, 4))])  # both endpoints matched, no pattern
     assert m == m_h
     assert applied == ()
@@ -167,7 +168,7 @@ def test_phase2b_no_path_leaves_state_unchanged():
 def test_phase2b_rejects_a_path_outside_t(monkeypatch):
     # a search that yields a path whose unmatched edge (2, 3) T lacks
     m_h = Matching([(1, 2)])
-    t = build_t([(0, 1)], m_h, b=5, n=4)
+    t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=4)
     monkeypatch.setattr(augmenter, "_augmenting_paths", lambda *args: iter([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
         phase2b(m_h, t, [])
@@ -192,7 +193,7 @@ def _phase2b_cases():
         cut = rnd.randint(1, len(s) // 3)
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
-        t = build_t(s.slice(cut + 1, iia_end), m_h, rnd.choice([2, 3, 5]), g.n)
+        t = build_t(*_ends_of(s.slice(cut + 1, iia_end)), m_h, rnd.choice([2, 3, 5]), g.n)
         yield trial, m_h, t, list(enumerate(s.slice(iia_end + 1, len(s)), iia_end + 1))
 
 
@@ -243,14 +244,14 @@ def test_phase2b_anchored_start_four_steps_back_from_e():
     # the first step applies 2-1=7-8 and leaves 3-4 matched; then e=(4, 19)
     # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
     m_h = Matching([(1, 7), (3, 4)])
-    t = build_t([(1, 2), (7, 8), (1, 10), (2, 3)], m_h, b=5, n=20)
+    t = build_t(*_ends_of([(1, 2), (7, 8), (1, 10), (2, 3)]), m_h, b=5, n=20)
     m, applied = phase2b(m_h, t, [(1, (3, 7)), (2, (4, 19))])
     assert applied == ((1, 3, (2, 1, 7, 8)), (2, 5, (10, 1, 2, 3, 4, 19)))
     assert m.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
 
 
 def test_phase2b_histogram():
-    t = build_t([], Matching(), b=2, n=2)
+    t = build_t(*_ends_of([]), Matching(), b=2, n=2)
     _, applied = phase2b(Matching(), t, [(1, (0, 1))])
     assert [p.length for p in applied] == [1]
 
@@ -379,7 +380,7 @@ def test_beats23_stages_match_sparsifier_and_build_t(kind):
         assert diag.u == sp.u
         split = diag.split
         iia = s.slice(split.eps_cut + 1, split.eps_cut + split.tau)
-        assert diag.t.edges == build_t(iia, diag.m_h, params.b, g.n).edges
+        assert diag.t.edges == build_t(*_ends_of(iia), diag.m_h, params.b, g.n).edges
 
 
 def test_beats23_boundary_pass_when_tau_covers_phase2():
@@ -405,9 +406,9 @@ def test_beats23_boundary_pass_when_tau_covers_phase2():
 def _beats23_cases(kind):
     """(stream, params) pairs: seeded bipartite and general streams, parity
     gadgets with tight caps (most II.B arrivals apply a path there),
-    general graphs with tight caps (many II.B flips, each keeping the reach
-    memo's "does not reach" answers) and streams whose II.A covers Phase
-    II (only the closing pass runs)."""
+    general graphs with tight caps (many II.B flips, after which some ends
+    stop reaching a free vertex) and streams whose II.A covers Phase II
+    (only the closing pass runs)."""
     rnd = random.Random(kind)
     if kind == "general-flips":
         params = params_with_betas(0.05, 2, 1, 2.0 / 3.0, 500)
@@ -438,18 +439,26 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     # visits every arrival and builds M | H | U from scratch
     import streammatch.augmenter as augmenter
 
-    anchored = []  # edges of the later arrivals that passed the reach filter
-    path_ends_through = augmenter._path_ends_through
+    events = []  # in call order: ("walk", end, found a free vertex) or ("search", rows)
+    free_ends, augmenting_paths = augmenter._free_ends, augmenter._augmenting_paths
 
-    def counted(edge, partner_map, nbrs):
-        anchored.append(edge)
-        return path_ends_through(edge, partner_map, nbrs)
+    def walked(a, partner_map, adj):
+        found = False
+        for v in free_ends(a, partner_map, adj):
+            found = True
+            yield v
+        events.append(("walk", a, found))
 
-    monkeypatch.setattr(augmenter, "_path_ends_through", counted)
-    arrivals_total = hit_arrivals = stepped = 0
+    def searched(partner_map, starts, rows):
+        events.append(("search", list(rows)))
+        return augmenting_paths(partner_map, starts, rows)
+
+    monkeypatch.setattr(augmenter, "_free_ends", walked)
+    monkeypatch.setattr(augmenter, "_augmenting_paths", searched)
+    arrivals_total = hit_arrivals = stepped = dead_ends = 0
     m_inside_hu = []  # per trial: whether M adds no edge to H | U
     for trial, (s, params) in enumerate(_beats23_cases(kind)):
-        del anchored[:]
+        del events[:]
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
         split = diag.split
         iia_end = split.eps_cut + split.tau
@@ -465,8 +474,27 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         m_inside_hu.append(ref_m.edges <= hu)
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
+
+        # the first step is a search; after it, each later search is one
+        # arrival's, whose edge is the pair of rows that differ from T's
+        assert events[0][0] == "search"
+        anchored, walks, dead = [], [], set()
+        for event in events[1:]:
+            if event[0] == "walk":
+                _, end, found = event
+                assert end not in dead, (trial, end)  # a dead end is never walked again
+                if not found:
+                    dead.add(end)
+                walks.append((end, found))
+            else:
+                rows = event[1]
+                edge = tuple(v for v, row in enumerate(rows) if tuple(row) != diag.t.adj[v])
+                # both ends were walked just before, and both found a free vertex
+                assert set(walks[-2:]) == {(edge[0], True), (edge[1], True)}, (trial, edge)
+                anchored.append(edge)
+        dead_ends += len(dead)
         if kind == "closing":
-            assert not arrivals and not anchored
+            assert not arrivals and not anchored and not walks
         else:
             # the first arrival is always searched in full; later ones are
             # searched, anchored, only past the filter
@@ -482,6 +510,10 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         assert hit_arrivals >= arrivals_total / 2
     elif kind != "closing":
         assert hit_arrivals <= stepped < arrivals_total / 2
+    if kind != "closing":
+        # ends that passed `_reaching` but whose walk found no free vertex
+        # after a later flip: each is marked dead, without a search
+        assert dead_ends > 0
 
 
 # sha256 of the applied paths [(arrival, length, vertices)] and the sorted

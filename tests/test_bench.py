@@ -510,28 +510,15 @@ def test_cli_non_integer_edge_list_token_names_the_line(tmp_path, capsys, text, 
     assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
 
 
-def test_worker_env_cap(monkeypatch):
+def test_resolve_workers_explicit_else_cpu_count():
+    # `--workers 0` exiting 1 is pinned by
+    # test_cli_bad_arguments_exit_1_without_traceback
     from streammatch.bench import resolve_workers
 
-    monkeypatch.setenv("MATCH_BENCH_THREADS", "3")
-    assert resolve_workers() == 3
     assert resolve_workers(max_workers=5) == 5
-    monkeypatch.delenv("MATCH_BENCH_THREADS")
-    assert resolve_workers() >= 1
-
-
-def test_cli_zero_worker_env_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("MATCH_BENCH_THREADS", "0")
-    argv = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3"]
-    assert main(argv) == 1
-    _assert_one_line_error(capsys)
-
-
-def test_cli_non_integer_worker_env_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("MATCH_BENCH_THREADS", "x")
-    argv = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3"]
-    assert main(argv) == 1
-    assert "MATCH_BENCH_THREADS" in _assert_one_line_error(capsys).err
+    assert resolve_workers() == max(1, os.cpu_count() or 1)
+    with pytest.raises(ValueError, match="worker count must be at least 1, got 0"):
+        resolve_workers(0)
 
 
 def test_cli_structural_failure_exit_code(monkeypatch, capsys):

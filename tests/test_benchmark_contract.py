@@ -8,7 +8,17 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from streammatch import GeneratorSpec, TrialConfig, bench, max_matching
+import numpy as np
+
+from streammatch import (
+    GeneratorSpec,
+    TrialConfig,
+    augmenter,
+    bench,
+    make_stream,
+    max_matching,
+    params_with_betas,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -92,3 +102,22 @@ def test_tracer_counter_hooks_read_names_that_exist():
     assert hooked == counted == {
         "sparsifier.phase1_build_h", "sparsifier.phase2_collect_u", "augmenter.beats23_match",
     }
+
+
+def test_beats23_looks_its_phase2_stages_up_by_name(monkeypatch):
+    # The tracer wraps module attributes, so a stage that beats23 reaches
+    # under another name goes unseen. One trial calls the module's
+    # `build_t` (Phase II.A) and `phase2b` (Phase II.B) once each.
+    calls = {}
+    for name in ("build_t", "phase2b"):
+        stage = getattr(augmenter, name)
+
+        def counted(*args, _stage=stage, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _stage(*args)
+
+        monkeypatch.setattr(augmenter, name, counted)
+    g = bench.load_instance(TrialConfig("greedy", gen=GeneratorSpec("bipartite-gnp", 12, 0.3), seed=1))
+    params = params_with_betas(0.2, 6, 5, b=3)
+    augmenter.beats23_match(make_stream(g, 1), params, np.random.default_rng(1))
+    assert calls == {"build_t": 1, "phase2b": 1}

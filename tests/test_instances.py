@@ -23,7 +23,7 @@ from streammatch import (
     write_edge_list,
     xor_gadget,
 )
-from util import maximum_matchings
+from util import maximum_matchings, random_bipartite, random_general, reference_verify_induced
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,79 @@ def test_verify_induced_rejects_vertices_out_of_range(edge):
     assert not verify_induced(base, [[(1, 4)], [edge, (2, 5)]])
 
 
+def _induced_matching(rnd, g, used):
+    """A random induced matching of g from edges not in `used`: edges are
+    added while neither end is matched yet or adjacent to a matched
+    vertex. It may share vertices with earlier matchings."""
+    verts: set[int] = set()
+    chosen = []
+    for u, v in rnd.sample(g.edges, len(g.edges)):
+        if len(chosen) == 3 or (u, v) in used:
+            continue
+        if verts.isdisjoint({u, v, *g.adj[u], *g.adj[v]}):
+            chosen.append((u, v))
+            verts.update((u, v))
+    return chosen
+
+
+def _random_family(rnd, g):
+    """(kind, family): an induced-matching family of g, with one flaw of
+    the given kind put in, or none. Pairs come in either orientation."""
+    family, used = [], set()
+    for _ in range(rnd.randint(1, 5)):
+        m = _induced_matching(rnd, g, used)
+        if m:
+            family.append(m)
+            used.update(m)
+    kind = rnd.choice(["none", "none", "repeat", "not-matching", "not-induced",
+                       "not-edge", "negative", "out-of-range"])
+    i = rnd.randrange(len(family))
+    u, v = rnd.choice(family[i])
+    if kind == "repeat":
+        family.append([(u, v)])
+    elif kind == "not-matching":
+        family[i].extend((w, u) for w in g.adj[u] if w != v)
+    elif kind == "not-induced":  # a disjoint edge with an end next to u or v
+        verts = {x for e in family[i] for x in e}
+        family[i].extend([e for e in g.edges if verts.isdisjoint(e)
+                          and not {u, v}.isdisjoint(g.adj[e[0]] + g.adj[e[1]])][:1])
+    elif kind == "not-edge":
+        family[i].append((u, next(w for w in range(g.n) if w != u and w not in g.adj[u])))
+    elif kind == "negative":
+        family[i].append((-1 - u, v))
+    elif kind == "out-of-range":
+        family[i].append((u, g.n + v))
+    family = [[(y, x) if rnd.random() < 0.5 else (x, y) for x, y in m] for m in family]
+    return kind, family
+
+
+def test_verify_induced_matches_reference_on_random_families():
+    # one pass over g's edges gives the per-matching walk's answer, on
+    # families with shared vertices and with each kind of flaw
+    rnd = random.Random(19)
+    seen: dict[tuple[str, bool], int] = {}
+    shared = 0
+    for trial in range(400):
+        if trial % 2:
+            g = random_general(rnd, rnd.randint(6, 24), rnd.choice([0.1, 0.2, 0.35]))
+        else:
+            side = rnd.randint(3, 12)
+            g = random_bipartite(rnd, side, side, rnd.choice([0.1, 0.2, 0.35]))
+        if len(g.edges) < 2:
+            continue
+        kind, family = _random_family(rnd, g)
+        ok = verify_induced(g, family)
+        assert ok == reference_verify_induced(g, family), (trial, kind, family)
+        seen[kind, ok] = seen.get((kind, ok), 0) + 1
+        if ok:
+            owners = [v for m in family for e in m for v in e]
+            shared += len(owners) > len(set(owners))
+    assert seen["none", True] > 50 and shared > 20
+    for kind in ("repeat", "not-matching", "not-induced", "not-edge", "negative",
+                 "out-of-range"):
+        assert seen.get((kind, False), 0) > 10, kind
+
+
 # ---------------------------------------------------------------------------
 # hard instances
 
@@ -163,6 +236,9 @@ def test_hard_instance_rejects_bad_families():
     k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)], (range(2), range(2, 4)))
     with pytest.raises(NotInducedError):
         build_hard_instance(k22, [[(0, 2), (1, 3)]], k=3, rng=rng)
+    # k is checked before the family is verified
+    with pytest.raises(ValueError, match="gadget length k"):
+        build_hard_instance(k22, [[(0, 2), (1, 3)]], k=4, rng=rng)
 
 
 def test_hiding_event_frequency():

@@ -1,16 +1,23 @@
 """Shared test helpers: small random instance makers, independent
 brute-force oracles, and the references that the library code must
 agree with: the adjacency fill, textbook Hopcroft-Karp, the unanchored
-Phase II.B loop, and the per-edge Phase I and Phase II.A loops."""
+Phase II.B loop, the per-edge Phase I and Phase II.A loops, and the
+per-matching induced-family check."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from streammatch import Graph, Matching, Path, edge_key
-from streammatch.graph import Edge, _augmenting_paths, _ends_of, _graph_of_canonical
+from streammatch.graph import (
+    Edge,
+    _augmenting_paths,
+    _ends_of,
+    _graph_of_canonical,
+    _missing_edges,
+)
 
 
 def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
@@ -292,3 +299,34 @@ def reference_phase1_build_h(prefix, n: int, params, bipartition=None) -> Graph:
             deg[wu] -= 1
             deg[wv] -= 1
     return Graph(n, list(present), bipartition)
+
+
+def reference_verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
+    """True iff the matchings are pairwise edge-disjoint induced matchings
+    of g: each is a matching, no edge repeats across them, and no g-edge
+    joins two vertices matched by the same M_i unless it belongs to M_i.
+    This walks every g-edge once per matching: `instances.verify_induced`
+    must give the same answer."""
+    normed: list[frozenset[Edge]] = []
+    used: set[Edge] = set()
+    for matching in matchings:
+        edges = frozenset(edge_key(u, v) for u, v in matching)
+        # in range first: adj[-1] would read the last vertex's row
+        if not all(0 <= u and v < g.n for u, v in edges) or _missing_edges(g.adj, edges):
+            return False
+        verts: set[int] = set()
+        for u, v in edges:
+            if u in verts or v in verts:
+                return False
+            verts.add(u)
+            verts.add(v)
+        if edges & used:
+            return False
+        used |= edges
+        normed.append(edges)
+    for edges in normed:
+        verts = {v for e in edges for v in e}
+        for u, v in g.edges:
+            if u in verts and v in verts and edge_key(u, v) not in edges:
+                return False
+    return True
