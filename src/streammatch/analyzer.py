@@ -45,21 +45,23 @@ def check_edcs(
     indices, in `stream.arrivals()`, of the Phase II edges whose
     H-edge-degree is below beta_minus.
 
-    Phase II starts at `phase1_cut`, and the expected indices come from a
-    comparison of its own over the stream's endpoint arrays. Indices out of
-    order, repeated or outside Phase II fail (ii); one outside the stream
-    names no edge of G and fails the subgraph check as well. The missing
-    and extra edges are listed, canonical and sorted, only on a mismatch."""
+    H's degrees are counted from its endpoint arrays, and the cap
+    violations are listed in H's `endpoints` order. Phase II starts at
+    `phase1_cut`, and the expected indices come from a comparison of its
+    own over the stream's endpoint arrays. Indices out of order, repeated
+    or outside Phase II fail (ii); one outside the stream names no edge of
+    G and fails the subgraph check as well, as does an H edge that G
+    lacks. The missing and extra edges are listed, canonical and sorted,
+    only on a mismatch."""
     g = stream.graph
     m = len(stream)
     cut = phase1_cut(m, params.eps)
-    deg = h.degrees
-    cap_violations = tuple(
-        e for e in h.edges if deg[e[0]] + deg[e[1]] > params.beta_plus
-    )
-    deg_array = np.fromiter(deg, np.int64, h.n)
+    h_lows, h_highs = h.endpoints
+    deg = np.bincount(np.concatenate(h.endpoints), minlength=h.n)
+    over = np.flatnonzero(deg[h_lows] + deg[h_highs] > params.beta_plus)
+    cap_violations = tuple(zip(h_lows[over].tolist(), h_highs[over].tolist()))
     lows, highs = stream.ends(cut + 1, m)
-    expected = cut + np.flatnonzero(deg_array[lows] + deg_array[highs] < params.beta_minus)
+    expected = cut + np.flatnonzero(deg[lows] + deg[highs] < params.beta_minus)
     got = np.asarray(u_index, dtype=np.int64)
     u_exact = np.array_equal(got, expected)
     missing = extra = ()
@@ -69,10 +71,11 @@ def check_edcs(
         in_stream = len(inside) == len(got)
         missing = tuple(sorted(stream.edges_at(np.setdiff1d(expected, got))))
         extra = tuple(sorted(stream.edges_at(np.setdiff1d(inside, expected))))
+    h_pairs = zip(h_lows.tolist(), h_highs.tolist())
     return EdcsReport(
         degree_cap_ok=not cap_violations,
         u_exact=u_exact,
-        subgraph_ok=in_stream and h.n <= g.n and not _missing_edges(g.adj, h.edges),
+        subgraph_ok=in_stream and h.n <= g.n and not _missing_edges(g.adj, h_pairs),
         cap_violations=cap_violations,
         u_missing=missing,
         u_extra=extra,

@@ -106,14 +106,13 @@ class Graph:
     this package is deterministic, and they are a canonical form of the
     edge set: graphs compare and hash by (n, adj, bipartition). The one
     edge store is `endpoints`, the (low, high) ends of the edges as int64
-    arrays, from which the adjacency was built; `m` is the edge count.
-    The tuples of `edges` and the object array `edge_array` are built on
-    first use, and `max_matching` keeps its mate array on the graph on its
-    first call.
+    arrays, from which the adjacency was built; `m` is the edge count and
+    a vertex's degree is the length of its row. The edge tuples are built
+    once, on first use, as the object array `edge_array`, and
+    `max_matching` keeps its mate array on the graph on its first call.
     """
 
-    __slots__ = ("n", "m", "endpoints", "adj", "bipartition", "degrees", "_edges",
-                 "_edge_array", "_mate")
+    __slots__ = ("n", "m", "endpoints", "adj", "bipartition", "_edge_array", "_mate")
 
     def __init__(
         self,
@@ -135,22 +134,22 @@ class Graph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The canonical edges as (low, high) tuples in `endpoints` order,
-        built on first use; a vertex is one int object (`_vertex_ints`)."""
-        edges = self._edges
-        if edges is None:
-            vertex = _vertex_ints(self.n)
-            lows, highs = self.endpoints
-            edges = self._edges = tuple(zip(vertex[lows].tolist(), vertex[highs].tolist()))
-        return edges
+        """The canonical edges as (low, high) tuples in `endpoints` order:
+        a new outer tuple on every read, holding the tuples of
+        `edge_array`."""
+        return tuple(self.edge_array.tolist())
 
     @property
     def edge_array(self) -> np.ndarray:
-        """`edges` as a 1-D object array holding the same tuples, built on
-        first use."""
+        """The canonical edges as a 1-D object array of (low, high) tuples
+        in `endpoints` order, built on first use; a vertex is one int
+        object (`_vertex_ints`)."""
         arr = self._edge_array
         if arr is None:
-            arr = self._edge_array = np.fromiter(self.edges, object, self.m)
+            vertex = _vertex_ints(self.n)
+            lows, highs = self.endpoints
+            pairs = zip(vertex[lows].tolist(), vertex[highs].tolist())
+            arr = self._edge_array = np.fromiter(pairs, object, self.m)
         return arr
 
     def __reduce__(self):
@@ -291,9 +290,8 @@ def _fill_graph(
     g.m = len(ends[0])
     g.endpoints = ends
     g.adj = tuple(adj)
-    g.degrees = tuple(degrees.tolist())
     g.bipartition = bipartition
-    g._edges = g._edge_array = g._mate = None
+    g._edge_array = g._mate = None
 
 
 class Matching:

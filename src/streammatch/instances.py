@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, _graph_of_ends, _missing_edges, _write_edges, edge_key, max_matching
+from .graph import (Edge, Graph, NotBipartiteError, _graph_of_ends, _missing_edges,
+                    _write_edges, edge_key, max_matching)
 
 
 class NotInducedError(ValueError):
@@ -163,8 +164,6 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
     The base must be bipartite with equal sides, and the matchings must be
     pairwise disjoint induced matchings of equal size.
     """
-    from .graph import NotBipartiteError
-
     if base.bipartition is None:
         raise NotBipartiteError("hard instances need a bipartite base")
     left, right = base.bipartition

@@ -28,13 +28,13 @@ class SafetyCapExceeded(RuntimeError):
 class AlgoParams:
     """Parameter bundle shared by the streaming matching algorithms.
 
-    beta_minus <= beta_plus and beta_minus >= (1 - lam) * beta_plus must
-    hold. `derive_params` computes the bundle from eps alone;
-    `params_with_betas` back-solves lam from explicit desk-scale caps.
+    The two degree caps fix the sparsifier, with 0 < beta_minus <=
+    beta_plus; lam, the gap between them, is derived from the caps.
+    `derive_params` computes the bundle from eps alone;
+    `params_with_betas` takes explicit desk-scale caps.
     """
 
     eps: float
-    lam: float
     beta_plus: float
     beta_minus: float
     gamma: float = 2.0 / 3.0
@@ -43,8 +43,6 @@ class AlgoParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
-        # the caps first: `params_with_betas` derives lam from them, so a
-        # bad cap would otherwise be reported as a bad lam
         if not self.beta_plus > 0:
             raise ValueError("beta_plus must be positive")
         if not self.beta_minus > 0:
@@ -55,14 +53,16 @@ class AlgoParams:
             raise ValueError("beta_minus must be finite")
         if self.beta_minus > self.beta_plus:
             raise ValueError("beta_minus must not exceed beta_plus")
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError("lam must lie in [0, 1)")
-        if self.beta_minus < (1.0 - self.lam) * self.beta_plus - 1e-9:
-            raise ValueError("beta_minus must be at least (1 - lam) * beta_plus")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.b < 2:
             raise ValueError("b must be at least 2")
+
+    @property
+    def lam(self) -> float:
+        """1 - beta_minus/beta_plus, in [0, 1): the largest lam with
+        beta_minus >= (1 - lam) * beta_plus."""
+        return 1.0 - self.beta_minus / self.beta_plus
 
 
 def derive_params(eps: float, gamma: float = 2.0 / 3.0, b: int = 500) -> AlgoParams:
@@ -72,7 +72,7 @@ def derive_params(eps: float, gamma: float = 2.0 / 3.0, b: int = 500) -> AlgoPar
         raise ValueError("eps must lie in (0, 1/2)")
     lam = eps / 128.0
     beta_plus = 64.0 * lam**-2 * math.log(1.0 / lam)
-    return AlgoParams(eps, lam, beta_plus, (1.0 - lam) * beta_plus, gamma, b)
+    return AlgoParams(eps, beta_plus, (1.0 - lam) * beta_plus, gamma, b)
 
 
 def params_with_betas(
@@ -82,15 +82,9 @@ def params_with_betas(
     gamma: float = 2.0 / 3.0,
     b: int = 500,
 ) -> AlgoParams:
-    """Desk-scale override with explicit degree caps.
-
-    lam is set to 1 - beta_minus/beta_plus, the tightest value for which
-    the bundle invariant holds with equality.
-    """
-    if beta_plus <= 0:
-        raise ValueError("beta_plus must be positive")
-    lam = 1.0 - beta_minus / beta_plus
-    return AlgoParams(eps, lam, float(beta_plus), float(beta_minus), gamma, b)
+    """Desk-scale override with explicit degree caps; lam is then
+    1 - beta_minus/beta_plus."""
+    return AlgoParams(eps, float(beta_plus), float(beta_minus), gamma, b)
 
 
 def default_u_cap(n: int) -> int:
@@ -220,7 +214,7 @@ def phase2_collect_u(
     edge-degree in the frozen H is below beta_minus: one comparison over
     the endpoint arrays. Raises SafetyCapExceeded when more than
     `default_u_cap` edges qualify."""
-    deg = np.fromiter(h.degrees, np.int64, h.n)
+    deg = np.bincount(np.concatenate(h.endpoints), minlength=h.n)
     index = np.flatnonzero(deg[lows] + deg[highs] < params.beta_minus)
     cap = default_u_cap(h.n)
     if len(index) > cap:

@@ -26,10 +26,12 @@ class EdgeStream:
     """Random-order arrival sequence over a graph's edges.
 
     Positions are 1-indexed: the stream is e_1, ..., e_m. `order` is the
-    permutation as a read-only int64 array: e_i is `graph.edges[order[i - 1]]`.
+    permutation as a read-only int64 array, and the stream holds nothing
+    else: e_i is `graph.edge_array[order[i - 1]]`, and a slice gathers its
+    edges, the graph's own tuples, only when it is read.
     """
 
-    __slots__ = ("graph", "order", "_arrival_array", "_arrivals", "_ends")
+    __slots__ = ("graph", "order", "_ends")
 
     def __init__(self, graph: Graph, order):
         arr = np.asarray(order)
@@ -48,10 +50,6 @@ class EdgeStream:
         self.graph = graph
         self.order: np.ndarray = arr.astype(np.int64)
         self.order.flags.writeable = False
-        # one take over the graph's object array: the arrivals are the
-        # graph's own edge tuples
-        self._arrival_array = graph.edge_array[self.order]
-        self._arrivals: tuple[Edge, ...] = tuple(self._arrival_array.tolist())
         self._ends: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -65,7 +63,7 @@ class EdgeStream:
         """Edges e_a..e_b in arrival order (1-indexed, inclusive); empty
         for b = a - 1, so slice(m + 1, m) is the empty suffix."""
         self._check_range(a, b)
-        return self._arrivals[a - 1 : b]
+        return tuple(self.graph.edge_array[self.order[a - 1 : b]].tolist())
 
     def ends(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         """(low ends, high ends) of e_a..e_b as int64 arrays, with the
@@ -79,12 +77,12 @@ class EdgeStream:
         return ends[0][a - 1 : b], ends[1][a - 1 : b]
 
     def arrivals(self) -> tuple[Edge, ...]:
-        return self._arrivals
+        return self.slice(1, len(self.order))
 
     def edges_at(self, index: np.ndarray) -> list[Edge]:
         """The arrivals at 0-based indices `index` (e_{i+1} for each i),
         in the order given, gathered with one take."""
-        return self._arrival_array[index].tolist()
+        return self.graph.edge_array[self.order[index]].tolist()
 
 
 def make_stream(g: Graph, seed: int) -> EdgeStream:

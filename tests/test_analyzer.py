@@ -54,9 +54,50 @@ def test_check_edcs_flags_degree_violation():
     params = params_with_betas(0.3, 4, 4)
     report = check_edcs(make_stream(h, 0), h, [], params)
     assert not report.degree_cap_ok
-    assert report.cap_violations
+    assert report.cap_violations == ((0, 1), (0, 2), (0, 3), (0, 4))
     assert report.u_exact  # every Phase II edge has edge-degree 5 >= 4
     assert not report.ok
+
+
+def test_check_edcs_lists_cap_violations_in_h_order():
+    # H's edges come in shuffled, so `endpoints` order is not sorted order;
+    # the violations are those of a per-edge scan in that order
+    rnd = random.Random(21)
+    partial = 0
+    for trial in range(30):
+        g = random_general(rnd, 20, rnd.choice([0.1, 0.2, 0.3]))
+        if g.m < 4:
+            continue
+        pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges]
+        rnd.shuffle(pairs)
+        h = Graph(g.n, pairs)
+        cap = rnd.choice([4, 6, 8])
+        params = params_with_betas(0.3, cap, cap)
+        report = check_edcs(make_stream(g, trial), h, [], params)
+        want = tuple(
+            e for e in h.edges if len(h.adj[e[0]]) + len(h.adj[e[1]]) > cap
+        )
+        assert report.cap_violations == want, trial
+        assert report.degree_cap_ok == (want == ())
+        partial += 0 < len(want) < h.m
+    assert partial >= 5
+
+
+def test_check_edcs_flags_h_outside_g():
+    g, s, sp, params, _ = _sparsifier_run(0)
+    assert check_edcs(s, sp.h, sp.u_index, params).subgraph_ok
+    # an H edge that G lacks
+    foreign = next(
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    )
+    h = Graph(g.n, [*sp.h.edges, foreign])
+    report = check_edcs(s, h, sp.u_index, params)
+    assert not report.subgraph_ok and not report.ok
+    # an H on more vertices than G, with G's edges only
+    wide = Graph(g.n + 1, sp.h.edges)
+    report = check_edcs(s, wide, sp.u_index, params)
+    assert not report.subgraph_ok and not report.ok
+    assert report.u_exact and report.degree_cap_ok
 
 
 def _nonempty_u_run(min_u: int = 1):

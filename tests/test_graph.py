@@ -120,14 +120,14 @@ def _fill_cases():
 def test_fill_equals_reference_fill():
     for n, edges, bipartition in _fill_cases():
         canonical = [edge_key(u, v) for u, v in edges]
-        adj, degrees = reference_fill(n, edges)
+        adj = reference_fill(n, edges)
         g = Graph(n, edges, bipartition)
-        assert g.adj == adj and g.degrees == degrees and g.edges == tuple(canonical)
+        assert g.adj == adj and g.edges == tuple(canonical)
         lows, highs = g.endpoints
         assert lows.tolist() == [u for u, _ in canonical]
         assert highs.tolist() == [v for _, v in canonical]
         same = _graph_of_canonical(n, g.endpoints, g.bipartition)
-        assert same.adj == adj and same.degrees == degrees and same.edges == g.edges
+        assert same.adj == adj and same.edges == g.edges
         assert same.endpoints is g.endpoints and same == g
         edge_set = set(canonical)
         assert _missing_edges(g.adj, canonical) == []
@@ -152,7 +152,7 @@ def test_graph_adjacency_consistent():
     g = Graph(4, [(2, 0), (1, 2), (2, 3)])
     assert g.edges == ((0, 2), (1, 2), (2, 3))
     assert g.adj[2] == (0, 1, 3)
-    assert g.degrees == (1, 1, 3, 1)
+    assert tuple(map(len, g.adj)) == (1, 1, 3, 1)
 
 
 def test_bipartition_must_cross():
@@ -362,7 +362,6 @@ def _assert_same_graph(got, want):
     assert got.n == want.n
     assert len(got.edges) == len(want.edges) and set(got.edges) == set(want.edges)
     assert got.adj == want.adj
-    assert got.degrees == want.degrees
     assert got.bipartition == want.bipartition
 
 
@@ -370,17 +369,19 @@ def test_graph_keeps_endpoints_and_builds_tuples_on_first_read():
     rnd = random.Random(6)
     g = random_general(rnd, 30, 0.2)
     # the endpoint arrays and the edge count are set at construction, the
-    # tuples and the object array on first read
-    assert g._edges is None and g._edge_array is None
+    # object array of tuples on first read
+    assert g._edge_array is None
     lows, highs = g.endpoints
     assert lows.dtype == highs.dtype == np.int64 and g.m == len(lows) > 0
     edges = g.edges
-    assert g.edges is edges and list(zip(lows.tolist(), highs.tolist())) == list(edges)
+    assert list(zip(lows.tolist(), highs.tolist())) == list(edges)
     assert all(a is b for a, b in zip(g.edge_array, edges)) and len(g.edge_array) == g.m
+    # every read of `edges` hands out the object array's own tuples
+    assert g.edges == edges and all(a is b for a, b in zip(g.edge_array, g.edges))
     # a pickled copy carries the endpoints, leaves the caches out and
     # builds equal tuples and object array again
     copy = pickle.loads(pickle.dumps(g))
-    assert copy._edges is None and copy._edge_array is None and copy._mate is None
+    assert copy._edge_array is None and copy._mate is None
     assert [a.tolist() for a in copy.endpoints] == [lows.tolist(), highs.tolist()]
     assert copy == g and copy.edges == edges and copy.edge_array.tolist() == list(edges)
     empty = Graph(3)
@@ -415,7 +416,7 @@ def test_beats23_trial_builds_no_tuples_for_its_own_graphs(monkeypatch):
         hu = diag.sparsifier.hu_graph
         assert hu is not g and diag.t.m > 0
         for graph in (diag.t, hu, *plus_graphs):
-            assert graph._edges is None and graph._edge_array is None
+            assert graph._edge_array is None
     assert plus_graphs  # M | H | U was built
 
 

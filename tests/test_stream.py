@@ -60,9 +60,15 @@ def test_edge_stream_keeps_permutation_as_int64_array(order):
 def test_arrivals_are_the_graphs_own_tuples():
     g = random_bipartite(random.Random(4), 8, 8, 0.4)
     s = make_stream(g, 11)
-    assert all(s.arrivals()[i] is g.edges[s.order[i]] for i in range(len(s)))
+    # the stream keeps its permutation alone and gathers a slice's tuples
+    # from the graph's object array when the slice is read
+    assert EdgeStream.__slots__ == ("graph", "order", "_ends")
+    arrivals = s.arrivals()
+    assert all(arrivals[i] is g.edge_array[s.order[i]] for i in range(len(s)))
+    assert all(a is b for a, b in zip(s.slice(3, 9), arrivals[2:9]))
+    assert s._ends is None
     index = np.array([4, 0, 7])
-    assert all(e is s.arrivals()[i] for e, i in zip(s.edges_at(index), index.tolist()))
+    assert all(e is arrivals[i] for e, i in zip(s.edges_at(index), index.tolist()))
 
 
 def test_ends_are_the_slices_endpoints():

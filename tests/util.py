@@ -21,7 +21,7 @@ from streammatch.graph import (
 
 
 def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
-    """(adj, degrees) of a graph on n vertices by appending each edge's
+    """Adjacency of a graph on n vertices by appending each edge's
     ends to two per-vertex lists and sorting each list: the fill that
     `Graph` must agree with."""
     lists: list[list[int]] = [[] for _ in range(n)]
@@ -30,8 +30,7 @@ def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
         lists[b].append(a)
     for lst in lists:
         lst.sort()
-    adj = tuple(map(tuple, lists))
-    return adj, tuple(map(len, adj))
+    return tuple(map(tuple, lists))
 
 
 def reference_hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
