@@ -29,7 +29,6 @@ from .bench import (
     TrialReport,
     canonical_hash,
     emit_report,
-    report_from_dict,
     report_to_dict,
     run_trials,
 )

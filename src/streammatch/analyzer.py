@@ -57,7 +57,9 @@ def check_edcs(
     m = len(stream)
     cut = phase1_cut(m, params.eps)
     h_lows, h_highs = h.endpoints
-    deg = np.bincount(np.concatenate(h.endpoints), minlength=h.n)
+    # sized for G too: the Phase II ends index it, and H may have fewer
+    # vertices than G
+    deg = np.bincount(np.concatenate(h.endpoints), minlength=max(h.n, g.n))
     over = np.flatnonzero(deg[h_lows] + deg[h_highs] > params.beta_plus)
     cap_violations = tuple(zip(h_lows[over].tolist(), h_highs[over].tolist()))
     lows, highs = stream.ends(cut + 1, m)

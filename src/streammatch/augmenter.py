@@ -14,13 +14,13 @@ module name:
 - the answer is a maximum matching of M | H | U, which is the H | U
   matching itself when M lies inside H | U.
 
-The stages run one after another, each over its own slice of the
-stream, yet build the same sets as one interleaved pass would: U reads
-only the frozen H and each Phase II edge, T reads only M_H and the II.A
-arrivals, and II.B reads only T, M and its own arrivals, so no stage
-feeds a decision at an earlier stream position. The one visible
-difference from an interleaved pass is that `SafetyCapExceeded` is
-raised before II.B starts.
+The stages run one after another, each over the end arrays of its own
+range of the stream (`EdgeStream.ends`), yet build the same sets as one
+interleaved pass would: U reads only the frozen H and each Phase II
+edge, T reads only M_H and the II.A arrivals, and II.B reads only T, M
+and its own arrivals, so no stage feeds a decision at an earlier stream
+position. The one visible difference from an interleaved pass is that
+`SafetyCapExceeded` is raised before II.B starts.
 """
 
 from __future__ import annotations
@@ -266,10 +266,6 @@ class TrialDiagnostics:
     applied: tuple[AppliedPath, ...]
 
     @property
-    def h(self) -> Graph:
-        return self.sparsifier.h
-
-    @property
     def u(self) -> frozenset[Edge]:
         """U as a set of edges, built on first use."""
         return self.sparsifier.u
@@ -295,7 +291,8 @@ def beats23_match(
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
     t = build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
-    m_aug, applied = phase2b(m_h, t, enumerate(stream.slice(iia_end + 1, m), iia_end + 1))
+    lows, highs = stream.ends(iia_end + 1, m)
+    m_aug, applied = phase2b(m_h, t, enumerate(zip(lows.tolist(), highs.tolist()), iia_end + 1))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it. With
     # none outside, its adjacency is H | U's own, so max_matching would

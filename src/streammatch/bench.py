@@ -302,17 +302,6 @@ def report_to_dict(report: TrialReport) -> dict[str, Any]:
     }
 
 
-def report_from_dict(data: dict[str, Any]) -> TrialReport:
-    records = tuple(TrialRecord(**r) for r in data["records"])
-    return TrialReport(
-        algo=data["algo"],
-        seed=data["seed"],
-        trials=data["trials"],
-        records=records,
-        aggregate=Aggregate(**data["aggregate"]),
-    )
-
-
 def canonical_hash(report: TrialReport) -> str:
     """SHA-256 of the report with wall-time fields stripped."""
     payload = report_to_dict(report)

@@ -12,11 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, _graph_plus, edge_key, max_matching
+from .graph import (
+    Edge,
+    Graph,
+    Matching,
+    _ends_of,
+    _graph_of_canonical,
+    _graph_plus,
+    edge_key,
+    max_matching,
+)
 from .stream import EdgeStream, phase1_cut
 
 
@@ -135,12 +143,17 @@ class Sparsifier:
 
 
 def phase1_build_h(
-    prefix: Sequence[tuple[int, int]],
+    lows: np.ndarray,
+    highs: np.ndarray,
     n: int,
     params: AlgoParams,
     bipartition=None,
 ) -> Graph:
-    """Build H from the Phase I prefix.
+    """Build H from the Phase I prefix, whose edges are (lows[i],
+    highs[i]) in arrival order. The ends must be canonical, distinct and
+    in range for n vertices, as `EdgeStream.ends` gives them from a
+    validated `Graph`, and `bipartition` is a `Graph.bipartition` pair;
+    nothing is checked again.
 
     On arrival of (u, v): insert iff deg_H(u) + deg_H(v) < beta_minus;
     then, while any H edge has edge-degree above beta_plus, evict the
@@ -155,6 +168,7 @@ def phase1_build_h(
     or v can then exceed the cap: the skipped scan would find nothing.
     With caps far above the degrees the scan never runs; with tight caps
     the skip seldom fires, and most arrivals are rejected before it.
+    H's edges keep their arrival order.
     """
     # integer caps: for an integer degree sum s, s >= beta_minus iff
     # s >= ceil(beta_minus), and s > beta_plus iff s > floor(beta_plus)
@@ -164,14 +178,10 @@ def phase1_build_h(
     adj: list[set[int]] = [set() for _ in range(n)]
     present: dict[Edge, None] = {}
     top = 0  # largest degree reached so far
-    for a, b in prefix:
-        e = (a, b) if a < b else (b, a)
-        u, v = e
-        if e in present:
-            raise ValueError(f"parallel edge {e} in prefix")
+    for u, v in zip(lows.tolist(), highs.tolist()):
         if deg[u] + deg[v] >= reject_from:
             continue
-        present[e] = None
+        present[u, v] = None
         adj[u].add(v)
         adj[v].add(u)
         deg[u] += 1
@@ -201,7 +211,7 @@ def phase1_build_h(
             adj[wv].discard(wu)
             deg[wu] -= 1
             deg[wv] -= 1
-    return Graph(n, list(present), bipartition)
+    return _graph_of_canonical(n, _ends_of(list(present)), bipartition)
 
 
 def phase2_collect_u(
@@ -223,11 +233,13 @@ def phase2_collect_u(
 
 
 def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
-    """Run both phases over a stream and freeze the result."""
+    """Run both phases over the stream's end arrays, Phase I over
+    `phase1_cut` arrivals and Phase II over the rest, and freeze the
+    result."""
     m = len(stream)
     cut = phase1_cut(m, params.eps)
     g = stream.graph
-    h = phase1_build_h(stream.slice(1, cut), g.n, params, g.bipartition)
+    h = phase1_build_h(*stream.ends(1, cut), g.n, params, g.bipartition)
     lows, highs = stream.ends(cut + 1, m)
     return Sparsifier(stream, h, cut + phase2_collect_u(lows, highs, h, params), cut)
 

@@ -26,9 +26,10 @@ class EdgeStream:
     """Random-order arrival sequence over a graph's edges.
 
     Positions are 1-indexed: the stream is e_1, ..., e_m. `order` is the
-    permutation as a read-only int64 array, and the stream holds nothing
-    else: e_i is `graph.edge_array[order[i - 1]]`, and a slice gathers its
-    edges, the graph's own tuples, only when it is read.
+    permutation as a read-only int64 array: e_i is the graph's edge
+    `order[i - 1]`. The algorithms' stages read e_a..e_b as int64 end
+    arrays (`ends`); only `arrivals` and `edges_at` gather the graph's
+    own edge tuples.
     """
 
     __slots__ = ("graph", "order", "_ends")
@@ -55,21 +56,13 @@ class EdgeStream:
     def __len__(self) -> int:
         return len(self.order)
 
-    def _check_range(self, a: int, b: int) -> None:
-        if not (1 <= a <= b + 1 <= len(self.order) + 1):
-            raise IndexError(f"slice ({a}, {b}) out of range 1..{len(self.order)}")
-
-    def slice(self, a: int, b: int) -> tuple[Edge, ...]:
-        """Edges e_a..e_b in arrival order (1-indexed, inclusive); empty
-        for b = a - 1, so slice(m + 1, m) is the empty suffix."""
-        self._check_range(a, b)
-        return tuple(self.graph.edge_array[self.order[a - 1 : b]].tolist())
-
     def ends(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(low ends, high ends) of e_a..e_b as int64 arrays, with the
-        conventions of `slice`. The stream's endpoint arrays are gathered
+        """(low ends, high ends) of e_a..e_b as int64 arrays, for
+        1 <= a <= b + 1 <= m + 1: empty for b = a - 1, so ends(m + 1, m)
+        is the empty suffix. The stream's endpoint arrays are gathered
         from the graph's on first use."""
-        self._check_range(a, b)
+        if not (1 <= a <= b + 1 <= len(self.order) + 1):
+            raise IndexError(f"positions ({a}, {b}) out of range 1..{len(self.order)}")
         ends = self._ends
         if ends is None:
             lows, highs = self.graph.endpoints
@@ -77,7 +70,8 @@ class EdgeStream:
         return ends[0][a - 1 : b], ends[1][a - 1 : b]
 
     def arrivals(self) -> tuple[Edge, ...]:
-        return self.slice(1, len(self.order))
+        """Every edge in arrival order, as the graph's own tuples."""
+        return tuple(self.graph.edge_array[self.order].tolist())
 
     def edges_at(self, index: np.ndarray) -> list[Edge]:
         """The arrivals at 0-based indices `index` (e_{i+1} for each i),

@@ -183,7 +183,7 @@ def test_c07_augmentation_soundness(beats23_runs):
         for applied in diag.applied:
             assert applied.length in (1, 3, 5)
             vs = applied.vertices
-            arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
+            arrival_edge = s.arrivals()[applied.arrival - 1]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
                 assert diag.t.has_edge(*e) or e == arrival_edge
@@ -192,7 +192,7 @@ def test_c07_augmentation_soundness(beats23_runs):
 
 def test_c08_short_path_census_bound(beats23_runs):
     for g, s, out, diag in beats23_runs:
-        suffix = Graph(g.n, s.slice(diag.split.eps_cut + 1, len(s)), g.bipartition)
+        suffix = Graph(g.n, s.arrivals()[diag.split.eps_cut:], g.bipartition)
         m_star = max_matching(suffix)
         census = path_census(m_star, diag.m_h)
         assert census.short_path_bound_holds

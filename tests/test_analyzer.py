@@ -19,6 +19,7 @@ from streammatch import (
     max_matching,
     params_with_betas,
     path_census,
+    phase1_cut,
     run_sparsifier,
     sample_binomial,
     trivial_family,
@@ -32,7 +33,7 @@ def _sparsifier_run(seed: int, bipartite: bool = True):
     params = params_with_betas(0.3, 10, 8)
     s = make_stream(g, seed)
     sp = run_sparsifier(s, params)
-    suffix = s.slice(sp.eps_cut + 1, len(s))
+    suffix = s.arrivals()[sp.eps_cut:]
     return g, s, sp, params, suffix
 
 
@@ -98,6 +99,21 @@ def test_check_edcs_flags_h_outside_g():
     report = check_edcs(s, wide, sp.u_index, params)
     assert not report.subgraph_ok and not report.ok
     assert report.u_exact and report.degree_cap_ok
+
+
+def test_check_edcs_accepts_h_on_fewer_vertices():
+    # H on vertices 0..4 of a 6-vertex G: the Phase II edges at vertex 5
+    # have H-degree 0 there, and the report is that of an H on all six
+    g = Graph(6, [(5, i) for i in range(5)] + [(0, 1)])
+    h = Graph(5, [(0, 1)])
+    params = params_with_betas(0.3, 4, 3)
+    s = make_stream(g, 3)
+    cut = phase1_cut(len(s), params.eps)
+    assert any(5 in e for e in s.arrivals()[cut:])
+    u_index = [i for i, (a, b) in enumerate(s.arrivals()) if i >= cut and (a, b) != (0, 1)]
+    report = check_edcs(s, h, u_index, params)
+    assert report == check_edcs(s, Graph(6, [(0, 1)]), u_index, params)
+    assert report.ok
 
 
 def _nonempty_u_run(min_u: int = 1):
@@ -302,7 +318,7 @@ def _golden_census_pairs():
         g = inst.graph
         s = make_stream(g, seed)
         sp = run_sparsifier(s, params)
-        suffix = Graph(g.n, s.slice(sp.eps_cut + 1, len(s)), g.bipartition)
+        suffix = Graph(g.n, s.arrivals()[sp.eps_cut:], g.bipartition)
         yield max_matching(suffix), max_matching(sp.h)
 
 

@@ -77,9 +77,9 @@ def test_build_t_caps_hold_on_random_runs():
     for trial in range(20):
         g = random_bipartite(rnd, 15, 15, 0.3)
         s = make_stream(g, trial)
-        m_h = max_matching(Graph(g.n, s.slice(1, 10), g.bipartition))
+        m_h = max_matching(Graph(g.n, s.arrivals()[:10], g.bipartition))
         b = rnd.choice([2, 3, 5])
-        arrivals = s.slice(11, len(s))
+        arrivals = s.arrivals()[10:]
         t = build_t(*_ends_of(arrivals), m_h, b, g.n)
         matched = m_h.partner_map
         t_edges = frozenset(t.edges)
@@ -115,8 +115,8 @@ def test_build_t_matches_reference(kind, b):
             continue
         s = make_stream(g, trial)
         cut = rnd.randint(1, len(s) // 2)
-        m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
-        phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.slice(cut + 1, len(s))]
+        m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
+        phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.arrivals()[cut:]]
         t = build_t(*_ends_of(phase2a), m_h, b, g.n)
         ref = reference_build_t(phase2a, m_h, b, g.n)
         assert t.edges == ref.edges, trial
@@ -192,9 +192,9 @@ def _phase2b_cases():
         s = make_stream(g, trial)
         cut = rnd.randint(1, len(s) // 3)
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
-        m_h = max_matching(Graph(g.n, s.slice(1, cut), g.bipartition))
-        t = build_t(*_ends_of(s.slice(cut + 1, iia_end)), m_h, rnd.choice([2, 3, 5]), g.n)
-        yield trial, m_h, t, list(enumerate(s.slice(iia_end + 1, len(s)), iia_end + 1))
+        m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
+        t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]), g.n)
+        yield trial, m_h, t, list(enumerate(s.arrivals()[iia_end:], iia_end + 1))
 
 
 def test_phase2b_anchored_search_matches_reference():
@@ -333,7 +333,7 @@ def test_beats23_soundness_invariants():
         for applied in diag.applied:
             assert applied.length in (1, 3, 5)
             vs = applied.vertices
-            arrival_edge = s.slice(applied.arrival, applied.arrival)[0]
+            arrival_edge = s.arrivals()[applied.arrival - 1]
             for i in range(0, len(vs) - 1, 2):
                 e = edge_key(vs[i], vs[i + 1])
                 assert diag.t.has_edge(*e) or e == arrival_edge
@@ -376,10 +376,10 @@ def test_beats23_stages_match_sparsifier_and_build_t(kind):
         params = params_with_betas(0.3, 4, 3, gamma=(1e-12, 0.5, 2 / 3)[trial % 3], b=3)
         _, diag = beats23_match(s, params, np.random.default_rng(trial))
         sp = run_sparsifier(s, params)
-        assert diag.h == sp.h
+        assert diag.sparsifier.h == sp.h
         assert diag.u == sp.u
         split = diag.split
-        iia = s.slice(split.eps_cut + 1, split.eps_cut + split.tau)
+        iia = s.arrivals()[split.eps_cut : split.eps_cut + split.tau]
         assert diag.t.edges == build_t(*_ends_of(iia), diag.m_h, params.b, g.n).edges
 
 
@@ -462,12 +462,12 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
         split = diag.split
         iia_end = split.eps_cut + split.tau
-        arrivals = list(enumerate(s.slice(iia_end + 1, split.m), iia_end + 1))
+        arrivals = list(enumerate(s.arrivals()[iia_end:], iia_end + 1))
         ref_m, ref_applied = reference_phase2b(diag.m_h, diag.t, arrivals or [(None, None)])
         assert [tuple(p) for p in diag.applied] == ref_applied, trial
         assert diag.m_aug == ref_m, trial
         g = s.graph
-        hu = frozenset(diag.h.edges) | diag.u
+        hu = frozenset(diag.sparsifier.h.edges) | diag.u
         union = sorted(hu | ref_m.edges)
         assert out == max_matching(Graph(g.n, union, g.bipartition)), trial
         assert diag.mu_hu == len(max_matching(Graph(g.n, sorted(hu), g.bipartition)))

@@ -18,6 +18,7 @@ from streammatch import (
     make_stream,
     max_matching,
     params_with_betas,
+    phase1_cut,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -102,6 +103,26 @@ def test_tracer_counter_hooks_read_names_that_exist():
     assert hooked == counted == {
         "sparsifier.phase1_build_h", "sparsifier.phase2_collect_u", "augmenter.beats23_match",
     }
+
+
+def test_tracer_phase1_counts_are_the_trials_own():
+    # sparsifier.h_kept_ratio sums the `kept` and `prefix` counts of the
+    # phase1_build_h spans. Pin them to each traced trial's Phase I prefix
+    # length and |H|, so that a change to phase1_build_h's arguments cannot
+    # skew the ratio silently.
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    tiny, inst = _tiny(workloads)
+    for algo in ("bernstein", "beats23"):
+        config = workloads.trial_config(tiny, inst, algo, seed=1)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            report = bench.run_trials(config, max_workers=1)
+        spans = [sp for sp in tracer.spans if sp.name == "sparsifier.phase1_build_h"]
+        assert [sp.trial for sp in spans] == [r.trial for r in report.records]
+        cut = phase1_cut(inst.graph.m, config.params.eps)
+        for sp, record in zip(spans, report.records):
+            assert sp.counts == {"prefix": cut, "kept": record.h_size}, algo
 
 
 def test_beats23_looks_its_phase2_stages_up_by_name(monkeypatch):

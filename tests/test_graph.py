@@ -310,7 +310,7 @@ def _dense_c10_matching_graphs(seeds):
         cut = phase1_cut(len(stream), params.eps)
         yield sp.h
         yield sp.hu_graph
-        yield Graph(g.n, stream.slice(cut + 1, len(stream)), g.bipartition)
+        yield Graph(g.n, stream.arrivals()[cut:], g.bipartition)
 
 
 def test_hopcroft_karp_equals_reference():

@@ -60,29 +60,31 @@ def test_edge_stream_keeps_permutation_as_int64_array(order):
 def test_arrivals_are_the_graphs_own_tuples():
     g = random_bipartite(random.Random(4), 8, 8, 0.4)
     s = make_stream(g, 11)
-    # the stream keeps its permutation alone and gathers a slice's tuples
-    # from the graph's object array when the slice is read
+    # the stream keeps its permutation alone and gathers the arrivals'
+    # tuples from the graph's object array when they are read
     assert EdgeStream.__slots__ == ("graph", "order", "_ends")
     arrivals = s.arrivals()
     assert all(arrivals[i] is g.edge_array[s.order[i]] for i in range(len(s)))
-    assert all(a is b for a, b in zip(s.slice(3, 9), arrivals[2:9]))
     assert s._ends is None
     index = np.array([4, 0, 7])
     assert all(e is arrivals[i] for e, i in zip(s.edges_at(index), index.tolist()))
 
 
 def test_ends_are_the_slices_endpoints():
+    # e_a..e_b for 1 <= a <= b + 1 <= m + 1: the whole stream, the Phase I
+    # prefix, one arrival, and the empty ranges at either end
     g = random_bipartite(random.Random(5), 8, 8, 0.4)
     s = make_stream(g, 12)
     m = len(s)
-    for a, b in [(1, m), (3, 9), (m + 1, m), (5, 4), (m, m)]:
+    cut = phase1_cut(m, 0.3)
+    arrivals = s.arrivals()
+    for a, b in [(1, m), (1, cut), (3, 9), (3, 3), (m, m), (1, 0), (5, 4), (m + 1, m)]:
         lows, highs = s.ends(a, b)
         assert lows.dtype == highs.dtype == np.int64
-        assert list(zip(lows.tolist(), highs.tolist())) == list(s.slice(a, b))
-    with pytest.raises(IndexError):
-        s.ends(0, m)
-    with pytest.raises(IndexError):
-        s.ends(1, m + 1)
+        assert list(zip(lows.tolist(), highs.tolist())) == list(arrivals[a - 1 : b])
+    for a, b in [(0, m), (1, m + 1), (3, 1), (m + 2, m + 1)]:
+        with pytest.raises(IndexError):
+            s.ends(a, b)
 
 
 def test_empty_graph_rejected():
@@ -99,7 +101,7 @@ def test_same_seed_same_order():
 def test_every_edge_appears_once():
     g = random_bipartite(random.Random(2), 5, 5, 0.6)
     s = make_stream(g, 4)
-    assert sorted(s.slice(1, len(s))) == sorted(g.edges)
+    assert sorted(s.arrivals()) == sorted(g.edges)
 
 
 def test_permutation_uniformity_m3():
@@ -111,22 +113,6 @@ def test_permutation_uniformity_m3():
         counts[tuple(make_stream(g, seed).order.tolist())] += 1
     for perm, c in counts.items():
         assert abs(c / 6000 - 1 / 6) < 0.02, (perm, c)
-
-
-def test_slice_conventions():
-    g = random_bipartite(random.Random(3), 4, 4, 0.7)
-    s = make_stream(g, 5)
-    m = len(s)
-    assert s.slice(1, m) == s.arrivals()
-    cut = phase1_cut(m, 0.3)
-    assert s.slice(1, cut) == s.arrivals()[:cut]
-    assert s.slice(3, 3) == (s.arrivals()[2],)
-    assert s.slice(1, 0) == ()
-    assert s.slice(m + 1, m) == ()
-    with pytest.raises(IndexError):
-        s.slice(0, m)
-    with pytest.raises(IndexError):
-        s.slice(1, m + 1)
 
 
 def test_sample_binomial_degenerate():
@@ -212,7 +198,7 @@ def test_per_edge_iia_frequency_matches_gamma():
         s = make_stream(g, 50_000 + trial)
         rng = np.random.default_rng(90_000 + trial)
         split = split_phases(m, 0.1, gamma, rng)
-        for pos, e in enumerate(s.slice(split.eps_cut + 1, m), split.eps_cut + 1):
+        for pos, e in enumerate(s.arrivals()[split.eps_cut:], split.eps_cut + 1):
             in_phase2[e] += 1
             if split.phase_of(pos) is Phase.IIA:
                 in_iia[e] += 1
