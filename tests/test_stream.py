@@ -71,17 +71,34 @@ def test_arrivals_are_the_graphs_own_tuples():
 
 
 def test_ends_are_the_slices_endpoints():
-    # e_a..e_b for 1 <= a <= b + 1 <= m + 1: the whole stream, the Phase I
-    # prefix, one arrival, and the empty ranges at either end
     g = random_bipartite(random.Random(5), 8, 8, 0.4)
     s = make_stream(g, 12)
     m = len(s)
-    cut = phase1_cut(m, 0.3)
     arrivals = s.arrivals()
-    for a, b in [(1, m), (1, cut), (3, 9), (3, 3), (m, m), (1, 0), (5, 4), (m + 1, m)]:
+    for a, b in [(1, m), (3, 9), (m + 1, m), (5, 4), (m, m)]:
         lows, highs = s.ends(a, b)
         assert lows.dtype == highs.dtype == np.int64
         assert list(zip(lows.tolist(), highs.tolist())) == list(arrivals[a - 1 : b])
+
+
+def test_slice_conventions():
+    # e_a..e_b for 1 <= a <= b + 1 <= m + 1: the whole stream, the Phase I
+    # prefix, one arrival, and the empty ranges at either end
+    g = random_bipartite(random.Random(3), 4, 4, 0.7)
+    s = make_stream(g, 5)
+    m = len(s)
+    cut = phase1_cut(m, 0.3)
+    arrivals = s.arrivals()
+
+    def ends(a, b):
+        lows, highs = s.ends(a, b)
+        return tuple(zip(lows.tolist(), highs.tolist()))
+
+    assert ends(1, m) == arrivals
+    assert ends(1, cut) == arrivals[:cut]
+    assert ends(3, 3) == (arrivals[2],)
+    assert ends(1, 0) == ()
+    assert ends(m + 1, m) == ()
     for a, b in [(0, m), (1, m + 1), (3, 1), (m + 2, m + 1)]:
         with pytest.raises(IndexError):
             s.ends(a, b)
