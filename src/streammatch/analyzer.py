@@ -167,38 +167,52 @@ class PathCensus:
 
     @property
     def short_path_bound_holds(self) -> bool:
-        """|paths| >= |M*| - (4/3) mu(H), checked with exact integers."""
+        """|paths| >= |M*| - (4/3) |M_H|, checked with exact integers.
+
+        This holds for any two matchings M* and M_H, maximum or not. The
+        components of M* ^ M_H that augment M_H hold one more M* edge than
+        M_H edge each, and the others at least as many M_H edges as M*
+        edges, so at least |M*| - |M_H| of them augment M_H. Those of
+        length seven or more use at least three M_H edges each, so there
+        are at most |M_H| / 3 of them, and at least |M*| - (4/3) |M_H|
+        are of length at most five. So False means a fault in the census
+        code, never one in the sparsifier, and 3 |paths| - 3 |M*| +
+        4 |M_H| is the slack worth reporting."""
         return 3 * len(self.paths) >= 3 * self.m_star_size - 4 * self.m_h_size
 
 
 def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
     """Collect the augmenting paths for m_h of length at most five in
-    m_star ^ m_h.
+    m_star ^ m_h, in the order of their lower ends.
 
     Components of a symmetric difference are paths or even cycles. A path
     component ends at the vertices that only one of the two matchings
-    covers, and is walked from its lower end by alternating the two
-    partner maps. It augments m_h exactly when its end edges come from
-    m_star, which makes its length odd. Cycles have no such end and are
-    never walked.
+    covers. It augments m_h exactly when its end edges come from m_star,
+    which makes its length odd and puts both of its ends among the
+    vertices that m_star alone covers. So only those are walked, by
+    alternating the two partner maps, for at most seven vertices: a walk
+    that ends within six, on an even number of vertices, is an augmenting
+    path of length at most five, and it is recorded from its lower end,
+    whose walk comes first. Cycles have no such end and are never walked.
     """
     star = m_star.partner_map
     h = m_h.partner_map
     diff = m_star.edges ^ m_h.edges
-    far_ends: set[int] = set()
     paths: list[Path] = []
-    for v in sorted(star.keys() ^ h.keys()):
-        if v in far_ends:
-            continue
-        seq = [v]
-        this, other = (star, h) if v in star else (h, star)
-        nxt = this.get(v)
-        while nxt is not None:
-            seq.append(nxt)
-            this, other = other, this
-            nxt = this.get(nxt)
-        far_ends.add(seq[-1])
-        if v in star and len(seq) % 2 == 0 and len(seq) <= 6:
+    for v in sorted(star.keys() - h.keys()):
+        x1 = star[v]
+        x2 = h.get(x1)
+        if x2 is None:
+            seq = (v, x1)
+        elif (x3 := star.get(x2)) is None:
+            continue  # ends at x2, which m_h alone covers
+        elif (x4 := h.get(x3)) is None:
+            seq = (v, x1, x2, x3)
+        elif (x5 := star.get(x4)) is None or x5 in h:
+            continue  # ends at x4, or goes on past six vertices
+        else:
+            seq = (v, x1, x2, x3, x4, x5)
+        if v < seq[-1]:
             paths.append(Path(seq, diff))
     return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,11 +57,15 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: i
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
-    unmatched endpoint has T-degree below b at its arrival. The admission
-    loop visits only the edges with exactly one matched end: the others
-    are never kept and change no degree, so dropping them with one numpy
-    mask first changes no decision. Each remaining edge's matched and
-    unmatched end are read from arrays worked out up front.
+    unmatched endpoint has T-degree below b at its arrival. The others
+    are never kept and change no degree, so one numpy mask drops them
+    first. Without the b cap, the rule keeps the first two remaining
+    arrivals at each matched end, which one stable argsort finds. The
+    greedy rule agrees with that up to the first arrival the b cap
+    rejects, and that arrival would be the b+1-th one the cap-free rule
+    keeps at its unmatched end. So when no unmatched end holds more than
+    b of the cap-free edges, they are T; otherwise the admission loop
+    runs over the remaining arrivals.
     """
     if b < 2:
         raise ValueError("b must be at least 2")
@@ -72,15 +76,30 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: i
     low_in = matched[lows]
     one = np.flatnonzero(low_in != matched[highs])  # exactly one matched end
     lows, highs, low_in = lows[one], highs[one], low_in[one]
+    # each remaining edge's matched end and unmatched end
+    ins, outs = np.where(low_in, lows, highs), np.where(low_in, highs, lows)
+    by_in = np.argsort(ins, kind="stable")
+    sorted_ins = ins[by_in]
+    first_two = np.ones(len(ins), bool)
+    first_two[2:] = sorted_ins[2:] != sorted_ins[:-2]
+    kept = np.sort(by_in[first_two])
+    if len(kept) > b and np.bincount(outs[kept]).max() > b:
+        kept = _admitted(ins.tolist(), outs.tolist(), b, n)
+    return _graph_of_canonical(n, (lows[kept], highs[kept]))
+
+
+def _admitted(ins: list[int], outs: list[int], b: int, n: int) -> list[int]:
+    """Indices of the arrivals (ins[i], outs[i]), matched end first, that
+    T's greedy rule admits: in turn, each one whose matched end has degree
+    below 2 and whose unmatched end has degree below b."""
     deg = [0] * n
-    kept: list[int] = []
-    ends = zip(np.where(low_in, lows, highs).tolist(), np.where(low_in, highs, lows).tolist())
-    for i, (v, u) in enumerate(ends):  # v is the matched end, u the unmatched one
+    kept = []
+    for i, (v, u) in enumerate(zip(ins, outs)):
         if deg[v] < 2 and deg[u] < b:
             kept.append(i)
             deg[v] += 1
             deg[u] += 1
-    return _graph_of_canonical(n, (lows[kept], highs[kept]))
+    return kept
 
 
 class AppliedPath(NamedTuple):
@@ -142,13 +161,15 @@ def _row_with(row: Sequence[int], v: int) -> list[int]:
 
 
 def phase2b(
-    m_h: Matching, t: Graph, arrivals: Iterable[tuple[int, Edge]]
+    m_h: Matching, t: Graph, first: int, firsts: np.ndarray, seconds: np.ndarray
 ) -> tuple[Matching, tuple[AppliedPath, ...]]:
-    """Phase II.B over its (position, edge) arrivals: after each arrival
-    e, apply augmenting paths of length up to five in M | T | {e}
-    (shortest first, lowest vertex index first) until none remains.
-    Returns the augmented copy of m_h and the applied paths in order.
-    With no arrivals it makes one pass over M | T alone.
+    """Phase II.B over the arrivals (firsts[i], seconds[i]) at stream
+    positions first + i: after each arrival e, apply augmenting paths of
+    length up to five in M | T | {e} (shortest first, lowest vertex index
+    first) until none remains. The ends are int64 arrays in either
+    orientation, such as a stream slice's `ends`. Returns the augmented
+    copy of m_h and the applied paths in order. With no arrivals it makes
+    one pass over M | T alone, whose paths have no arrival position.
 
     The first step searches from every vertex of T and applies T's own
     Phase II.A paths too; it resumes its search after each applied path
@@ -167,7 +188,9 @@ def phase2b(
       matches the ends of the applied path P, so every other arrival
       walks each of its ends once, and an end whose walk finds nothing is
       marked as not reaching. A "does not reach" answer stays true, so
-      the skip is exact for every later arrival.
+      the skip is exact for every later arrival, and the loop visits only
+      the arrivals whose two ends reached right after the first step:
+      every other one has an end already marked.
       Say M' = M ^ P (e is in neither T nor M), and v, whose walks in
       M | T all end at matched vertices, walks in M' | T to a free w. The
       walk crosses an edge (a, b) that P added to the matching, or it was
@@ -214,14 +237,13 @@ def phase2b(
         m.augment(verts)
         applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))
 
-    arrivals = iter(arrivals)
-    pos, e = next(arrivals, (None, None))
-    edge = ()
+    pos, edge = None, ()
     starts = np.zeros(t.n, bool)  # the vertices of T, and e's ends
     for ends in t.endpoints:
         starts[ends] = True
-    if e is not None:
-        edge = ea, eb = edge_key(*e)
+    if len(firsts):
+        pos = first
+        edge = ea, eb = edge_key(int(firsts[0]), int(seconds[0]))
         starts[[ea, eb]] = True
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
     for verts in _augmenting_paths(partner_map, np.flatnonzero(starts).tolist(), rows):
@@ -229,14 +251,16 @@ def phase2b(
     for v in edge:
         rows[v] = t_adj[v]
 
-    alive = _reaching(partner_map, t).tolist()  # False: reaches none, now or after a flip
+    reaching = _reaching(partner_map, t)
+    later = 1 + np.flatnonzero(reaching[firsts[1:]] & reaching[seconds[1:]])
+    alive = reaching.tolist()  # False: reaches none, now or after a flip
 
     def walk(v: int) -> set[int]:
         ends = set(_free_ends(v, partner_map, t_adj))
         alive[v] = bool(ends)
         return ends
 
-    for pos, (x, y) in arrivals:
+    for i, x, y in zip(later.tolist(), firsts[later].tolist(), seconds[later].tolist()):
         if not (alive[x] and alive[y] and (ends_x := walk(x)) and (ends_y := walk(y))):
             continue
         edge = ea, eb = edge_key(x, y)
@@ -244,7 +268,7 @@ def phase2b(
         verts = next(_augmenting_paths(partner_map, sorted(ends_x | ends_y), rows), None)
         rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
-            apply(verts, edge, pos)
+            apply(verts, edge, first + i)
     return m, tuple(applied)
 
 
@@ -291,8 +315,7 @@ def beats23_match(
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
     t = build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
-    lows, highs = stream.ends(iia_end + 1, m)
-    m_aug, applied = phase2b(m_h, t, enumerate(zip(lows.tolist(), highs.tolist()), iia_end + 1))
+    m_aug, applied = phase2b(m_h, t, iia_end + 1, *stream.ends(iia_end + 1, m))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it. With
     # none outside, its adjacency is H | U's own, so max_matching would

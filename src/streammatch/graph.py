@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import index
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -579,11 +579,42 @@ def _blossom(n: int, adj) -> list[int]:
     the members of the bases it merges, so at worst O(|E(T)| + |T|^2).
     Each contraction sorts only the vertices it makes even, which puts
     them in the queue in the order a scan of T in ascending order would.
-    Its state lives in three length-n arrays that are allocated once per
+    Its state lives in four length-n arrays that are allocated once per
     call and reset only where the search wrote, plus a member list per
-    contracted blossom, and roots without neighbours are skipped.
+    contracted blossom. The greedy pass starts only from vertices with
+    neighbours, so isolated vertices cost no Python step.
+
+    A search that fails leaves a Hungarian tree, and its vertices are
+    marked dead: later searches skip an edge to a dead vertex (Edmonds,
+    "Paths, trees, and flowers", 1965). Call odd the tree's vertices that
+    the search reached by an unmatched edge and no blossom absorbed, and
+    even the rest. The even ones fall into pseudonodes, its blossoms and
+    single even vertices, each with a base whose matched edge leads to an
+    odd vertex, but the root's, whose base is the free root. An even
+    vertex's neighbours are odd vertices of its own tree or of an earlier
+    dead one (edges to those were skipped), or vertices of its own
+    pseudonode: an even-even edge across pseudonodes would have made a
+    blossom or an augmenting path. So an alternating path that enters the
+    dead vertices, or starts at a dead root, meets an odd vertex only by
+    an unmatched edge, leaves it by its matched edge into a pseudonode at
+    the base, and leaves a pseudonode only by an unmatched edge to an odd
+    vertex again. It never leaves the dead vertices and never reaches a
+    free vertex: the only free ones are the roots, and a root's
+    pseudonode is entered at no base. Hence:
+    - No augmenting path, now or after later flips, holds a dead vertex.
+      The flips keep off the dead vertices, so their matched edges, and
+      with them the argument, stand until the call returns.
+    - Skipping them leaves every later search's path as it was. Without
+      the skip, a search would hang subtrees of dead vertices off edges
+      from its live even vertices. Their tree paths are alternating paths
+      trapped as above: an odd dead vertex stays odd there, the blossoms
+      they close hold dead vertices only, and no live vertex, and no free
+      one, is reached from them. So the live vertices enter the queue in
+      the same order, with the same base, parent and mate entries, and
+      the same free vertex is found by the same path.
     """
-    mate, roots = _greedy_mates(n, adj, range(n))
+    mate, roots = _greedy_mates(n, adj, compress(range(n), adj))
+    dead = [False] * n
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
@@ -619,7 +650,7 @@ def _blossom(n: int, adj) -> list[int]:
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if base[v] == base[to] or mate[v] == to or dead[to]:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     stem = lca(v, to)
@@ -664,7 +695,9 @@ def _blossom(n: int, adj) -> list[int]:
     for v in roots:
         if mate[v] == -1:
             find_augmenting(v)
+            failed = mate[v] == -1
             for u in tree:
+                dead[u] = failed
                 used[u] = False
                 parent[u] = -1
                 base[u] = u

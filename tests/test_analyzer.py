@@ -24,7 +24,7 @@ from streammatch import (
     sample_binomial,
     trivial_family,
 )
-from util import random_bipartite, random_general
+from util import random_bipartite, random_general, reference_path_census
 
 
 def _sparsifier_run(seed: int, bipartite: bool = True):
@@ -287,6 +287,46 @@ def test_census_structure_on_random_instances():
             assert not m_h.is_matched(p.vertices[-1])
             for i, e in enumerate(p.edges):
                 assert (e in m_h) == (i % 2 == 1)
+
+
+def _random_matching_pairs(seed: int, count: int):
+    """(M*, M_H) pairs of independent random matchings on up to 40
+    vertices, each pairing a random share of a shuffled vertex list: their
+    symmetric differences hold cycles, long paths and paths of every
+    parity, and neither matching is maximum in general."""
+    rnd = random.Random(seed)
+
+    def random_matching(n):
+        order, q = rnd.sample(range(n), n), rnd.random()
+        return Matching([(order[i], order[i + 1]) for i in range(0, n - 1, 2) if rnd.random() < q])
+
+    for _ in range(count):
+        n = rnd.randint(2, 40)
+        yield random_matching(n), random_matching(n)
+
+
+def test_census_equals_reference():
+    # the census walks only from M*-only vertices, for at most seven
+    # vertices; the reference walks every component in full from either end
+    lengths = set()
+    for m_star, m_h in _random_matching_pairs(12, 2000):
+        got, want = path_census(m_star, m_h), reference_path_census(m_star, m_h)
+        assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
+        assert [p.edges for p in got.paths] == [p.edges for p in want.paths]
+        assert (got.m_star_size, got.m_h_size) == (want.m_star_size, want.m_h_size)
+        lengths.update(len(p) for p in got.paths)
+    assert lengths == {1, 3, 5}
+
+
+def test_census_bound_holds_for_any_two_matchings():
+    # neither matching is maximum: the bound is a counting fact about any
+    # two matchings, so only a census fault can break it
+    tight = 0
+    for m_star, m_h in _random_matching_pairs(13, 2000):
+        cen = path_census(m_star, m_h)
+        assert cen.short_path_bound_holds, (m_star, m_h)
+        tight += 3 * len(cen.paths) - 3 * len(m_star) + 4 * len(m_h) <= 2 and len(m_h) > 0
+    assert tight > 0
 
 
 # SHA-256 of the census path vertex sequences, in census order, over

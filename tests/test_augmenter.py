@@ -50,12 +50,36 @@ def test_build_t_membership_rule():
     assert t.edges == ((0, 2), (1, 2))
 
 
-def test_build_t_unmatched_side_cap():
-    # u = 0 adjacent to five matched vertices; b = 2 keeps only the first two
+def _spy_admission(monkeypatch) -> list:
+    """Patch `augmenter._admitted`, T's greedy admission loop, to record
+    each call; the returned list grows by one entry per call."""
+    calls = []
+    admitted = augmenter._admitted
+
+    def spied(*args):
+        calls.append(args)
+        return admitted(*args)
+
+    monkeypatch.setattr(augmenter, "_admitted", spied)
+    return calls
+
+
+def test_build_t_unmatched_side_cap(monkeypatch):
+    # u = 0 adjacent to five matched vertices; b = 2 keeps only the first
+    # two, so the cap-free rule's five edges at 0 send build_t to its loop
+    calls = _spy_admission(monkeypatch)
     m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
     t = build_t(*_ends_of(arrivals), m_h, b=2, n=11)
     assert frozenset(t.edges) == {(0, 1), (0, 3)}
+    assert len(calls) == 1
+    # a hub that also sees matched vertices already full, and edges with
+    # no or two matched ends between its arrivals
+    m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8)])
+    arrivals = [(1, 9), (1, 10), (0, 1), (0, 3), (3, 4), (0, 11), (5, 0), (0, 7), (9, 10)]
+    t = build_t(*_ends_of(arrivals), m_h, b=2, n=12)
+    assert t.edges == reference_build_t(arrivals, m_h, 2, 12).edges == ((1, 9), (1, 10), (0, 3), (0, 5))
+    assert len(calls) == 2
 
 
 def test_build_t_keeps_admission_order():
@@ -99,10 +123,13 @@ def test_build_t_caps_hold_on_random_runs():
 
 @pytest.mark.parametrize("b", [2, 3, 500])
 @pytest.mark.parametrize("kind", ["bipartite", "general"])
-def test_build_t_matches_reference(kind, b):
-    # the masked admission loop builds the T of the per-arrival loop: same
-    # edges in the same order, same adjacency, on pairs given
-    # in either order; b = 2 makes the unmatched-side cap bind
+def test_build_t_matches_reference(kind, b, monkeypatch):
+    # build_t builds the T of the per-arrival loop: same edges in the same
+    # order, same adjacency, on pairs given in either order, over all of
+    # II.A and over its edges with one matched end; b = 2 makes the
+    # unmatched-side cap bind, and the admission loop runs exactly when it
+    # does
+    calls = _spy_admission(monkeypatch)
     rnd = random.Random(f"build_t-{kind}-{b}")
     unmatched_capped = 0
     for trial in range(25):
@@ -117,15 +144,23 @@ def test_build_t_matches_reference(kind, b):
         cut = rnd.randint(1, len(s) // 2)
         m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
         phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.arrivals()[cut:]]
-        t = build_t(*_ends_of(phase2a), m_h, b, g.n)
-        ref = reference_build_t(phase2a, m_h, b, g.n)
-        assert t.edges == ref.edges, trial
-        assert t.adj == ref.adj, trial
-        unmatched_capped += ref.edges != reference_build_t(phase2a, m_h, g.n, g.n).edges
+        matched = m_h.partner_map
+        one_matched = [(x, y) for x, y in phase2a if (x in matched) != (y in matched)]
+        for arrivals in (phase2a, one_matched):
+            del calls[:]
+            t = build_t(*_ends_of(arrivals), m_h, b, g.n)
+            ref = reference_build_t(arrivals, m_h, b, g.n)
+            assert t.edges == ref.edges, trial
+            assert t.adj == ref.adj, trial
+            capped = ref.edges != reference_build_t(arrivals, m_h, g.n, g.n).edges
+            assert len(calls) == capped, trial
+        unmatched_capped += capped
     for m_h in (Matching(), Matching([(0, 1)])):
         assert build_t(*_ends_of([]), m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
     if b == 2:
-        assert unmatched_capped
+        assert 0 < unmatched_capped < 25
+    elif b == 500:
+        assert unmatched_capped == 0
 
 
 def test_two_b_matching_validates():
@@ -140,7 +175,7 @@ def test_two_b_matching_validates():
 def test_phase2b_applies_length_one_then_three():
     m_h = Matching([(1, 2)])
     t = build_t(*_ends_of([(0, 1), (2, 3)]), m_h, b=5, n=10)
-    m, applied = phase2b(m_h, t, [(42, (8, 9))])
+    m, applied = phase2b(m_h, t, 42, *_ends_of([(9, 8)]))
     assert len(m) == 3
     assert sorted(p.length for p in applied) == [1, 3]
     assert m.edges == {(0, 1), (2, 3), (8, 9)}
@@ -151,7 +186,7 @@ def test_phase2b_applies_length_one_then_three():
 def test_phase2b_length_five_through_current_edge():
     m_h = Matching([(1, 2), (3, 4)])
     t = build_t(*_ends_of([(0, 1), (4, 5)]), m_h, b=5, n=6)
-    m, applied = phase2b(m_h, t, [(1, (2, 3))])
+    m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 3)]))
     assert len(m) == 3
     assert [p.length for p in applied] == [5]
     assert m.edges == {(0, 1), (2, 3), (4, 5)}
@@ -160,7 +195,7 @@ def test_phase2b_length_five_through_current_edge():
 def test_phase2b_no_path_leaves_state_unchanged():
     m_h = Matching([(1, 2), (3, 4)])
     t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=5)
-    m, applied = phase2b(m_h, t, [(1, (2, 4))])  # both endpoints matched, no pattern
+    m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 4)]))  # both endpoints matched, no pattern
     assert m == m_h
     assert applied == ()
 
@@ -171,15 +206,16 @@ def test_phase2b_rejects_a_path_outside_t(monkeypatch):
     t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=4)
     monkeypatch.setattr(augmenter, "_augmenting_paths", lambda *args: iter([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
-        phase2b(m_h, t, [])
+        phase2b(m_h, t, 1, *_ends_of([]))
     # the same path through the current arrival (2, 3) is applied
-    m, applied = phase2b(m_h, t, [(5, (3, 2))])
+    m, applied = phase2b(m_h, t, 5, *_ends_of([(3, 2)]))
     assert m.edges == {(0, 1), (2, 3)} and applied[0].arrival == 5
 
 
 def _phase2b_cases():
-    """(trial, m_h, t, II.B arrivals) on seeded random bipartite and
-    general graphs, with random Phase I and II.A lengths and b."""
+    """(trial, m_h, t, first II.B position, II.B arrivals) on seeded random
+    bipartite and general graphs, with random Phase I and II.A lengths
+    and b, and about half of the arrivals' pairs flipped."""
     rnd = random.Random(2024)
     for trial in range(50):
         if trial % 2:
@@ -194,20 +230,27 @@ def _phase2b_cases():
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
         t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]), g.n)
-        yield trial, m_h, t, list(enumerate(s.arrivals()[iia_end:], iia_end + 1))
+        flip = random.Random(trial)
+        arrivals = [(y, x) if flip.random() < 0.5 else (x, y) for x, y in s.arrivals()[iia_end:]]
+        yield trial, m_h, t, iia_end + 1, arrivals
 
 
 def test_phase2b_anchored_search_matches_reference():
     lengths = set()
     later_hits = 0
-    for trial, m_h, t, arrivals in _phase2b_cases():
-        m, applied = phase2b(m_h, t, arrivals)
-        ref_matching, ref_applied = reference_phase2b(m_h, t, arrivals)
+    for trial, m_h, t, first, arrivals in _phase2b_cases():
+        m, applied = phase2b(m_h, t, first, *_ends_of(arrivals))
+        ref_matching, ref_applied = reference_phase2b(m_h, t, enumerate(arrivals, first))
 
         assert [tuple(p) for p in applied] == ref_applied, trial
         assert m == ref_matching, trial
         lengths.update(p.length for p in applied)
-        later_hits += sum(p.arrival != arrivals[0][0] for p in applied)
+        later_hits += sum(p.arrival != first for p in applied)
+        # with no arrivals, one pass over M | T, whose paths have no position
+        m, applied = phase2b(m_h, t, first, *_ends_of([]))
+        ref_matching, ref_applied = reference_phase2b(m_h, t, [(None, None)])
+        assert [tuple(p) for p in applied] == ref_applied, trial
+        assert m == ref_matching, trial
     # the anchored search ran and found paths of every length
     assert lengths == {1, 3, 5}
     assert later_hits > 50
@@ -218,11 +261,11 @@ def test_phase2b_reach_skip_is_exact():
     # vertex, and replaying the later applied paths, no vertex that did not
     # reach a free vertex then reaches one after any flip
     dead_total = later_flips = 0
-    for trial, m_h, t, arrivals in _phase2b_cases():
-        _, applied = phase2b(m_h, t, arrivals)
+    for trial, m_h, t, first, arrivals in _phase2b_cases():
+        _, applied = phase2b(m_h, t, first, *_ends_of(arrivals))
         m = m_h.copy()
-        first = [p for p in applied if p.arrival == arrivals[0][0]]
-        for p in first:
+        first_step = [p for p in applied if p.arrival == first]
+        for p in first_step:
             m.augment(p.vertices)
 
         def walk_reaches(v):
@@ -232,7 +275,7 @@ def test_phase2b_reach_skip_is_exact():
         assert reach.tolist() == [walk_reaches(v) for v in range(t.n)], trial
         dead = np.flatnonzero(~reach).tolist()
         dead_total += len(dead)
-        for p in applied[len(first):]:
+        for p in applied[len(first_step):]:
             m.augment(p.vertices)
             later_flips += 1
             assert not any(walk_reaches(v) for v in dead), (trial, p)
@@ -245,14 +288,14 @@ def test_phase2b_anchored_start_four_steps_back_from_e():
     # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
     m_h = Matching([(1, 7), (3, 4)])
     t = build_t(*_ends_of([(1, 2), (7, 8), (1, 10), (2, 3)]), m_h, b=5, n=20)
-    m, applied = phase2b(m_h, t, [(1, (3, 7)), (2, (4, 19))])
+    m, applied = phase2b(m_h, t, 1, *_ends_of([(3, 7), (4, 19)]))
     assert applied == ((1, 3, (2, 1, 7, 8)), (2, 5, (10, 1, 2, 3, 4, 19)))
     assert m.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
 
 
 def test_phase2b_histogram():
     t = build_t(*_ends_of([]), Matching(), b=2, n=2)
-    _, applied = phase2b(Matching(), t, [(1, (0, 1))])
+    _, applied = phase2b(Matching(), t, 1, *_ends_of([(0, 1)]))
     assert [p.length for p in applied] == [1]
 
 

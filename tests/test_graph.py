@@ -12,6 +12,7 @@ from streammatch import (
     NotAugmentingError,
     Path,
     augmenter,
+    beats23_match,
     brute_force_matching_size,
     build_hard_instance,
     edge_key,
@@ -29,6 +30,7 @@ from streammatch import (
 from streammatch.graph import (
     MAX_VERTICES,
     _graph_of_canonical,
+    _blossom,
     _graph_of_ends,
     _hopcroft_karp,
     _missing_edges,
@@ -40,6 +42,7 @@ from util import (
     random_bipartite,
     random_general,
     random_instance,
+    reference_blossom,
     reference_fill,
     reference_hopcroft_karp,
 )
@@ -281,6 +284,39 @@ def test_max_matching_golden_edges():
     for g in _golden_matching_graphs():
         digest.update(repr(sorted(max_matching(g).edges)).encode())
     assert digest.hexdigest() == GOLDEN_MATCHINGS
+
+
+def _blossom_reference_graphs():
+    """3,000 seeded sparse general graphs (4 <= n <= 60, mean degree 1 to
+    6), the parity-gadget instances with their H and H | U, and, on one
+    edcs-tight-like graph (k = 100, p = 0.4), H, H | U and M | H | U of
+    beats23 trials at caps 4/3 and 12/11."""
+    rnd = random.Random(2027)
+    for _ in range(3000):
+        n = rnd.randint(4, 60)
+        pairs = (edge_key(*rnd.sample(range(n), 2)) for _ in range(n * rnd.randint(1, 6) // 2))
+        yield Graph(n, sorted(set(pairs)))
+    for g, sp in _gadget_runs():
+        yield from (g, sp.h, sp.hu_graph)
+    g = _edcs_tight_like(random.Random(3), 100, 0.4, 1.0)
+    for caps in ((4, 3), (12, 11)):
+        params = params_with_betas(0.49, *caps, 2.0 / 3.0, 500)
+        for seed in (0, 1):
+            _, diag = beats23_match(make_stream(g, seed), params, np.random.default_rng(seed))
+            hu = diag.sparsifier.hu_graph
+            yield from (diag.sparsifier.h, hu, Graph(g.n, sorted(set(hu.edges) | diag.m_aug.edges)))
+
+
+def test_blossom_equals_reference():
+    # the pruned search skips the trees of failed searches, which the
+    # reference explores again from every later root; most graphs here
+    # have such a tree
+    failed = 0
+    for g in _blossom_reference_graphs():
+        mate = _blossom(g.n, g.adj)
+        assert mate == reference_blossom(g.n, g.adj)
+        failed += any(m == -1 and row for m, row in zip(mate, g.adj))
+    assert failed > 1500
 
 
 def _shuffled_bipartite(rnd, n, p):

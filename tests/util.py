@@ -1,8 +1,9 @@
 """Shared test helpers: small random instance makers, independent
 brute-force oracles, and the references that the library code must
-agree with: the adjacency fill, textbook Hopcroft-Karp, the unanchored
-Phase II.B loop, the per-edge Phase I and Phase II.A loops, and the
-per-matching induced-family check."""
+agree with: the adjacency fill, textbook Hopcroft-Karp, the blossom
+search without tree pruning, the unanchored Phase II.B loop, the
+per-edge Phase I and Phase II.A loops, the per-matching induced-family
+check and the census that walks every component in full."""
 
 from __future__ import annotations
 
@@ -10,12 +11,13 @@ import random
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from streammatch import Graph, Matching, Path, edge_key
+from streammatch import Graph, Matching, Path, PathCensus, edge_key
 from streammatch.graph import (
     Edge,
     _augmenting_paths,
     _ends_of,
     _graph_of_canonical,
+    _greedy_mates,
     _missing_edges,
 )
 
@@ -329,3 +331,142 @@ def reference_verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, i
             if u in verts and v in verts and edge_key(u, v) not in edges:
                 return False
     return True
+
+
+def reference_blossom(n: int, adj) -> list[int]:
+    """Blossom-contraction augmenting search for general graphs, which
+    explores a failed search's tree again from every later root:
+    `graph._blossom` must return the same mate array.
+
+    A greedy initial matching keeps the number of searches small. One
+    search from a free root costs time in the alternating tree T it grows,
+    not in n: a BFS over the adjacency lists of T's vertices, plus, per
+    blossom contraction, a walk over the blossom's cycle and a relabel of
+    the members of the bases it merges, so at worst O(|E(T)| + |T|^2).
+    Each contraction sorts only the vertices it makes even, which puts
+    them in the queue in the order a scan of T in ascending order would.
+    Its state lives in three length-n arrays that are allocated once per
+    call and reset only where the search wrote, plus a member list per
+    contracted blossom, and roots without neighbours are skipped.
+    """
+    mate, roots = _greedy_mates(n, adj, range(n))
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    tree: list[int] = []  # vertices whose entries the current search wrote
+    members: dict[int, list[int]] = {}  # contracted blossom's base -> its vertices
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, stem: int, child: int, blossom: set[int]) -> None:
+        while base[v] != stem:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting(root: int) -> None:
+        tree.append(root)
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    stem = lca(v, to)
+                    blossom: set[int] = set()
+                    mark_path(v, stem, to, blossom)
+                    mark_path(to, stem, v, blossom)
+                    # the stem and its members are even already, so only
+                    # the other bases' members are relabeled; the newly
+                    # even ones join the queue in ascending order
+                    grown = members.setdefault(stem, [stem])
+                    newly_even = []
+                    for b in blossom:
+                        if b == stem:
+                            continue
+                        inner = members.pop(b, None) or (b,)
+                        for i in inner:
+                            base[i] = stem
+                            if not used[i]:
+                                newly_even.append(i)
+                        grown.extend(inner)
+                    newly_even.sort()
+                    for i in newly_even:
+                        used[i] = True
+                        queue.append(i)
+                elif parent[to] == -1:
+                    # neither to nor its mate is in the tree yet
+                    tree.append(to)
+                    parent[to] = v
+                    if mate[to] == -1:
+                        cur = to
+                        while cur != -1:
+                            prev = parent[cur]
+                            nxt = mate[prev]
+                            mate[cur] = prev
+                            mate[prev] = cur
+                            cur = nxt
+                        return
+                    tree.append(mate[to])
+                    used[mate[to]] = True
+                    queue.append(mate[to])
+
+    for v in roots:
+        if mate[v] == -1:
+            find_augmenting(v)
+            for u in tree:
+                used[u] = False
+                parent[u] = -1
+                base[u] = u
+            tree.clear()
+            members.clear()
+    return mate
+
+
+def reference_path_census(m_star: Matching, m_h: Matching) -> PathCensus:
+    """Collect the augmenting paths for m_h of length at most five in
+    m_star ^ m_h, walking every component from either end in full:
+    `analyzer.path_census` must return the same paths in the same order.
+
+    Components of a symmetric difference are paths or even cycles. A path
+    component ends at the vertices that only one of the two matchings
+    covers, and is walked from its lower end by alternating the two
+    partner maps. It augments m_h exactly when its end edges come from
+    m_star, which makes its length odd. Cycles have no such end and are
+    never walked.
+    """
+    star = m_star.partner_map
+    h = m_h.partner_map
+    diff = m_star.edges ^ m_h.edges
+    far_ends: set[int] = set()
+    paths: list[Path] = []
+    for v in sorted(star.keys() ^ h.keys()):
+        if v in far_ends:
+            continue
+        seq = [v]
+        this, other = (star, h) if v in star else (h, star)
+        nxt = this.get(v)
+        while nxt is not None:
+            seq.append(nxt)
+            this, other = other, this
+            nxt = this.get(nxt)
+        far_ends.add(seq[-1])
+        if v in star and len(seq) % 2 == 0 and len(seq) <= 6:
+            paths.append(Path(seq, diff))
+    return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
