@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, Path, _missing_edges
+from .graph import Edge, Graph, Matching, Path, _missing_edges, edge_key
 from .sparsifier import AlgoParams
 from .stream import EdgeStream, Phase, phase1_cut
 
@@ -143,18 +143,26 @@ def check_dichotomy(
 @dataclass(frozen=True)
 class PathCensus:
     """Augmenting paths of length at most five for m_h inside the
-    symmetric difference of a reference matching and m_h."""
+    symmetric difference of a reference matching and m_h, each kept as
+    its vertex sequence (`walks`)."""
 
-    paths: tuple[Path, ...]
+    walks: tuple[tuple[int, ...], ...]
     m_star_size: int
     m_h_size: int
     lucky: tuple[Path, ...] | None = None
 
     @property
+    def paths(self) -> tuple[Path, ...]:
+        """The walks as `Path` objects, built on each read. The census
+        checked the walks when it took them, so each is allowed exactly
+        its own edges."""
+        return tuple(Path(w, {edge_key(a, b) for a, b in zip(w, w[1:])}) for w in self.walks)
+
+    @property
     def counts(self) -> dict[int, int]:
         out = {1: 0, 3: 0, 5: 0}
-        for p in self.paths:
-            out[len(p.edges)] += 1
+        for w in self.walks:
+            out[len(w) - 1] += 1
         return out
 
     @property
@@ -178,43 +186,61 @@ class PathCensus:
         are of length at most five. So False means a fault in the census
         code, never one in the sparsifier, and 3 |paths| - 3 |M*| +
         4 |M_H| is the slack worth reporting."""
-        return 3 * len(self.paths) >= 3 * self.m_star_size - 4 * self.m_h_size
+        return 3 * len(self.walks) >= 3 * self.m_star_size - 4 * self.m_h_size
 
 
 def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
     """Collect the augmenting paths for m_h of length at most five in
-    m_star ^ m_h, in the order of their lower ends.
+    m_star ^ m_h, in the order of their lower ends. The two matchings
+    must be on the same vertices 0..n-1.
 
     Components of a symmetric difference are paths or even cycles. A path
     component ends at the vertices that only one of the two matchings
     covers. It augments m_h exactly when its end edges come from m_star,
     which makes its length odd and puts both of its ends among the
     vertices that m_star alone covers. So only those are walked, by
-    alternating the two partner maps, for at most seven vertices: a walk
+    alternating the two mate lists, for at most seven vertices: a walk
     that ends within six, on an even number of vertices, is an augmenting
     path of length at most five, and it is recorded from its lower end,
     whose walk comes first. Cycles have no such end and are never walked.
+
+    Each recorded walk is checked as a `Path` in m_star ^ m_h would be:
+    its vertices are distinct, and each step is an edge of exactly one of
+    the two matchings; ValueError names the first fault.
     """
-    star = m_star.partner_map
-    h = m_h.partner_map
-    diff = m_star.edges ^ m_h.edges
-    paths: list[Path] = []
-    for v in sorted(star.keys() - h.keys()):
-        x1 = star[v]
-        x2 = h.get(x1)
-        if x2 is None:
+    star, h = m_star.mate, m_h.mate
+    if len(star) != len(h):
+        raise ValueError(f"matchings on {len(star)} and {len(h)} vertices")
+    walks: list[tuple[int, ...]] = []
+    for v, x1 in enumerate(star):
+        if x1 < 0 or h[v] >= 0:
+            continue  # not covered by m_star alone
+        x2 = h[x1]
+        if x2 < 0:
             seq = (v, x1)
-        elif (x3 := star.get(x2)) is None:
+        elif (x3 := star[x2]) < 0:
             continue  # ends at x2, which m_h alone covers
-        elif (x4 := h.get(x3)) is None:
+        elif (x4 := h[x3]) < 0:
             seq = (v, x1, x2, x3)
-        elif (x5 := star.get(x4)) is None or x5 in h:
+        elif (x5 := star[x4]) < 0 or h[x5] >= 0:
             continue  # ends at x4, or goes on past six vertices
         else:
             seq = (v, x1, x2, x3, x4, x5)
         if v < seq[-1]:
-            paths.append(Path(seq, diff))
-    return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
+            _check_walk(seq, star, h)
+            walks.append(seq)
+    return PathCensus(tuple(walks), m_star_size=len(m_star), m_h_size=len(m_h))
+
+
+def _check_walk(seq: tuple[int, ...], star: list[int], h: list[int]) -> None:
+    """Raise ValueError unless the vertices of seq are distinct and each
+    step joins two vertices matched to each other by exactly one of the
+    mate lists star and h."""
+    if len(set(seq)) != len(seq):
+        raise ValueError("path vertices must be pairwise distinct")
+    for a, b in zip(seq, seq[1:]):
+        if (star[a] == b) == (h[a] == b):
+            raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
 
 
 def classify_lucky(census: PathCensus, phase_of: Mapping[Edge, Phase]) -> PathCensus:
@@ -222,12 +248,13 @@ def classify_lucky(census: PathCensus, phase_of: Mapping[Edge, Phase]) -> PathCe
     phases: a length-1 path needs its edge in II.B, a length-3 path needs
     both end edges in II.A, and a length-5 path needs both end edges in
     II.A and its middle edge in II.B."""
-    for p in census.paths:
+    paths = census.paths
+    for p in paths:
         for e in p.edges:
             if e not in phase_of:
                 raise UnknownEdgeError(e)
     lucky: list[Path] = []
-    for p in census.paths:
+    for p in paths:
         es = p.edges
         if len(es) == 1:
             good = phase_of[es[0]] is Phase.IIB

@@ -52,8 +52,9 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: i
     """Greedy maximal (2, b)-matching over the Phase II.A arrivals
     (firsts[i], seconds[i]) of a graph on n vertices: degree <= 2 at
     M_H-matched vertices, degree <= b elsewhere. The ends are int64
-    arrays in either orientation, such as a stream slice's `ends`. T's
-    edges are in admission order.
+    arrays in either orientation, such as a stream slice's `ends`, and
+    m_h is a matching on the same n vertices. T's edges are in admission
+    order.
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
@@ -69,10 +70,10 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: i
     """
     if b < 2:
         raise ValueError("b must be at least 2")
+    if m_h.n != n:
+        raise ValueError(f"M_H is on {m_h.n} vertices, not {n}")
     lows, highs = np.minimum(firsts, seconds), np.maximum(firsts, seconds)
-    partner_map = m_h.partner_map
-    matched = np.zeros(n, bool)
-    matched[np.fromiter(partner_map, np.int64, len(partner_map))] = True
+    matched = np.array(m_h.mate, np.int64) >= 0
     low_in = matched[lows]
     one = np.flatnonzero(low_in != matched[highs])  # exactly one matched end
     lows, highs, low_in = lows[one], highs[one], low_in[one]
@@ -108,7 +109,7 @@ class AppliedPath(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _free_ends(a: int, partner_map, adj) -> Iterator[int]:
+def _free_ends(a: int, mate: Sequence[int], adj) -> Iterator[int]:
     """Free vertices that the walk from `a` reaches: `a` itself if free,
     else mate -> neighbour, then once more mate -> neighbour. An
     augmenting path of length <= 5 with `a` at an even position from
@@ -116,28 +117,26 @@ def _free_ends(a: int, partner_map, adj) -> Iterator[int]:
     reaches the end this way. The walk does not check that vertices are
     distinct, so it may yield vertices that begin no such path, and it
     may yield a vertex more than once."""
-    mate = partner_map.get(a)
-    if mate is None:
+    x = mate[a]
+    if x < 0:
         yield a
         return
-    for y in adj[mate]:
-        z = partner_map.get(y)
-        if z is None:
+    for y in adj[x]:
+        z = mate[y]
+        if z < 0:
             yield y
             continue
         for w in adj[z]:
-            if w not in partner_map:
+            if mate[w] < 0:
                 yield w
 
 
-def _reaching(partner_map, t: Graph) -> np.ndarray:
-    """For every vertex v of t, whether `_free_ends(v, partner_map, t.adj)`
+def _reaching(mate: Sequence[int], t: Graph) -> np.ndarray:
+    """For every vertex v of t, whether `_free_ends(v, mate, t.adj)`
     yields anything, as one bool array worked out by numpy over T's
-    endpoint arrays and a mate array of the matching."""
+    endpoint arrays and the mate list, which covers t's n vertices."""
     n = t.n
-    mate = np.full(n, -1, np.int64)
-    mate[np.fromiter(partner_map, np.int64, len(partner_map))] = np.fromiter(
-        partner_map.values(), np.int64, len(partner_map))
+    mate = np.array(mate, np.int64)
     free = mate < 0
     lows, highs = t.endpoints
 
@@ -220,7 +219,7 @@ def phase2b(
     Raises ValueError if a path uses an edge outside T | {e} | M.
     """
     m = m_h.copy()
-    partner_map = m.partner_map
+    mate = m.mate
     t_adj = t.adj
     # the searches read T's rows, with the current arrival's two rows
     # swapped for sorted copies that hold it while its search runs
@@ -246,17 +245,17 @@ def phase2b(
         edge = ea, eb = edge_key(int(firsts[0]), int(seconds[0]))
         starts[[ea, eb]] = True
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-    for verts in _augmenting_paths(partner_map, np.flatnonzero(starts).tolist(), rows):
+    for verts in _augmenting_paths(mate, np.flatnonzero(starts).tolist(), rows):
         apply(verts, edge, pos)
     for v in edge:
         rows[v] = t_adj[v]
 
-    reaching = _reaching(partner_map, t)
+    reaching = _reaching(mate, t)
     later = 1 + np.flatnonzero(reaching[firsts[1:]] & reaching[seconds[1:]])
     alive = reaching.tolist()  # False: reaches none, now or after a flip
 
     def walk(v: int) -> set[int]:
-        ends = set(_free_ends(v, partner_map, t_adj))
+        ends = set(_free_ends(v, mate, t_adj))
         alive[v] = bool(ends)
         return ends
 
@@ -265,7 +264,7 @@ def phase2b(
             continue
         edge = ea, eb = edge_key(x, y)
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-        verts = next(_augmenting_paths(partner_map, sorted(ends_x | ends_y), rows), None)
+        verts = next(_augmenting_paths(mate, sorted(ends_x | ends_y), rows), None)
         rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
             apply(verts, edge, first + i)
@@ -274,7 +273,7 @@ def phase2b(
 
 def greedy_match(stream: EdgeStream) -> Matching:
     """Maximal matching: accept each arriving edge with both endpoints free."""
-    return Matching._greedy(stream.arrivals())
+    return Matching._greedy(stream.graph.n, stream.arrivals())
 
 
 @dataclass(frozen=True)
@@ -321,8 +320,7 @@ def beats23_match(
     # none outside, its adjacency is H | U's own, so max_matching would
     # return the H | U matching edge for edge
     hu = sp.hu_graph
-    m_edges = [(u, v) for u, v in m_aug.partner_map.items() if u < v]
-    extra = sorted(_missing_edges(hu.adj, m_edges))
+    extra = sorted(_missing_edges(hu.adj, m_aug))
     if extra:
         final = max_matching(_graph_plus(hu, _ends_of(extra)))
     else:

@@ -295,23 +295,41 @@ def _fill_graph(
 
 
 class Matching:
-    """Set of vertex-disjoint edges, kept as one vertex -> partner table
-    from which the edge set, size, equality and order are read."""
+    """Set of vertex-disjoint edges on the vertices 0..n-1, kept as one
+    list `mate` of length n: mate[v] is v's partner, or -1 when v is
+    free. The edge set, size, equality and order are read from it. A
+    caller that walks `mate` must test an entry for < 0 before it uses
+    it as an index, as mate[-1] would read the last vertex."""
 
-    __slots__ = ("_partner",)
+    __slots__ = ("mate",)
 
-    def __init__(self, edges: Iterable[tuple[int, int]] = ()):
-        self._partner: dict[int, int] = {}
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        _check_vertex_count(n)
+        self.mate = [-1] * n
         for u, v in edges:
             self.add(u, v)
 
+    @classmethod
+    def _of_mate(cls, mate: list[int]) -> "Matching":
+        """Matching that takes over a valid mate list, without a copy."""
+        m = object.__new__(cls)
+        m.mate = mate
+        return m
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < len(self.mate):
+            raise ValueError(f"vertex {v} out of range for n={len(self.mate)}")
+
     def add(self, u: int, v: int) -> None:
+        self._check_vertex(u)
+        self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if u in self._partner or v in self._partner:
+        mate = self.mate
+        if mate[u] >= 0 or mate[v] >= 0:
             raise ValueError(f"edge ({u}, {v}) shares a vertex with the matching")
-        self._partner[u] = v
-        self._partner[v] = u
+        mate[u] = v
+        mate[v] = u
 
     def augment(self, vertices: Sequence[int]) -> None:
         """Flip an augmenting path, given as its vertex sequence, in place:
@@ -320,96 +338,85 @@ class Matching:
         its new partner, so no entry of a removed edge is left behind.
 
         Raises NotAugmentingError, leaving the matching unchanged, unless
-        the path has odd length, distinct vertices, unmatched endpoints
-        and every second edge matched.
+        the path has odd length, distinct vertices in 0..n-1, unmatched
+        endpoints and every second edge matched.
         """
         vs = vertices
-        partner = self._partner
+        mate = self.mate
         if not vs or len(vs) % 2:
             raise NotAugmentingError("augmenting paths have odd length")
+        for v in vs:
+            if not 0 <= v < len(mate):
+                raise NotAugmentingError(f"vertex {v} out of range for n={len(mate)}")
         if len(set(vs)) != len(vs):
             raise NotAugmentingError("path vertices must be pairwise distinct")
-        if vs[0] in partner or vs[-1] in partner:
+        if mate[vs[0]] >= 0 or mate[vs[-1]] >= 0:
             raise NotAugmentingError("path endpoints must be unmatched")
         for u, v in zip(vs[1:-1:2], vs[2:-1:2]):
-            if partner.get(u) != v:
+            if mate[u] != v:
                 raise NotAugmentingError(f"alternation fails at edge {edge_key(u, v)}")
         for u, v in zip(vs[::2], vs[1::2]):
-            partner[u] = v
-            partner[v] = u
+            mate[u] = v
+            mate[v] = u
 
     def is_matched(self, v: int) -> bool:
-        return v in self._partner
+        self._check_vertex(v)
+        return self.mate[v] >= 0
 
     @property
-    def partner_map(self) -> dict[int, int]:
-        """Internal partner table; callers must treat it as read-only."""
-        return self._partner
+    def n(self) -> int:
+        return len(self.mate)
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset([(u, v) for u, v in self._partner.items() if u < v])
+        return frozenset(self)
 
     @classmethod
-    def _greedy(cls, edges: Iterable[Edge]) -> "Matching":
-        """Greedy maximal matching: each edge, in order, joins when both of
-        its ends are free. Filled in one pass and in the order that `add`
-        would use; `edges` must hold no self-loop."""
-        m = cls()
-        partner = m._partner
+    def _greedy(cls, n: int, edges: Iterable[Edge]) -> "Matching":
+        """Greedy maximal matching on n vertices: each edge, in order,
+        joins when both of its ends are free. Filled in one pass; `edges`
+        must hold no self-loop and no vertex outside 0..n-1."""
+        mate = [-1] * n
         for u, v in edges:
-            if u not in partner and v not in partner:
-                partner[u] = v
-                partner[v] = u
-        return m
-
-    @classmethod
-    def _from_mate(cls, mate: Sequence[int]) -> "Matching":
-        """Matching of a valid mate array (-1 = free), filled in one pass
-        and in the order that `add` over ascending v would use."""
-        m = cls()
-        partner = m._partner
-        for v, w in enumerate(mate):
-            if w > v:
-                partner[v] = w
-                partner[w] = v
-        return m
+            if mate[u] < 0 and mate[v] < 0:
+                mate[u] = v
+                mate[v] = u
+        return cls._of_mate(mate)
 
     def copy(self) -> "Matching":
-        m = Matching()
-        m._partner = dict(self._partner)
-        return m
+        return Matching._of_mate(self.mate.copy())
 
     def __len__(self) -> int:
-        return len(self._partner) // 2
+        return (len(self.mate) - self.mate.count(-1)) // 2
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
         u, v = edge
-        return self._partner.get(u) == v
+        return 0 <= u < len(self.mate) and v >= 0 and self.mate[u] == v
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(sorted(self.edges))
+        """The edges as (low, high) pairs in ascending order."""
+        return iter([(v, w) for v, w in enumerate(self.mate) if w > v])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self._partner == other._partner
+        return self.mate == other.mate
 
     def __hash__(self) -> int:
-        return hash(self.edges)
+        return hash(tuple(self.mate))
 
     def __repr__(self) -> str:
-        return f"Matching({sorted(self.edges)})"
+        return f"Matching({len(self.mate)}, {list(self)})"
 
 
 class Path:
     """Simple path given as a vertex sequence.
 
     `allowed` holds canonical (min, max) edges and is only probed with
-    `in`, never copied: pass a set the caller already has, such as the
-    census's symmetric difference of two matchings' edge sets, and a path
+    `in`, never copied: pass a set the caller already has, and a path
     costs O(its length). Consecutive vertices must be joined by an edge of
-    `allowed`, and vertices must be distinct.
+    `allowed`, and vertices must be distinct. Paths compare by their
+    vertex sequences.
     """
 
     __slots__ = ("vertices", "edges")
@@ -431,6 +438,14 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
         return f"Path({list(self.vertices)})"
@@ -459,7 +474,7 @@ def max_matching(g: Graph) -> Matching:
         else:
             mate = _blossom(g.n, g.adj)
         g._mate = mate
-    return Matching._from_mate(mate)
+    return Matching._of_mate(mate.copy())
 
 
 def _greedy_mates(n: int, adj, order: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -740,54 +755,56 @@ def brute_force_matching_size(g: Graph) -> int:
 # bounded-length augmenting paths
 
 
-def _path1(u, partner_map, adj) -> list[int] | None:
+def _path1(u, mate, adj) -> list[int] | None:
     for v in adj[u]:
-        if v not in partner_map:
+        if mate[v] < 0:
             return [u, v]
     return None
 
 
-def _path3(u, partner_map, adj) -> list[int] | None:
+def _path3(u, mate, adj) -> list[int] | None:
     for x1 in adj[u]:
-        x2 = partner_map.get(x1)
-        if x2 is None:
+        x2 = mate[x1]
+        if x2 < 0:
             continue
         for w in adj[x2]:
-            if w != u and w not in partner_map:
+            if w != u and mate[w] < 0:
                 return [u, x1, x2, w]
     return None
 
 
-def _path5(u, partner_map, adj) -> list[int] | None:
+def _path5(u, mate, adj) -> list[int] | None:
     for x1 in adj[u]:
-        x2 = partner_map.get(x1)
-        if x2 is None:
+        x2 = mate[x1]
+        if x2 < 0:
             continue
         for x3 in adj[x2]:
-            if x3 == x1 or x3 == u or x3 not in partner_map:
+            if x3 == x1 or x3 == u:
                 continue
-            x4 = partner_map[x3]
+            x4 = mate[x3]
+            if x4 < 0:
+                continue
             for w in adj[x4]:
-                if w != u and w not in partner_map:
+                if w != u and mate[w] < 0:
                     return [u, x1, x2, x3, x4, w]
     return None
 
 
-def _augmenting_paths(partner_map, starts, adj) -> Iterator[list[int]]:
+def _augmenting_paths(mate, starts, adj) -> Iterator[list[int]]:
     """Augmenting paths of length 1, 3 or 5, shortest first; within
     a length, from the lowest free start first, then by ascending
     neighbour index.
 
     `starts` is an ascending iterable of candidate endpoints, `adj[v]`
     holds the allowed-edge neighbours of v in ascending order, and
-    `partner_map` is the matching's vertex -> mate table. Matched edges
-    are traversed through the partner table only, so every odd-position
-    edge of a yielded path comes from the allowed universe.
+    `mate` is the matching's mate list (-1 = free). Matched edges are
+    traversed through `mate` only, so every odd-position edge of a
+    yielded path comes from the allowed universe.
 
     The first yield is what a fresh search returns. A caller that flips
-    each yielded path in `partner_map` before resuming, with `starts`
-    holding every endpoint of an allowed edge, gets from each later yield
-    what a fresh search on the flipped matching would return, without
+    each yielded path in `mate` before resuming, with `starts` holding
+    every endpoint of an allowed edge, gets from each later yield what a
+    fresh search on the flipped matching would return, without
     rescanning. The search resumes at the same length and the next start:
     - No shorter path appears. The flipped path P is a shortest one, and
       by the Hopcroft-Karp lemma, which holds in general graphs too, an
@@ -798,11 +815,11 @@ def _augmenting_paths(partner_map, starts, adj) -> Iterator[list[int]]:
       as well, and a start before P's (P's own start is now matched) that
       ends Q would have yielded it already.
     """
-    starts = [u for u in starts if u not in partner_map]
+    starts = [u for u in starts if mate[u] < 0]
     for first_from in (_path1, _path3, _path5):
         for u in starts:
-            if u not in partner_map:
-                path = first_from(u, partner_map, adj)
+            if mate[u] < 0:
+                path = first_from(u, mate, adj)
                 if path is not None:
                     yield path
 

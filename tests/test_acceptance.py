@@ -207,7 +207,8 @@ def test_c09_lucky_rate_calibration():
         base = 6 * c
         m_h_edges += [(base + 1, base + 2), (base + 3, base + 4)]
         m_star_edges += [(base, base + 1), (base + 2, base + 3), (base + 4, base + 5)]
-    census = path_census(Matching(m_star_edges), Matching(m_h_edges))
+    n = 6 * comps
+    census = path_census(Matching(n, m_star_edges), Matching(n, m_h_edges))
     assert census.counts[5] == comps >= 30
     edges = [e for p in census.paths for e in p.edges]
     gamma = 2 / 3

@@ -236,22 +236,22 @@ def test_dichotomy_sweep_on_sparsifier_runs():
 
 
 def test_census_identical_matchings():
-    m = Matching([(0, 1), (2, 3)])
+    m = Matching(4, [(0, 1), (2, 3)])
     cen = path_census(m, m)
     assert cen.paths == ()
     assert cen.short_path_bound_holds  # 0 >= |M*| - (4/3)|M*|
 
 
 def test_census_empty_m_h_gives_length_one_paths():
-    m_star = Matching([(0, 1), (2, 3), (4, 5)])
-    cen = path_census(m_star, Matching())
+    m_star = Matching(6, [(0, 1), (2, 3), (4, 5)])
+    cen = path_census(m_star, Matching(6))
     assert cen.counts == {1: 3, 3: 0, 5: 0}
     assert cen.short_path_bound_holds
 
 
 def test_census_collects_three_and_five_paths():
-    m_h = Matching([(1, 2), (4, 5), (6, 7)])
-    m_star = Matching([(0, 1), (2, 3), (5, 6), (8, 9)])
+    m_h = Matching(10, [(1, 2), (4, 5), (6, 7)])
+    m_star = Matching(10, [(0, 1), (2, 3), (5, 6), (8, 9)])
     cen = path_census(m_star, m_h)
     # component 0-1-2-3 is a length-3 augmenting path; 4-5-6-7 is an
     # alternating path that starts with an M_H edge, so not augmenting
@@ -262,8 +262,8 @@ def test_census_collects_three_and_five_paths():
 
 def test_census_ignores_long_paths_and_cycles():
     # 4-cycle: m_h and m_star alternate; plus a length-7 augmenting path
-    m_h = Matching([(0, 1), (2, 3), (11, 12), (13, 14), (15, 16)])
-    m_star = Matching([(1, 2), (0, 3), (10, 11), (12, 13), (14, 15), (16, 17)])
+    m_h = Matching(18, [(0, 1), (2, 3), (11, 12), (13, 14), (15, 16)])
+    m_star = Matching(18, [(1, 2), (0, 3), (10, 11), (12, 13), (14, 15), (16, 17)])
     cen = path_census(m_star, m_h)
     assert cen.paths == ()
 
@@ -275,7 +275,7 @@ def test_census_structure_on_random_instances():
         if not g.edges:
             continue
         m_star = max_matching(g)
-        m_h = Matching()
+        m_h = Matching(g.n)
         for u, v in g.edges:
             if rnd.random() < 0.4 and not m_h.is_matched(u) and not m_h.is_matched(v):
                 m_h.add(u, v)
@@ -298,7 +298,8 @@ def _random_matching_pairs(seed: int, count: int):
 
     def random_matching(n):
         order, q = rnd.sample(range(n), n), rnd.random()
-        return Matching([(order[i], order[i + 1]) for i in range(0, n - 1, 2) if rnd.random() < q])
+        pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2) if rnd.random() < q]
+        return Matching(n, pairs)
 
     for _ in range(count):
         n = rnd.randint(2, 40)
@@ -308,14 +309,32 @@ def _random_matching_pairs(seed: int, count: int):
 def test_census_equals_reference():
     # the census walks only from M*-only vertices, for at most seven
     # vertices; the reference walks every component in full from either end
+    # vertex n - 1 is matched by both, either or neither matching in some
+    # pairs, so a walk that read mate[-1] for a free vertex would differ
     lengths = set()
+    last_matched = set()
     for m_star, m_h in _random_matching_pairs(12, 2000):
         got, want = path_census(m_star, m_h), reference_path_census(m_star, m_h)
+        assert got.walks == want.walks
         assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
         assert [p.edges for p in got.paths] == [p.edges for p in want.paths]
         assert (got.m_star_size, got.m_h_size) == (want.m_star_size, want.m_h_size)
+        assert got.counts == want.counts
         lengths.update(len(p) for p in got.paths)
+        last_matched.add((m_star.mate[-1] >= 0, m_h.mate[-1] >= 0))
     assert lengths == {1, 3, 5}
+    assert len(last_matched) == 4
+
+
+def test_census_checks_each_walk():
+    # a mate list whose step 1-2 lies in both matchings: the walk
+    # 0-1-2-3 from the M*-only vertex 0 is not a path of M* ^ M_H
+    m_star = Matching._of_mate([1, 2, 3, 2])
+    m_h = Matching._of_mate([-1, 2, 1, -1])
+    with pytest.raises(ValueError, match="1, 2 are not adjacent"):
+        path_census(m_star, m_h)
+    with pytest.raises(ValueError, match="on 4 and 5 vertices"):
+        path_census(Matching(4), Matching(5))
 
 
 def test_census_bound_holds_for_any_two_matchings():
@@ -346,7 +365,7 @@ def _golden_census_pairs():
         n = rnd.randint(10, 60)
         g = random_general(rnd, n, rnd.choice([2, 3, 4]) / n)
         m_star = max_matching(g)
-        other = Matching()
+        other = Matching(g.n)
         for u, v in rnd.sample(g.edges, len(g.edges)):
             if not other.is_matched(u) and not other.is_matched(v):
                 other.add(u, v)
@@ -378,8 +397,8 @@ def test_census_golden_paths():
 
 
 def _census_fixture():
-    m_h = Matching([(1, 2), (4, 5), (7, 8), (9, 10)])
-    m_star = Matching([(0, 1), (2, 3), (20, 21), (6, 7), (8, 9), (10, 11)])
+    m_h = Matching(22, [(1, 2), (4, 5), (7, 8), (9, 10)])
+    m_star = Matching(22, [(0, 1), (2, 3), (20, 21), (6, 7), (8, 9), (10, 11)])
     return path_census(m_star, m_h)
 
 
@@ -429,7 +448,8 @@ def test_lucky_rate_small_monte_carlo():
         base = 6 * c
         m_h_edges += [(base + 1, base + 2), (base + 3, base + 4)]
         m_star_edges += [(base, base + 1), (base + 2, base + 3), (base + 4, base + 5)]
-    cen = path_census(Matching(m_star_edges), Matching(m_h_edges))
+    n = 6 * comps
+    cen = path_census(Matching(n, m_star_edges), Matching(n, m_h_edges))
     assert cen.counts[5] == comps
     edges = [e for p in cen.paths for e in p.edges]
     rng = np.random.default_rng(31337)

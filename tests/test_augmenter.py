@@ -26,9 +26,12 @@ from streammatch.augmenter import _free_ends, _reaching
 from streammatch.graph import _ends_of
 from util import (
     find_augmenting_path,
+    partner_dict,
     random_bipartite,
     random_general,
+    random_matched_graphs,
     reference_build_t,
+    reference_free_ends,
     reference_phase2b,
 )
 
@@ -38,14 +41,14 @@ from util import (
 
 
 def test_build_t_empty_matching_gives_empty_t():
-    t = build_t(*_ends_of([(0, 1), (2, 3)]), Matching(), b=5, n=4)
+    t = build_t(*_ends_of([(0, 1), (2, 3)]), Matching(4), b=5, n=4)
     assert t.edges == ()
 
 
 def test_build_t_membership_rule():
     # matched edge (x, y) = (0, 1); u = 2 unmatched; uz = (2, 3) has no
     # matched endpoint and is skipped
-    m_h = Matching([(0, 1)])
+    m_h = Matching(4, [(0, 1)])
     t = build_t(*_ends_of([(2, 0), (2, 1), (2, 3)]), m_h, b=5, n=4)
     assert t.edges == ((0, 2), (1, 2))
 
@@ -68,14 +71,14 @@ def test_build_t_unmatched_side_cap(monkeypatch):
     # u = 0 adjacent to five matched vertices; b = 2 keeps only the first
     # two, so the cap-free rule's five edges at 0 send build_t to its loop
     calls = _spy_admission(monkeypatch)
-    m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
+    m_h = Matching(11, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
     t = build_t(*_ends_of(arrivals), m_h, b=2, n=11)
     assert frozenset(t.edges) == {(0, 1), (0, 3)}
     assert len(calls) == 1
     # a hub that also sees matched vertices already full, and edges with
     # no or two matched ends between its arrivals
-    m_h = Matching([(1, 2), (3, 4), (5, 6), (7, 8)])
+    m_h = Matching(12, [(1, 2), (3, 4), (5, 6), (7, 8)])
     arrivals = [(1, 9), (1, 10), (0, 1), (0, 3), (3, 4), (0, 11), (5, 0), (0, 7), (9, 10)]
     t = build_t(*_ends_of(arrivals), m_h, b=2, n=12)
     assert t.edges == reference_build_t(arrivals, m_h, 2, 12).edges == ((1, 9), (1, 10), (0, 3), (0, 5))
@@ -83,7 +86,7 @@ def test_build_t_unmatched_side_cap(monkeypatch):
 
 
 def test_build_t_keeps_admission_order():
-    m_h = Matching([(1, 2), (3, 4)])
+    m_h = Matching(7, [(1, 2), (3, 4)])
     t = build_t(*_ends_of([(4, 5), (0, 3), (1, 6), (0, 2)]), m_h, b=2, n=7)
     assert t.edges == ((4, 5), (0, 3), (1, 6), (0, 2))
     assert t.adj[0] == (2, 3) and tuple(map(len, t.adj)) == (2, 1, 1, 1, 1, 1, 1)
@@ -91,7 +94,7 @@ def test_build_t_keeps_admission_order():
 
 def test_build_t_matched_side_cap():
     # matched vertex 1 sees three unmatched suitors; degree cap 2 binds
-    m_h = Matching([(1, 2)])
+    m_h = Matching(6, [(1, 2)])
     t = build_t(*_ends_of([(1, 3), (1, 4), (1, 5)]), m_h, b=5, n=6)
     assert frozenset(t.edges) == {(1, 3), (1, 4)}
 
@@ -105,7 +108,7 @@ def test_build_t_caps_hold_on_random_runs():
         b = rnd.choice([2, 3, 5])
         arrivals = s.arrivals()[10:]
         t = build_t(*_ends_of(arrivals), m_h, b, g.n)
-        matched = m_h.partner_map
+        matched = partner_dict(m_h)
         t_edges = frozenset(t.edges)
         for v in range(g.n):
             assert len(t.adj[v]) <= (2 if v in matched else b)
@@ -144,7 +147,7 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
         cut = rnd.randint(1, len(s) // 2)
         m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
         phase2a = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in s.arrivals()[cut:]]
-        matched = m_h.partner_map
+        matched = partner_dict(m_h)
         one_matched = [(x, y) for x, y in phase2a if (x in matched) != (y in matched)]
         for arrivals in (phase2a, one_matched):
             del calls[:]
@@ -155,7 +158,7 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
             capped = ref.edges != reference_build_t(arrivals, m_h, g.n, g.n).edges
             assert len(calls) == capped, trial
         unmatched_capped += capped
-    for m_h in (Matching(), Matching([(0, 1)])):
+    for m_h in (Matching(4), Matching(4, [(0, 1)])):
         assert build_t(*_ends_of([]), m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
     if b == 2:
         assert 0 < unmatched_capped < 25
@@ -165,7 +168,9 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
 
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
-        build_t(*_ends_of([(0, 1), (1, 2)]), Matching([(1, 3)]), b=1, n=4)
+        build_t(*_ends_of([(0, 1), (1, 2)]), Matching(4, [(1, 3)]), b=1, n=4)
+    with pytest.raises(ValueError, match="M_H is on 3 vertices, not 4"):
+        build_t(*_ends_of([(0, 1)]), Matching(3), b=2, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def test_two_b_matching_validates():
 
 
 def test_phase2b_applies_length_one_then_three():
-    m_h = Matching([(1, 2)])
+    m_h = Matching(10, [(1, 2)])
     t = build_t(*_ends_of([(0, 1), (2, 3)]), m_h, b=5, n=10)
     m, applied = phase2b(m_h, t, 42, *_ends_of([(9, 8)]))
     assert len(m) == 3
@@ -184,7 +189,7 @@ def test_phase2b_applies_length_one_then_three():
 
 
 def test_phase2b_length_five_through_current_edge():
-    m_h = Matching([(1, 2), (3, 4)])
+    m_h = Matching(6, [(1, 2), (3, 4)])
     t = build_t(*_ends_of([(0, 1), (4, 5)]), m_h, b=5, n=6)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 3)]))
     assert len(m) == 3
@@ -193,7 +198,7 @@ def test_phase2b_length_five_through_current_edge():
 
 
 def test_phase2b_no_path_leaves_state_unchanged():
-    m_h = Matching([(1, 2), (3, 4)])
+    m_h = Matching(5, [(1, 2), (3, 4)])
     t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=5)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 4)]))  # both endpoints matched, no pattern
     assert m == m_h
@@ -202,7 +207,7 @@ def test_phase2b_no_path_leaves_state_unchanged():
 
 def test_phase2b_rejects_a_path_outside_t(monkeypatch):
     # a search that yields a path whose unmatched edge (2, 3) T lacks
-    m_h = Matching([(1, 2)])
+    m_h = Matching(4, [(1, 2)])
     t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=4)
     monkeypatch.setattr(augmenter, "_augmenting_paths", lambda *args: iter([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
@@ -269,9 +274,9 @@ def test_phase2b_reach_skip_is_exact():
             m.augment(p.vertices)
 
         def walk_reaches(v):
-            return next(_free_ends(v, m.partner_map, t.adj), None) is not None
+            return next(_free_ends(v, m.mate, t.adj), None) is not None
 
-        reach = _reaching(m.partner_map, t)
+        reach = _reaching(m.mate, t)
         assert reach.tolist() == [walk_reaches(v) for v in range(t.n)], trial
         dead = np.flatnonzero(~reach).tolist()
         dead_total += len(dead)
@@ -279,14 +284,35 @@ def test_phase2b_reach_skip_is_exact():
             m.augment(p.vertices)
             later_flips += 1
             assert not any(walk_reaches(v) for v in dead), (trial, p)
-            assert _reaching(m.partner_map, t).tolist() == [walk_reaches(v) for v in range(t.n)]
+            assert _reaching(m.mate, t).tolist() == [walk_reaches(v) for v in range(t.n)]
     assert dead_total > 100 and later_flips > 50
+
+
+def test_free_ends_and_reaching_equal_reference():
+    # the mate-list walk yields what the partner-table walk yields, in
+    # order and with repeats, and `_reaching` is whether it yields any;
+    # the matchings' edges need not lie in T
+    rnd = random.Random(71)
+    last_matched = set()
+    reached = unreached = 0
+    for g, m in random_matched_graphs(72, 400):
+        t = Graph(g.n, [e for e in g.edges if rnd.random() < 0.6 and e not in m])
+        partner = partner_dict(m)
+        want = [reference_free_ends(v, partner, t.adj) for v in range(t.n)]
+        assert [list(_free_ends(v, m.mate, t.adj)) for v in range(t.n)] == want
+        reach = _reaching(m.mate, t).tolist()
+        assert reach == [bool(ends) for ends in want]
+        last_matched.add(m.mate[-1] >= 0)
+        reached += sum(reach)
+        unreached += reach.count(False)
+    assert last_matched == {True, False}
+    assert reached > 1000 and unreached > 500
 
 
 def test_phase2b_anchored_start_four_steps_back_from_e():
     # the first step applies 2-1=7-8 and leaves 3-4 matched; then e=(4, 19)
     # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
-    m_h = Matching([(1, 7), (3, 4)])
+    m_h = Matching(20, [(1, 7), (3, 4)])
     t = build_t(*_ends_of([(1, 2), (7, 8), (1, 10), (2, 3)]), m_h, b=5, n=20)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(3, 7), (4, 19)]))
     assert applied == ((1, 3, (2, 1, 7, 8)), (2, 5, (10, 1, 2, 3, 4, 19)))
@@ -294,8 +320,8 @@ def test_phase2b_anchored_start_four_steps_back_from_e():
 
 
 def test_phase2b_histogram():
-    t = build_t(*_ends_of([]), Matching(), b=2, n=2)
-    _, applied = phase2b(Matching(), t, 1, *_ends_of([(0, 1)]))
+    t = build_t(*_ends_of([]), Matching(2), b=2, n=2)
+    _, applied = phase2b(Matching(2), t, 1, *_ends_of([(0, 1)]))
     assert [p.length for p in applied] == [1]
 
 
@@ -321,12 +347,12 @@ def test_greedy_fills_the_table_as_add_would():
         if not g.edges:
             continue
         s = make_stream(g, trial)
-        want = Matching()
+        want = Matching(g.n)
         for u, v in s.arrivals():
             if not want.is_matched(u) and not want.is_matched(v):
                 want.add(u, v)
         got = greedy_match(s)
-        assert list(got.partner_map.items()) == list(want.partner_map.items())
+        assert got.mate == want.mate
 
 
 def test_greedy_perfect_matching_graph():
@@ -485,16 +511,16 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     events = []  # in call order: ("walk", end, found a free vertex) or ("search", rows)
     free_ends, augmenting_paths = augmenter._free_ends, augmenter._augmenting_paths
 
-    def walked(a, partner_map, adj):
+    def walked(a, mate, adj):
         found = False
-        for v in free_ends(a, partner_map, adj):
+        for v in free_ends(a, mate, adj):
             found = True
             yield v
         events.append(("walk", a, found))
 
-    def searched(partner_map, starts, rows):
+    def searched(mate, starts, rows):
         events.append(("search", list(rows)))
-        return augmenting_paths(partner_map, starts, rows)
+        return augmenting_paths(mate, starts, rows)
 
     monkeypatch.setattr(augmenter, "_free_ends", walked)
     monkeypatch.setattr(augmenter, "_augmenting_paths", searched)

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -31,6 +32,7 @@ from streammatch.graph import (
     MAX_VERTICES,
     _graph_of_canonical,
     _blossom,
+    _augmenting_paths,
     _graph_of_ends,
     _hopcroft_karp,
     _missing_edges,
@@ -39,9 +41,13 @@ from util import (
     apply_augmenting_path,
     exists_augmenting,
     find_augmenting_path,
+    partner_dict,
     random_bipartite,
     random_general,
     random_instance,
+    random_matched_graphs,
+    reference_augment,
+    reference_augmenting_path,
     reference_blossom,
     reference_fill,
     reference_hopcroft_karp,
@@ -168,17 +174,38 @@ def test_bipartition_must_cross():
 
 
 def test_matching_rejects_shared_vertex():
-    m = Matching([(0, 1)])
+    m = Matching(3, [(0, 1)])
     with pytest.raises(ValueError):
         m.add(1, 2)
 
 
 def test_matching_partner_involution():
-    m = Matching([(0, 1), (2, 5)])
-    partner = m.partner_map
-    for v in partner:
-        assert partner.get(partner.get(v)) == v
-    assert partner.get(3) is None
+    m = Matching(6, [(0, 1), (2, 5)])
+    mate = m.mate
+    for v in range(6):
+        assert mate[v] < 0 or mate[mate[v]] == v
+    assert mate == [1, 0, 5, -1, -1, 2]
+
+
+def test_matching_guards_vertices_outside_the_mate_list():
+    # mate[-1] would read the last vertex, which is matched here
+    m = Matching(4, [(1, 3)])
+    assert (3, 1) in m and (1, 3) in m
+    for u, v in ((-1, 1), (-3, 3), (4, 1), (0, -1), (2, -1), (1, 4)):
+        assert (u, v) not in m
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            m.is_matched(v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            m.add(0, v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=4"):
+            m.add(v, 2)
+        with pytest.raises(NotAugmentingError, match=f"vertex {v} out of range"):
+            m.augment([v, 0])
+    assert m.mate == [-1, 3, -1, 1] and len(m) == 1
+    with pytest.raises(ValueError, match="vertex 0 out of range for n=0"):
+        Matching(0, [(0, 1)])
+    assert len(Matching(0)) == 0 and list(Matching(0)) == []
 
 
 def test_path_requires_adjacent_distinct_vertices():
@@ -510,13 +537,13 @@ def test_matching_from_mate_array_equals_added_edges():
         mate = [-1] * g.n
         for u, v in m.edges:
             mate[u], mate[v] = v, u
-        expected = Matching()
+        expected = Matching(g.n)
         for v in range(g.n):
             if mate[v] > v:
                 expected.add(v, mate[v])
-        got = Matching._from_mate(mate)
-        assert got == expected
-        assert list(got.partner_map.items()) == list(expected.partner_map.items())
+        assert m == expected
+        assert m.mate == expected.mate == mate
+        assert len(m) == len(expected) == sum(w >= 0 for w in mate) // 2
 
 
 def test_blossom_odd_cycle_with_tail():
@@ -561,18 +588,18 @@ def test_blossom_containing_the_root():
 
 
 def test_find_augmenting_length_one():
-    p = find_augmenting_path(Matching(), [(0, 1)], 1)
+    p = find_augmenting_path(Matching(2), [(0, 1)], 1)
     assert p.vertices == (0, 1)
 
 
 def test_find_augmenting_length_three():
-    m = Matching([(1, 2)])
+    m = Matching(4, [(1, 2)])
     p = find_augmenting_path(m, [(0, 1), (1, 2), (2, 3)], 3)
     assert p.vertices == (0, 1, 2, 3)
 
 
 def test_find_augmenting_length_five():
-    m = Matching([(1, 2), (3, 4)])
+    m = Matching(6, [(1, 2), (3, 4)])
     allowed = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     p = find_augmenting_path(m, allowed, 5)
     assert p.vertices == (0, 1, 2, 3, 4, 5)
@@ -581,19 +608,19 @@ def test_find_augmenting_length_five():
 
 def test_find_augmenting_requires_matching_in_allowed():
     with pytest.raises(ValueError):
-        find_augmenting_path(Matching([(0, 1)]), [(1, 2)], 3)
+        find_augmenting_path(Matching(3, [(0, 1)]), [(1, 2)], 3)
 
 
 def test_find_augmenting_rejects_bad_max_len():
     with pytest.raises(ValueError):
-        find_augmenting_path(Matching(), [(0, 1)], 4)
+        find_augmenting_path(Matching(2), [(0, 1)], 4)
 
 
 def test_find_augmenting_agrees_with_enumeration():
     rnd = random.Random(424242)
     for _ in range(200):
         g = random_instance(rnd, max_n=12)
-        m = Matching()
+        m = Matching(g.n)
         for u, v in g.edges:  # greedy sub-matching to augment against
             if rnd.random() < 0.4 and not m.is_matched(u) and not m.is_matched(v):
                 m.add(u, v)
@@ -607,17 +634,17 @@ def test_find_augmenting_agrees_with_enumeration():
 
 def test_apply_augmenting_examples():
     p1 = Path([0, 1], [(0, 1)])
-    assert apply_augmenting_path(Matching(), p1).edges == frozenset({(0, 1)})
-    m = Matching([(1, 2)])
+    assert apply_augmenting_path(Matching(2), p1).edges == frozenset({(0, 1)})
+    m = Matching(4, [(1, 2)])
     p3 = Path([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
     assert apply_augmenting_path(m, p3).edges == frozenset({(0, 1), (2, 3)})
-    m5 = Matching([(1, 2), (3, 4)])
+    m5 = Matching(6, [(1, 2), (3, 4)])
     p5 = Path([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     assert apply_augmenting_path(m5, p5).edges == frozenset({(0, 1), (2, 3), (4, 5)})
 
 
 def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
-    m = Matching([(1, 2)])
+    m = Matching(7, [(1, 2)])
 
     def flip(verts, augments):
         before = m.copy()
@@ -626,39 +653,124 @@ def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
         else:
             with pytest.raises(NotAugmentingError):
                 m.augment(verts)
-        # every view of the matching agrees with its partner table
-        partner = m.partner_map
-        assert all(partner[v] == u for u, v in partner.items())
-        pairs = frozenset(edge_key(u, v) for u, v in partner.items())
+        # every view of the matching agrees with its mate list
+        mate = m.mate
+        assert all(w < 0 or mate[w] == v for v, w in enumerate(mate))
+        pairs = frozenset(edge_key(v, w) for v, w in enumerate(mate) if w >= 0)
         assert len(m) == len(pairs) and m.edges == pairs and list(m) == sorted(pairs)
         for u in range(7):
             for v in range(7):
                 assert ((u, v) in m) == (edge_key(u, v) in pairs) == ((v, u) in m)
         assert m == m.copy() and hash(m) == hash(m.copy())
-        assert (m == before) == (partner == before.partner_map) == (not augments)
+        assert (m == before) == (mate == before.mate) == (not augments)
 
     for bad in ([0, 1, 2, 1], [0, 1, 3, 4], [1, 2], [0, 1, 2]):
         flip(bad, False)
         assert m.edges == frozenset({(1, 2)})
     flip([0, 1, 2, 3], True)
     assert m.edges == frozenset({(0, 1), (2, 3)})
-    assert m.partner_map.get(1) == 0 and m.partner_map.get(2) == 3
+    assert m.mate[1] == 0 and m.mate[2] == 3
     flip([4, 0, 1, 2], False)
     flip([4, 0, 2, 3, 1, 5], False)
     flip([4, 0, 1, 2, 3, 5], True)
     assert m.edges == frozenset({(0, 4), (1, 2), (3, 5)})
-    assert m == Matching([(5, 3), (2, 1), (4, 0)]) and m != Matching([(0, 5), (1, 2), (3, 4)])
+    assert m == Matching(7, [(5, 3), (2, 1), (4, 0)])
+    assert m != Matching(7, [(0, 5), (1, 2), (3, 4)])
+
+
+def test_augmenting_paths_equal_reference():
+    # every path the resumed search yields is what a fresh search over the
+    # partner table finds on the matching as it stands, and none is left
+    last_matched = set()
+    lengths = set()
+    for g, m in random_matched_graphs(55, 600):
+        last_matched.add(m.mate[-1] >= 0)
+        for verts in _augmenting_paths(m.mate, range(g.n), g.adj):
+            assert verts == reference_augmenting_path(partner_dict(m), range(g.n), g.adj)
+            m.augment(verts)
+            lengths.add(len(verts) - 1)
+        assert reference_augmenting_path(partner_dict(m), range(g.n), g.adj) is None
+    assert last_matched == {True, False}
+    assert lengths == {1, 3, 5}
+
+
+def test_matching_augment_equals_reference():
+    # augmenting paths, their reversals, and broken variants of them: the
+    # flip gives the reference's partner table, or both reject the path
+    # and the matching is left as it was
+    rnd = random.Random(56)
+    flipped = rejected = 0
+    last_flipped = set()
+    for g, m in random_matched_graphs(57, 400):
+        verts = reference_augmenting_path(partner_dict(m), range(g.n), g.adj)
+        if verts is None:
+            continue
+        broken = verts[:]
+        i, j = rnd.randrange(len(verts)), rnd.randrange(g.n)
+        broken[i] = j
+        for seq in (verts, verts[::-1], broken, verts[:-1], verts + [rnd.randrange(g.n)]):
+            try:
+                want = reference_augment(partner_dict(m), seq)
+            except NotAugmentingError:
+                want = None
+            got = m.copy()
+            if want is None:
+                with pytest.raises(NotAugmentingError):
+                    got.augment(seq)
+                assert got == m
+                rejected += 1
+            else:
+                got.augment(seq)
+                assert partner_dict(got) == want
+                assert len(got) == len(m) + 1
+                flipped += 1
+                last_flipped.add(g.n - 1 in seq)
+    assert flipped > 500 and rejected > 500 and last_flipped == {True, False}
+
+
+class _RowReads(Sequence):
+    """Adjacency rows that count how often a row is read."""
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.adj[v]
+
+    def __len__(self):
+        return len(self.adj)
+
+
+def test_blossom_pruning_reads_fewer_rows():
+    # a_i = 2i is matched to the leaf b_i = 2i + 1 by the greedy start,
+    # and every root r_j = 2k + j sees every a_i. The search from r_0
+    # fails and leaves the Hungarian tree r_0, a_i, b_i. The reference
+    # reads every b_i's row again from each later root, k + 1 rows per
+    # root; the pruned search skips the dead a_i and reads one row per
+    # later root. The count is deterministic, so no timing is needed
+    k, roots = 40, 10
+    n = 2 * k + roots
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    edges += [(2 * i, 2 * k + j) for i in range(k) for j in range(roots)]
+    g = Graph(n, edges)
+    pruned, full = _RowReads(g.adj), _RowReads(g.adj)
+    mate = _blossom(n, pruned)
+    assert mate == reference_blossom(n, full)
+    assert mate == [i + 1 - 2 * (i % 2) if i < 2 * k else -1 for i in range(n)]
+    assert pruned.reads < full.reads
 
 
 def test_apply_augmenting_rejects_matched_endpoint():
-    m = Matching([(0, 1)])
+    m = Matching(3, [(0, 1)])
     p = Path([1, 2], [(1, 2)])
     with pytest.raises(NotAugmentingError):
         apply_augmenting_path(m, p)
 
 
 def test_apply_augmenting_rejects_broken_alternation():
-    m = Matching([(1, 2)])
+    m = Matching(4, [(1, 2)])
     p = Path([0, 3], [(0, 3)])  # fine: length 1, no alternation to break
     assert len(apply_augmenting_path(m, p)) == 2
     bad = Path([0, 1, 2], [(0, 1), (1, 2)])  # even length

@@ -3,7 +3,12 @@ brute-force oracles, and the references that the library code must
 agree with: the adjacency fill, textbook Hopcroft-Karp, the blossom
 search without tree pruning, the unanchored Phase II.B loop, the
 per-edge Phase I and Phase II.A loops, the per-matching induced-family
-check and the census that walks every component in full."""
+check and the census that walks every component in full.
+
+The references that walk a matching walk a vertex -> partner dict
+(`partner_dict`), not the library's mate list, so that a fault in a
+mate-list walk, such as reading mate[-1] for a free vertex, shows up
+as a disagreement."""
 
 from __future__ import annotations
 
@@ -14,12 +19,86 @@ from typing import Iterable, Iterator, Sequence
 from streammatch import Graph, Matching, Path, PathCensus, edge_key
 from streammatch.graph import (
     Edge,
-    _augmenting_paths,
+    NotAugmentingError,
     _ends_of,
     _graph_of_canonical,
     _greedy_mates,
     _missing_edges,
 )
+
+
+def partner_dict(m: Matching) -> dict[int, int]:
+    """The matching's vertex -> partner table, in ascending vertex order:
+    the form every matching walk in this module reads."""
+    return {v: w for v, w in enumerate(m.mate) if w >= 0}
+
+
+def reference_augment(partner: dict[int, int], vertices: Sequence[int]) -> dict[int, int]:
+    """The partner table after flipping the augmenting path `vertices`,
+    as a new dict: `Matching.augment` must give the same table. Raises
+    NotAugmentingError unless the path has odd length, distinct
+    vertices, unmatched endpoints and every second edge matched."""
+    vs = list(vertices)
+    if not vs or len(vs) % 2 or len(set(vs)) != len(vs):
+        raise NotAugmentingError("not an odd path on distinct vertices")
+    if vs[0] in partner or vs[-1] in partner:
+        raise NotAugmentingError("path endpoints must be unmatched")
+    if any(partner.get(u) != v for u, v in zip(vs[1:-1:2], vs[2:-1:2])):
+        raise NotAugmentingError("alternation fails")
+    out = dict(partner)
+    for u, v in zip(vs[::2], vs[1::2]):
+        out[u] = v
+        out[v] = u
+    return out
+
+
+def reference_augmenting_path(partner: dict[int, int], starts, adj) -> list[int] | None:
+    """First augmenting path of length 1, 3 or 5 by a fresh search over
+    the partner table: shortest first, then from the lowest free start,
+    then by ascending neighbour index. Every path the library's resumed
+    search `graph._augmenting_paths` yields must be this one, taken on
+    the matching as it stands when the path is yielded."""
+    free = [u for u in starts if u not in partner]
+    for u in free:
+        for v in adj[u]:
+            if v not in partner:
+                return [u, v]
+    for u in free:
+        for x1 in adj[u]:
+            x2 = partner.get(x1)
+            if x2 is None:
+                continue
+            for w in adj[x2]:
+                if w != u and w not in partner:
+                    return [u, x1, x2, w]
+    for u in free:
+        for x1 in adj[u]:
+            x2 = partner.get(x1)
+            if x2 is None:
+                continue
+            for x3 in adj[x2]:
+                if x3 == x1 or x3 == u or x3 not in partner:
+                    continue
+                x4 = partner[x3]
+                for w in adj[x4]:
+                    if w != u and w not in partner:
+                        return [u, x1, x2, x3, x4, w]
+    return None
+
+
+def reference_free_ends(a: int, partner: dict[int, int], adj) -> list[int]:
+    """The free vertices, with repeats, that the walk from `a` over the
+    partner table reaches: `a` if free, else mate -> neighbour, then once
+    more mate -> neighbour. `augmenter._free_ends` must yield the same."""
+    if a not in partner:
+        return [a]
+    ends = []
+    for y in adj[partner[a]]:
+        if y not in partner:
+            ends.append(y)
+            continue
+        ends.extend(w for w in adj[partner[y]] if w not in partner)
+    return ends
 
 
 def reference_fill(n: int, edges: Iterable[tuple[int, int]]):
@@ -121,6 +200,33 @@ def random_instance(rnd: random.Random, max_n: int = 10) -> Graph:
     return random_bipartite(rnd, left, right, p)
 
 
+def random_matched_graphs(
+    seed: int, count: int, max_n: int = 14
+) -> Iterator[tuple[Graph, Matching]]:
+    """(g, m) pairs: seeded random general and bipartite graphs with at
+    least two vertices, each with a random matching of its own edges.
+    In every other pair the last vertex n-1 is matched when it has an
+    edge, in the others it is left free, so that a walk that reads
+    mate[-1] for a free vertex would read a real mate in some pairs."""
+    rnd = random.Random(seed)
+    for i in range(count):
+        g = random_instance(rnd, max_n)
+        if g.n < 2:
+            continue
+        last = g.n - 1
+        m = Matching(g.n)
+        edges = rnd.sample(g.edges, len(g.edges))
+        if i % 2:
+            edges = [e for e in edges if last not in e]
+        else:
+            edges.sort(key=lambda e: last not in e)  # an edge at n-1 first
+        q = rnd.random()
+        for u, v in edges:
+            if (last in (u, v) or rnd.random() < q) and not (m.is_matched(u) or m.is_matched(v)):
+                m.add(u, v)
+        yield g, m
+
+
 def enumerate_matchings(g: Graph):
     """Yield every matching of g as a frozenset of edges (includes empty)."""
     edges = g.edges
@@ -208,11 +314,10 @@ def find_augmenting_path(
         adj.setdefault(v, []).append(u)
     for lst in adj.values():
         lst.sort()
-    # the first path yielded is a shortest one, so none fits when it does not
-    # every vertex that a search reaches is an end of an allowed edge, so
-    # it is a key of adj
-    paths = _augmenting_paths(matching.partner_map, sorted(adj), adj)
-    verts = next(paths, None)
+    # the first path found is a shortest one, so none fits when it does
+    # not; every vertex that a search reaches is an end of an allowed
+    # edge, so it is a key of adj
+    verts = reference_augmenting_path(partner_dict(matching), sorted(adj), adj)
     if verts is None or len(verts) - 1 > max_len:
         return None
     return Path(verts, allowed_set)
@@ -249,7 +354,7 @@ def reference_build_t(phase2a, m_h: Matching, b: int, n: int) -> Graph:
     2 and the other below b. `augmenter.build_t` must build the same T."""
     if b < 2:
         raise ValueError("b must be at least 2")
-    matched = m_h.partner_map
+    matched = partner_dict(m_h)
     deg = [0] * n
     chosen: list[Edge] = []
     for x, y in phase2a:
@@ -447,12 +552,12 @@ def reference_path_census(m_star: Matching, m_h: Matching) -> PathCensus:
     Components of a symmetric difference are paths or even cycles. A path
     component ends at the vertices that only one of the two matchings
     covers, and is walked from its lower end by alternating the two
-    partner maps. It augments m_h exactly when its end edges come from
+    partner tables. It augments m_h exactly when its end edges come from
     m_star, which makes its length odd. Cycles have no such end and are
     never walked.
     """
-    star = m_star.partner_map
-    h = m_h.partner_map
+    star = partner_dict(m_star)
+    h = partner_dict(m_h)
     diff = m_star.edges ^ m_h.edges
     far_ends: set[int] = set()
     paths: list[Path] = []
@@ -469,4 +574,5 @@ def reference_path_census(m_star: Matching, m_h: Matching) -> PathCensus:
         far_ends.add(seq[-1])
         if v in star and len(seq) % 2 == 0 and len(seq) <= 6:
             paths.append(Path(seq, diff))
-    return PathCensus(tuple(paths), m_star_size=len(m_star), m_h_size=len(m_h))
+    walks = tuple(p.vertices for p in paths)
+    return PathCensus(walks, m_star_size=len(m_star), m_h_size=len(m_h))
