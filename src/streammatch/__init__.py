@@ -37,12 +37,10 @@ from .graph import (
     Matching,
     NotAugmentingError,
     NotBipartiteError,
-    Path,
     brute_force_matching_size,
     edge_key,
     max_matching,
     read_edge_list,
-    write_edge_list,
 )
 from .instances import (
     HardInstance,

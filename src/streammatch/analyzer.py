@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, Path, _missing_edges, edge_key
+from .graph import Edge, Graph, Matching, _missing_edges, edge_key
 from .sparsifier import AlgoParams
 from .stream import EdgeStream, Phase, phase1_cut
 
@@ -149,14 +149,7 @@ class PathCensus:
     walks: tuple[tuple[int, ...], ...]
     m_star_size: int
     m_h_size: int
-    lucky: tuple[Path, ...] | None = None
-
-    @property
-    def paths(self) -> tuple[Path, ...]:
-        """The walks as `Path` objects, built on each read. The census
-        checked the walks when it took them, so each is allowed exactly
-        its own edges."""
-        return tuple(Path(w, {edge_key(a, b) for a, b in zip(w, w[1:])}) for w in self.walks)
+    lucky: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def counts(self) -> dict[int, int]:
@@ -169,8 +162,8 @@ class PathCensus:
     def lucky_counts(self) -> dict[int, int]:
         out = {1: 0, 3: 0, 5: 0}
         if self.lucky:
-            for p in self.lucky:
-                out[len(p.edges)] += 1
+            for w in self.lucky:
+                out[len(w) - 1] += 1
         return out
 
     @property
@@ -204,9 +197,9 @@ def path_census(m_star: Matching, m_h: Matching) -> PathCensus:
     path of length at most five, and it is recorded from its lower end,
     whose walk comes first. Cycles have no such end and are never walked.
 
-    Each recorded walk is checked as a `Path` in m_star ^ m_h would be:
-    its vertices are distinct, and each step is an edge of exactly one of
-    the two matchings; ValueError names the first fault.
+    Each recorded walk is checked to be a path of m_star ^ m_h: its
+    vertices are distinct, and each step is an edge of exactly one of the
+    two matchings; ValueError names the first fault.
     """
     star, h = m_star.mate, m_h.mate
     if len(star) != len(h):
@@ -244,18 +237,18 @@ def _check_walk(seq: tuple[int, ...], star: list[int], h: list[int]) -> None:
 
 
 def classify_lucky(census: PathCensus, phase_of: Mapping[Edge, Phase]) -> PathCensus:
-    """Mark the census paths whose decisive edges landed in the right
+    """Mark the census walks whose decisive edges landed in the right
     phases: a length-1 path needs its edge in II.B, a length-3 path needs
     both end edges in II.A, and a length-5 path needs both end edges in
-    II.A and its middle edge in II.B."""
-    paths = census.paths
-    for p in paths:
-        for e in p.edges:
+    II.A and its middle edge in II.B. Every edge of every walk must have a
+    phase, or UnknownEdgeError names the first that has none."""
+    walk_edges = [[edge_key(a, b) for a, b in zip(w, w[1:])] for w in census.walks]
+    for es in walk_edges:
+        for e in es:
             if e not in phase_of:
                 raise UnknownEdgeError(e)
-    lucky: list[Path] = []
-    for p in paths:
-        es = p.edges
+    lucky = []
+    for w, es in zip(census.walks, walk_edges):
         if len(es) == 1:
             good = phase_of[es[0]] is Phase.IIB
         elif len(es) == 3:
@@ -267,5 +260,5 @@ def classify_lucky(census: PathCensus, phase_of: Mapping[Edge, Phase]) -> PathCe
                 and phase_of[es[2]] is Phase.IIB
             )
         if good:
-            lucky.append(p)
+            lucky.append(w)
     return replace(census, lucky=tuple(lucky))

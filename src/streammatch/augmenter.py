@@ -320,18 +320,17 @@ def beats23_match(
     # none outside, its adjacency is H | U's own, so max_matching would
     # return the H | U matching edge for edge
     hu = sp.hu_graph
+    final = m_hu = max_matching(hu)
     extra = sorted(_missing_edges(hu.adj, m_aug))
     if extra:
         final = max_matching(_graph_plus(hu, _ends_of(extra)))
-    else:
-        final = sp.hu_matching
     diag = TrialDiagnostics(
         split=split,
         sparsifier=sp,
         t=t,
         m_h=m_h,
         m_aug=m_aug,
-        mu_hu=len(sp.hu_matching),
+        mu_hu=len(m_hu),
         applied=applied,
     )
     return final, diag

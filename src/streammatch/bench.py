@@ -203,7 +203,7 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
     else:
         if config.algo == "bernstein":
             sp = run_sparsifier(stream, config.params)
-            out = sp.hu_matching
+            out = max_matching(sp.hu_graph)
             m_h, mu_hu = max_matching(sp.h), len(out)
         else:
             rng = np.random.default_rng(algo_seed)

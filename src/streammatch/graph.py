@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain, compress
 from operator import index
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -407,48 +407,6 @@ class Matching:
 
     def __repr__(self) -> str:
         return f"Matching({len(self.mate)}, {list(self)})"
-
-
-class Path:
-    """Simple path given as a vertex sequence.
-
-    `allowed` holds canonical (min, max) edges and is only probed with
-    `in`, never copied: pass a set the caller already has, and a path
-    costs O(its length). Consecutive vertices must be joined by an edge of
-    `allowed`, and vertices must be distinct. Paths compare by their
-    vertex sequences.
-    """
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, vertices: Iterable[int], allowed: Container[Edge]):
-        vs = tuple(vertices)
-        if len(vs) < 2:
-            raise ValueError("a path needs at least two vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("path vertices must be pairwise distinct")
-        es = []
-        for a, b in zip(vs, vs[1:]):
-            e = (a, b) if a < b else (b, a)
-            if e not in allowed:
-                raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
-            es.append(e)
-        self.vertices = vs
-        self.edges: tuple[Edge, ...] = tuple(es)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"Path({list(self.vertices)})"
 
 
 # ---------------------------------------------------------------------------
@@ -870,24 +828,10 @@ def read_edge_list(path) -> Graph:
     return Graph(n, edges, bipartition)
 
 
-def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in the edge-list format read by read_edge_list.
-
-    A bipartition tag is only representable when the left side is the
-    contiguous prefix 0..L-1.
-    """
-    left_size = None
-    if g.bipartition is not None:
-        left = g.bipartition[0]
-        left_size = len(left)
-        if left != frozenset(range(left_size)):
-            raise ValueError("bipartition is not a contiguous prefix; cannot serialize")
-    _write_edges(path, g.n, g.edges, left_size)
-
-
 def _write_edges(path, n: int, edges: Sequence[Edge], left_size: int | None = None) -> None:
-    """Write n and the edges, in their order, in the edge-list format, with
-    a bipartite tag when left_size is given. The caller vouches for the
+    """Write n and the edges, in their order, in the edge-list format that
+    read_edge_list reads, with a bipartite tag when left_size is given:
+    the left side is then 0..left_size-1. The caller vouches for the
     edges: they are not checked."""
     header = f"{n} {len(edges)}"
     if left_size is not None:

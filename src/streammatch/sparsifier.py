@@ -132,15 +132,6 @@ class Sparsifier:
         lows, highs = stream.ends(1, len(stream))
         return _graph_plus(self.h, (lows[index], highs[index]))
 
-    @cached_property
-    def hu_matching(self) -> Matching:
-        """Maximum matching of H | U, the sparsifier's output, computed
-        once. When H | U is the stream's graph, it is read from the mate
-        array that `max_matching` keeps on that graph, so once G has been
-        matched exactly, as `run_trials` does for mu(G), it costs one pass
-        over that array. Callers must not modify it."""
-        return max_matching(self.hu_graph)
-
 
 def phase1_build_h(
     lows: np.ndarray,
@@ -246,4 +237,4 @@ def run_sparsifier(stream: EdgeStream, params: AlgoParams) -> Sparsifier:
 
 def bernstein_match(stream: EdgeStream, params: AlgoParams) -> Matching:
     """Stream once, then return a maximum matching of H | U."""
-    return run_sparsifier(stream, params).hu_matching
+    return max_matching(run_sparsifier(stream, params).hu_graph)

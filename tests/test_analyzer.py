@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -14,6 +15,7 @@ from streammatch import (
     check_dichotomy,
     check_edcs,
     classify_lucky,
+    edge_key,
     make_stream,
     matched_base,
     max_matching,
@@ -238,7 +240,7 @@ def test_dichotomy_sweep_on_sparsifier_runs():
 def test_census_identical_matchings():
     m = Matching(4, [(0, 1), (2, 3)])
     cen = path_census(m, m)
-    assert cen.paths == ()
+    assert cen.walks == ()
     assert cen.short_path_bound_holds  # 0 >= |M*| - (4/3)|M*|
 
 
@@ -256,7 +258,7 @@ def test_census_collects_three_and_five_paths():
     # component 0-1-2-3 is a length-3 augmenting path; 4-5-6-7 is an
     # alternating path that starts with an M_H edge, so not augmenting
     assert cen.counts == {1: 1, 3: 1, 5: 0}
-    lengths = sorted(len(p.edges) for p in cen.paths)
+    lengths = sorted(len(w) - 1 for w in cen.walks)
     assert lengths == [1, 3]
 
 
@@ -265,7 +267,7 @@ def test_census_ignores_long_paths_and_cycles():
     m_h = Matching(18, [(0, 1), (2, 3), (11, 12), (13, 14), (15, 16)])
     m_star = Matching(18, [(1, 2), (0, 3), (10, 11), (12, 13), (14, 15), (16, 17)])
     cen = path_census(m_star, m_h)
-    assert cen.paths == ()
+    assert cen.walks == ()
 
 
 def test_census_structure_on_random_instances():
@@ -281,11 +283,11 @@ def test_census_structure_on_random_instances():
                 m_h.add(u, v)
         cen = path_census(m_star, m_h)
         assert cen.short_path_bound_holds
-        for p in cen.paths:
-            assert len(p.edges) in (1, 3, 5)
-            assert not m_h.is_matched(p.vertices[0])
-            assert not m_h.is_matched(p.vertices[-1])
-            for i, e in enumerate(p.edges):
+        for w in cen.walks:
+            assert len(w) - 1 in (1, 3, 5)
+            assert not m_h.is_matched(w[0])
+            assert not m_h.is_matched(w[-1])
+            for i, e in enumerate(zip(w, w[1:])):
                 assert (e in m_h) == (i % 2 == 1)
 
 
@@ -316,11 +318,9 @@ def test_census_equals_reference():
     for m_star, m_h in _random_matching_pairs(12, 2000):
         got, want = path_census(m_star, m_h), reference_path_census(m_star, m_h)
         assert got.walks == want.walks
-        assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
-        assert [p.edges for p in got.paths] == [p.edges for p in want.paths]
         assert (got.m_star_size, got.m_h_size) == (want.m_star_size, want.m_h_size)
         assert got.counts == want.counts
-        lengths.update(len(p) for p in got.paths)
+        lengths.update(len(w) - 1 for w in got.walks)
         last_matched.add((m_star.mate[-1] >= 0, m_h.mate[-1] >= 0))
     assert lengths == {1, 3, 5}
     assert len(last_matched) == 4
@@ -344,7 +344,7 @@ def test_census_bound_holds_for_any_two_matchings():
     for m_star, m_h in _random_matching_pairs(13, 2000):
         cen = path_census(m_star, m_h)
         assert cen.short_path_bound_holds, (m_star, m_h)
-        tight += 3 * len(cen.paths) - 3 * len(m_star) + 4 * len(m_h) <= 2 and len(m_h) > 0
+        tight += 3 * len(cen.walks) - 3 * len(m_star) + 4 * len(m_h) <= 2 and len(m_h) > 0
     assert tight > 0
 
 
@@ -386,8 +386,8 @@ def test_census_golden_paths():
     lengths = set()
     for m_star, m_h in _golden_census_pairs():
         cen = path_census(m_star, m_h)
-        digest.update(repr([p.vertices for p in cen.paths]).encode())
-        lengths.update(len(p) for p in cen.paths)
+        digest.update(repr(list(cen.walks)).encode())
+        lengths.update(len(w) - 1 for w in cen.walks)
     assert lengths == {1, 3, 5}
     assert digest.hexdigest() == GOLDEN_CENSUS
 
@@ -406,8 +406,8 @@ def test_classify_lucky_cases():
     cen = _census_fixture()
     assert cen.counts == {1: 1, 3: 1, 5: 1}
     phases = {}
-    for p in cen.paths:
-        es = p.edges
+    for w in cen.walks:
+        es = [edge_key(a, b) for a, b in zip(w, w[1:])]
         if len(es) == 1:
             phases[es[0]] = Phase.IIB
         elif len(es) == 3:
@@ -432,11 +432,43 @@ def test_classify_lucky_unknown_edge():
 
 def test_classify_lucky_idempotent():
     cen = _census_fixture()
-    phases = {e: Phase.IIA for p in cen.paths for e in p.edges}
+    phases = {edge_key(a, b): Phase.IIA for w in cen.walks for a, b in zip(w, w[1:])}
     first = classify_lucky(cen, phases)
     second = classify_lucky(first, phases)
-    assert [p.vertices for p in first.lucky] == [p.vertices for p in second.lucky]
-    assert first.paths == cen.paths
+    assert first.lucky == second.lucky
+    assert first.walks == cen.walks
+
+
+# SHA-256 over _random_matching_pairs(14, 800), each with a phase map
+# drawn at random from I, II.A and II.B for its walks' edges, of the
+# census walks, which of them classify_lucky marks lucky, and the lucky
+# counts. It pins the lucky rule for every path length; re-record it only
+# for a change meant to alter that rule.
+LUCKY_GOLDEN = "f58c500841d9de5f4a758b41bff74e260847974de2c45491af904f36a85e5f29"
+
+
+def test_classify_lucky_golden():
+    rnd = random.Random(15)
+    digest = hashlib.sha256()
+    totals = {1: 0, 3: 0, 5: 0}
+    for m_star, m_h in _random_matching_pairs(14, 800):
+        cen = path_census(m_star, m_h)
+        phases = {
+            edge_key(a, b): rnd.choice((Phase.I, Phase.IIA, Phase.IIB))
+            for w in cen.walks
+            for a, b in zip(w, w[1:])
+        }
+        out = classify_lucky(cen, phases)
+        # each walk classified on its own: the lucky entries of the whole
+        # census are those of its lucky walks, in census order
+        alone = [classify_lucky(dataclasses.replace(cen, walks=(w,)), phases) for w in cen.walks]
+        assert out.lucky == tuple(x for one in alone for x in one.lucky)
+        flags = [len(one.lucky) for one in alone]
+        digest.update(repr((cen.walks, flags, sorted(out.lucky_counts.items()))).encode())
+        for k, v in out.lucky_counts.items():
+            totals[k] += v
+    assert all(totals.values()), totals
+    assert digest.hexdigest() == LUCKY_GOLDEN
 
 
 def test_lucky_rate_small_monte_carlo():
@@ -451,7 +483,7 @@ def test_lucky_rate_small_monte_carlo():
     n = 6 * comps
     cen = path_census(Matching(n, m_star_edges), Matching(n, m_h_edges))
     assert cen.counts[5] == comps
-    edges = [e for p in cen.paths for e in p.edges]
+    edges = [edge_key(a, b) for w in cen.walks for a, b in zip(w, w[1:])]
     rng = np.random.default_rng(31337)
     trials = 400
     lucky_total = 0
@@ -462,6 +494,7 @@ def test_lucky_rate_small_monte_carlo():
         for rank, idx in enumerate(perm):
             phases[edges[idx]] = Phase.IIA if rank < tau else Phase.IIB
         lucky_total += classify_lucky(cen, phases).lucky_counts[5]
+    assert lucky_total == 698  # exact for these seeded draws
     rate = lucky_total / (trials * comps)
     p = 4 / 27
     se = math.sqrt(p * (1 - p) / (trials * comps))

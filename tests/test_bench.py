@@ -23,7 +23,7 @@ from streammatch import (
 )
 from streammatch.bench import trial_seeds
 from streammatch.cli import main
-from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT
+from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _write_edges
 
 
 def _config(algo="beats23", trials=4, checks=CheckConfig(), kind="bipartite-gnp", n=30, p=0.2):
@@ -68,11 +68,8 @@ def test_trial_seeds_are_stable_and_distinct():
 
 
 def test_greedy_on_perfect_matching_all_ratio_one(tmp_path):
-    import streammatch
-
-    g = streammatch.Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
     path = tmp_path / "pm.edges"
-    streammatch.write_edge_list(g, path)
+    _write_edges(path, 20, [(2 * i, 2 * i + 1) for i in range(10)])
     cfg = TrialConfig(algo="greedy", instance_path=str(path), trials=10, seed=3)
     report = run_trials(cfg, max_workers=1)
     assert all(r.ratio == 1.0 for r in report.records)
@@ -215,18 +212,50 @@ def test_trials_leave_no_cyclic_garbage(kind, tmp_path):
             gc.enable()
 
 
+@pytest.mark.parametrize("kind, keeps_all", [("gnp", True), ("gadget", False)])
+def test_trial_solves_each_graph_at_most_once(kind, keeps_all, tmp_path, monkeypatch):
+    # max_matching keeps a graph's mate array on it: a trial solves no
+    # adjacency twice, and where H | U is G it reads the mates of the
+    # set-up's mu(G) solve instead of solving G again
+    import streammatch.bench as bench
+    import streammatch.graph as graph
+    from streammatch import make_stream, run_sparsifier
+
+    solved = []
+    for name in ("_hopcroft_karp", "_blossom"):
+        def recording(n, adj, *rest, solve=getattr(graph, name)):
+            solved.append(adj)
+            return solve(n, adj, *rest)
+
+        monkeypatch.setattr(graph, name, recording)
+    configs, g, mu_g = _instance_configs(kind, tmp_path)
+    assert len(solved) == 1 and solved[0] is g.adj
+    for config in (c for c in configs if c.algo != "greedy"):
+        assert config.checks.census
+        stream = make_stream(g, trial_seeds(config.seed, 0)[0])
+        assert (run_sparsifier(stream, config.params).hu_graph is g) == keeps_all
+        solved.clear()
+        bench.run_one_trial(config, g, mu_g, 0)
+        # by content, so that a rebuilt copy of a solved graph counts too
+        rows = [tuple(map(tuple, adj)) for adj in solved]
+        assert len(set(rows)) == len(rows), config.algo
+        assert tuple(map(tuple, g.adj)) not in rows, config.algo
+        if keeps_all:  # H and the census's Phase II graph only
+            assert len(solved) == 2, config.algo
+
+
 @pytest.mark.parametrize("source", ["bipartite-gnp", "general-gnp", "edge-list"])
 def test_load_instance_leaves_no_cyclic_garbage(source, tmp_path):
     # load_instance pauses the cycle collector too; "bipartite-gnp" is the
     # dense-c10 instance, bipartite G(n, p) with n=400 per side and p=0.05
     import streammatch.bench as bench
-    from streammatch import write_edge_list
 
     gen = {"bipartite-gnp": GeneratorSpec("bipartite-gnp", 400, 0.05),
            "general-gnp": GeneratorSpec("general-gnp", 300, 0.05)}
     if source == "edge-list":
         path = tmp_path / "g.edges"
-        write_edge_list(bench.load_instance(TrialConfig("greedy", gen=gen["general-gnp"])), path)
+        g = bench.load_instance(TrialConfig("greedy", gen=gen["general-gnp"]))
+        _write_edges(path, g.n, g.edges)
         config = TrialConfig("greedy", instance_path=str(path))
     else:
         config = TrialConfig("greedy", gen=gen[source], seed=1)

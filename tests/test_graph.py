@@ -11,7 +11,6 @@ from streammatch import (
     Graph,
     Matching,
     NotAugmentingError,
-    Path,
     augmenter,
     beats23_match,
     brute_force_matching_size,
@@ -26,7 +25,6 @@ from streammatch import (
     read_edge_list,
     run_sparsifier,
     trivial_family,
-    write_edge_list,
 )
 from streammatch.graph import (
     MAX_VERTICES,
@@ -36,9 +34,11 @@ from streammatch.graph import (
     _graph_of_ends,
     _hopcroft_karp,
     _missing_edges,
+    _write_edges,
 )
 from util import (
     apply_augmenting_path,
+    checked_walk,
     exists_augmenting,
     find_augmenting_path,
     partner_dict,
@@ -208,19 +208,20 @@ def test_matching_guards_vertices_outside_the_mate_list():
     assert len(Matching(0)) == 0 and list(Matching(0)) == []
 
 
-def test_path_requires_adjacent_distinct_vertices():
-    with pytest.raises(ValueError):
-        Path([0, 1, 2], [(0, 1)])
-    with pytest.raises(ValueError):
-        Path([0, 1, 0], [(0, 1)])
-    p = Path([0, 1, 2], [(0, 1), (1, 2)])
-    assert p.edges == ((0, 1), (1, 2))
+def test_checked_walk_requires_adjacent_distinct_vertices():
+    # the walk check that the test references put their paths through
+    with pytest.raises(ValueError, match="at least two"):
+        checked_walk([0], [(0, 1)])
+    with pytest.raises(ValueError, match="not adjacent"):
+        checked_walk([0, 1, 2], [(0, 1)])
+    with pytest.raises(ValueError, match="distinct"):
+        checked_walk([0, 1, 0], [(0, 1)])
     g = Graph(4, [(1, 0), (2, 1), (2, 3)])
     with pytest.raises(ValueError, match="not adjacent"):
-        Path([0, 1, 3], frozenset(g.edges))
+        checked_walk([0, 1, 3], frozenset(g.edges))
     with pytest.raises(ValueError, match="distinct"):
-        Path([0, 1, 2, 1], frozenset(g.edges))
-    assert Path([3, 2, 1, 0], frozenset(g.edges)).edges == ((2, 3), (1, 2), (0, 1))
+        checked_walk([0, 1, 2, 1], frozenset(g.edges))
+    assert checked_walk([3, 2, 1, 0], frozenset(g.edges)) == (3, 2, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -588,21 +589,18 @@ def test_blossom_containing_the_root():
 
 
 def test_find_augmenting_length_one():
-    p = find_augmenting_path(Matching(2), [(0, 1)], 1)
-    assert p.vertices == (0, 1)
+    assert find_augmenting_path(Matching(2), [(0, 1)], 1) == (0, 1)
 
 
 def test_find_augmenting_length_three():
     m = Matching(4, [(1, 2)])
-    p = find_augmenting_path(m, [(0, 1), (1, 2), (2, 3)], 3)
-    assert p.vertices == (0, 1, 2, 3)
+    assert find_augmenting_path(m, [(0, 1), (1, 2), (2, 3)], 3) == (0, 1, 2, 3)
 
 
 def test_find_augmenting_length_five():
     m = Matching(6, [(1, 2), (3, 4)])
     allowed = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    p = find_augmenting_path(m, allowed, 5)
-    assert p.vertices == (0, 1, 2, 3, 4, 5)
+    assert find_augmenting_path(m, allowed, 5) == (0, 1, 2, 3, 4, 5)
     assert find_augmenting_path(m, allowed, 3) is None
 
 
@@ -628,19 +626,16 @@ def test_find_augmenting_agrees_with_enumeration():
             found = find_augmenting_path(m, g.edges, max_len)
             assert (found is None) == (not exists_augmenting(m, g.edges, max_len))
             if found is not None:
-                assert len(found.edges) <= max_len
+                assert len(found) - 1 <= max_len
                 assert len(apply_augmenting_path(m, found)) == len(m) + 1
 
 
 def test_apply_augmenting_examples():
-    p1 = Path([0, 1], [(0, 1)])
-    assert apply_augmenting_path(Matching(2), p1).edges == frozenset({(0, 1)})
+    assert apply_augmenting_path(Matching(2), (0, 1)).edges == frozenset({(0, 1)})
     m = Matching(4, [(1, 2)])
-    p3 = Path([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
-    assert apply_augmenting_path(m, p3).edges == frozenset({(0, 1), (2, 3)})
+    assert apply_augmenting_path(m, (0, 1, 2, 3)).edges == frozenset({(0, 1), (2, 3)})
     m5 = Matching(6, [(1, 2), (3, 4)])
-    p5 = Path([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    assert apply_augmenting_path(m5, p5).edges == frozenset({(0, 1), (2, 3), (4, 5)})
+    assert apply_augmenting_path(m5, (0, 1, 2, 3, 4, 5)).edges == frozenset({(0, 1), (2, 3), (4, 5)})
 
 
 def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
@@ -764,18 +759,15 @@ def test_blossom_pruning_reads_fewer_rows():
 
 def test_apply_augmenting_rejects_matched_endpoint():
     m = Matching(3, [(0, 1)])
-    p = Path([1, 2], [(1, 2)])
     with pytest.raises(NotAugmentingError):
-        apply_augmenting_path(m, p)
+        apply_augmenting_path(m, (1, 2))
 
 
 def test_apply_augmenting_rejects_broken_alternation():
     m = Matching(4, [(1, 2)])
-    p = Path([0, 3], [(0, 3)])  # fine: length 1, no alternation to break
-    assert len(apply_augmenting_path(m, p)) == 2
-    bad = Path([0, 1, 2], [(0, 1), (1, 2)])  # even length
+    assert len(apply_augmenting_path(m, (0, 3))) == 2  # length 1: no alternation to break
     with pytest.raises(NotAugmentingError):
-        apply_augmenting_path(m, bad)
+        apply_augmenting_path(m, (0, 1, 2))  # even length
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +777,7 @@ def test_apply_augmenting_rejects_broken_alternation():
 def test_edge_list_round_trip(tmp_path):
     g = Graph(5, [(0, 3), (1, 3), (2, 4)], (range(3), range(3, 5)))
     path = tmp_path / "g.edges"
-    write_edge_list(g, path)
+    _write_edges(path, g.n, g.edges, 3)
     assert read_edge_list(path) == g
 
 

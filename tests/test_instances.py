@@ -20,7 +20,6 @@ from streammatch import (
     save_hard_instance,
     trivial_family,
     verify_induced,
-    write_edge_list,
     xor_gadget,
 )
 from util import maximum_matchings, random_bipartite, random_general, reference_verify_induced
@@ -359,11 +358,12 @@ def test_hard_instance_sidecar_round_trip(tmp_path):
     assert len(sidecar["z_bits"]) == len(base.edges)
     assert sidecar["left"] == sorted(inst.graph.bipartition[0])
     # the edges read back in the instance's order, with no bipartite tag,
-    # and the file is the one write_edge_list gives for the untagged graph
+    # and the file is the header `n m` and one `u v` line per edge
     loaded = read_edge_list(path)
     assert loaded.edges == inst.graph.edges and loaded.bipartition is None
-    write_edge_list(Graph(inst.graph.n, inst.graph.edges), tmp_path / "plain.edges")
-    assert path.read_bytes() == (tmp_path / "plain.edges").read_bytes()
+    g = inst.graph
+    plain = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+    assert path.read_text(encoding="utf-8") == plain
 
 
 def test_load_family(tmp_path):

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
-from streammatch import Graph, Matching, Path, PathCensus, edge_key
+from streammatch import Graph, Matching, PathCensus, edge_key
 from streammatch.graph import (
     Edge,
     NotAugmentingError,
@@ -25,6 +25,22 @@ from streammatch.graph import (
     _greedy_mates,
     _missing_edges,
 )
+
+
+def checked_walk(vertices: Iterable[int], allowed: Container[Edge]) -> tuple[int, ...]:
+    """The vertices as a tuple, once checked to be a simple path over the
+    canonical edges of `allowed`: at least two vertices, pairwise
+    distinct, and each consecutive pair an edge of `allowed`. Raises
+    ValueError otherwise."""
+    vs = tuple(vertices)
+    if len(vs) < 2:
+        raise ValueError("a path needs at least two vertices")
+    if len(set(vs)) != len(vs):
+        raise ValueError("path vertices must be pairwise distinct")
+    for a, b in zip(vs, vs[1:]):
+        if edge_key(a, b) not in allowed:
+            raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
+    return vs
 
 
 def partner_dict(m: Matching) -> dict[int, int]:
@@ -294,9 +310,9 @@ def exists_augmenting(matching: Matching, allowed, max_len: int) -> bool:
 
 def find_augmenting_path(
     matching: Matching, allowed: Iterable[tuple[int, int]], max_len: int = 5
-) -> Path | None:
-    """First augmenting path for `matching` inside the `allowed` edge set,
-    of odd length <= max_len, or None.
+) -> tuple[int, ...] | None:
+    """Vertices of the first augmenting path for `matching` inside the
+    `allowed` edge set, of odd length <= max_len, or None.
 
     Search order is deterministic: path lengths 1, 3, 5 in turn, and
     within a length the lowest-index free vertex first, then ascending
@@ -320,14 +336,15 @@ def find_augmenting_path(
     verts = reference_augmenting_path(partner_dict(matching), sorted(adj), adj)
     if verts is None or len(verts) - 1 > max_len:
         return None
-    return Path(verts, allowed_set)
+    return checked_walk(verts, allowed_set)
 
 
-def apply_augmenting_path(matching: Matching, path: Path) -> Matching:
-    """Matching obtained by flipping the path's edges in and out of the
-    matching; the result is one edge larger and `matching` is unchanged."""
+def apply_augmenting_path(matching: Matching, path: Sequence[int]) -> Matching:
+    """Matching obtained by flipping the edges of the path `path`, given
+    as its vertices, in and out of the matching; the result is one edge
+    larger and `matching` is unchanged."""
     result = matching.copy()
-    result.augment(path.vertices)
+    result.augment(path)
     return result
 
 
@@ -344,7 +361,7 @@ def reference_phase2b(m_h, t, arrivals):
             if path is None:
                 break
             m = apply_augmenting_path(m, path)
-            applied.append((pos, len(path), path.vertices))
+            applied.append((pos, len(path) - 1, path))
     return m, applied
 
 
@@ -560,7 +577,7 @@ def reference_path_census(m_star: Matching, m_h: Matching) -> PathCensus:
     h = partner_dict(m_h)
     diff = m_star.edges ^ m_h.edges
     far_ends: set[int] = set()
-    paths: list[Path] = []
+    walks: list[tuple[int, ...]] = []
     for v in sorted(star.keys() ^ h.keys()):
         if v in far_ends:
             continue
@@ -573,6 +590,5 @@ def reference_path_census(m_star: Matching, m_h: Matching) -> PathCensus:
             nxt = this.get(nxt)
         far_ends.add(seq[-1])
         if v in star and len(seq) % 2 == 0 and len(seq) <= 6:
-            paths.append(Path(seq, diff))
-    walks = tuple(p.vertices for p in paths)
-    return PathCensus(walks, m_star_size=len(m_star), m_h_size=len(m_h))
+            walks.append(checked_walk(seq, diff))
+    return PathCensus(tuple(walks), m_star_size=len(m_star), m_h_size=len(m_h))
