@@ -48,13 +48,12 @@ from .sparsifier import AlgoParams, Sparsifier, run_sparsifier
 from .stream import EdgeStream, PhaseSplit, split_phases
 
 
-def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: int) -> Graph:
+def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int) -> Graph:
     """Greedy maximal (2, b)-matching over the Phase II.A arrivals
-    (firsts[i], seconds[i]) of a graph on n vertices: degree <= 2 at
-    M_H-matched vertices, degree <= b elsewhere. The ends are int64
-    arrays in either orientation, such as a stream slice's `ends`, and
-    m_h is a matching on the same n vertices. T's edges are in admission
-    order.
+    (firsts[i], seconds[i]): degree <= 2 at M_H-matched vertices, degree
+    <= b elsewhere. The ends are int64 arrays in either orientation, such
+    as a stream slice's `ends`, on m_h's vertices; T is on those vertices
+    too. T's edges are in admission order.
 
     Edges with zero or two endpoints matched by m_h are ignored; an edge
     is kept iff the matched endpoint has T-degree below 2 and the
@@ -70,8 +69,7 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int, n: i
     """
     if b < 2:
         raise ValueError("b must be at least 2")
-    if m_h.n != n:
-        raise ValueError(f"M_H is on {m_h.n} vertices, not {n}")
+    n = m_h.n
     lows, highs = np.minimum(firsts, seconds), np.maximum(firsts, seconds)
     matched = np.array(m_h.mate, np.int64) >= 0
     low_in = matched[lows]
@@ -307,23 +305,20 @@ def beats23_match(
     """Bernstein's sparsifier plus T and II.B: H and U from
     `run_sparsifier`, T from `build_t` over Phase II.A, `phase2b` over
     Phase II.B, returning a maximum matching of M | H | U."""
-    g = stream.graph
     m = len(stream)
     split = split_phases(m, params.eps, params.gamma, rng)
     sp = run_sparsifier(stream, params)
     m_h = max_matching(sp.h)
     iia_end = split.eps_cut + split.tau
-    t = build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b, g.n)
+    t = build_t(*stream.ends(split.eps_cut + 1, iia_end), m_h, params.b)
     m_aug, applied = phase2b(m_h, t, iia_end + 1, *stream.ends(iia_end + 1, m))
 
-    # M | H | U is H | U plus the at most |M| edges of M outside it. With
-    # none outside, its adjacency is H | U's own, so max_matching would
-    # return the H | U matching edge for edge
+    # M | H | U is H | U plus the at most |M| edges of M outside it; with
+    # none outside it is H | U itself, whose mates max_matching kept
     hu = sp.hu_graph
-    final = m_hu = max_matching(hu)
-    extra = sorted(_missing_edges(hu.adj, m_aug))
-    if extra:
-        final = max_matching(_graph_plus(hu, _ends_of(extra)))
+    m_hu = max_matching(hu)
+    extra = _ends_of(sorted(_missing_edges(hu.adj, m_aug)))
+    final = max_matching(_graph_plus(hu, extra))
     diag = TrialDiagnostics(
         split=split,
         sparsifier=sp,

@@ -26,7 +26,7 @@ from .augmenter import beats23_match, greedy_match
 from .graph import Graph, _graph_of_canonical, max_matching, read_edge_list
 from .instances import gen_random
 from .sparsifier import AlgoParams, run_sparsifier
-from .stream import make_stream, phase1_cut
+from .stream import make_stream
 
 ALGORITHMS = ("greedy", "bernstein", "beats23")
 
@@ -49,10 +49,6 @@ class CheckConfig:
         for d in self.dichotomy_deltas:
             if not 0.0 < d < 1.0:
                 raise ValueError("dichotomy deltas must lie in (0, 1)")
-
-    @property
-    def any(self) -> bool:
-        return self.edcs or bool(self.dichotomy_deltas) or self.census
 
 
 @dataclass(frozen=True)
@@ -177,8 +173,7 @@ def _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu) -> dict[str, bool]:
             checks[f"dichotomy:{delta:g}"] = rep.holds
     if config.checks.census:
         # stream edges are g's own: canonical, distinct and in range
-        cut, m = phase1_cut(len(stream), config.params.eps), len(stream)
-        suffix = _graph_of_canonical(g.n, stream.ends(cut + 1, m), g.bipartition)
+        suffix = _graph_of_canonical(g.n, stream.ends(sp.eps_cut + 1, len(stream)), g.bipartition)
         m_star = max_matching(suffix)
         checks["census"] = path_census(m_star, m_h).short_path_bound_holds
     return checks
@@ -212,8 +207,7 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
             t_size, m_size = diag.t.m, len(diag.m_aug)
             path_hist = {str(k): v for k, v in sorted(diag.path_length_histogram.items())}
         h_size, u_size, m_h_size = sp.h.m, sp.u_size, len(m_h)
-        if config.checks.any:
-            checks = _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu)
+        checks = _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu)
 
     return TrialRecord(
         trial=index,

@@ -110,6 +110,10 @@ class Graph:
     a vertex's degree is the length of its row. The edge tuples are built
     once, on first use, as the object array `edge_array`, and
     `max_matching` keeps its mate array on the graph on its first call.
+
+    The constructor checks edges that come from outside the package;
+    `_graph_of_canonical` builds a graph from the package's own arrays
+    and checks nothing.
     """
 
     __slots__ = ("n", "m", "endpoints", "adj", "bipartition", "_edge_array", "_mate")
@@ -130,7 +134,28 @@ class Graph:
         except (TypeError, ValueError, OverflowError):
             # not pairs of int64s: the scan names the fault
             raise _first_edge_error(n, edges) from None
-        _check_and_fill(self, n, firsts, seconds, bipartition)
+        lows = np.minimum(firsts, seconds)
+        highs = np.maximum(firsts, seconds)
+        codes = _adjacency_codes(n, lows, highs)
+        # a repeated edge, and a self-loop's two orientations, give equal
+        # neighbouring codes; the bipartition is checked after the edges
+        if len(codes) and (lows.min() < 0 or highs.max() >= n or (codes[1:] == codes[:-1]).any()):
+            raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
+        if bipartition is not None:
+            left = frozenset(bipartition[0])
+            right = frozenset(bipartition[1])
+            if left & right:
+                raise ValueError("bipartition sides overlap")
+            if left | right != frozenset(range(n)):
+                raise ValueError("bipartition must cover all vertices")
+            side = np.zeros(n, bool)
+            side[np.fromiter(left, np.int64, len(left))] = True
+            same = np.flatnonzero(side[lows] == side[highs])
+            if len(same):
+                a, b = lows[same[0]], highs[same[0]]
+                raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
+            bipartition = (left, right)
+        _fill_graph(self, n, (lows, highs), codes, bipartition)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -178,55 +203,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
-def _graph_of_ends(
-    n: int,
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-    bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
-) -> Graph:
-    """`Graph(n, zip(firsts, seconds), bipartition)` from two int64 arrays
-    of edge ends, with the same checks, for a caller that holds the arrays
-    and would otherwise build a Python pair per edge only to pass them."""
-    _check_vertex_count(n)
-    g = object.__new__(Graph)
-    _check_and_fill(g, n, np.asarray(firsts, np.int64), np.asarray(seconds, np.int64), bipartition)
-    return g
-
-
-def _check_and_fill(
-    g: Graph,
-    n: int,
-    firsts: np.ndarray,
-    seconds: np.ndarray,
-    bipartition: tuple[Iterable[int], Iterable[int]] | None,
-) -> None:
-    """Check the edges (firsts[i], seconds[i]) for a `Graph` on n vertices
-    and fill g with them, or raise the error that names the first bad edge
-    in input order; the bipartition is checked after the edges."""
-    lows = np.minimum(firsts, seconds)
-    highs = np.maximum(firsts, seconds)
-    codes = _adjacency_codes(n, lows, highs)
-    # a repeated edge, and a self-loop's two orientations, give equal
-    # neighbouring codes
-    if len(codes) and (lows.min() < 0 or highs.max() >= n or (codes[1:] == codes[:-1]).any()):
-        raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
-    if bipartition is not None:
-        left = frozenset(bipartition[0])
-        right = frozenset(bipartition[1])
-        if left & right:
-            raise ValueError("bipartition sides overlap")
-        if left | right != frozenset(range(n)):
-            raise ValueError("bipartition must cover all vertices")
-        side = np.zeros(n, bool)
-        side[np.fromiter(left, np.int64, len(left))] = True
-        same = np.flatnonzero(side[lows] == side[highs])
-        if len(same):
-            a, b = lows[same[0]], highs[same[0]]
-            raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
-        bipartition = (left, right)
-    _fill_graph(g, n, (lows, highs), codes, bipartition)
-
-
 def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[Edge]:
     """The edges (u, v), in the order given, whose v is not in the sorted
     adjacency list adj[u]: one bisection each, and no edge set built."""
@@ -247,8 +223,9 @@ def _graph_of_canonical(
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; `ends` are their (low, high) ends as int64
     arrays and the bipartition is a `Graph.bipartition` pair. Nothing is
-    validated, so use it only for edge sets the package built itself,
-    such as H | U or a stream slice."""
+    validated, so use it only for edge sets the package built itself:
+    `gen_random`'s G(n, p) draws, T, H | U, a stream slice. Edges from
+    outside go through `Graph`, which checks them."""
     g = object.__new__(Graph)
     _fill_graph(g, n, ends, _adjacency_codes(n, *ends), bipartition)
     return g
@@ -256,7 +233,10 @@ def _graph_of_canonical(
 
 def _graph_plus(g: Graph, ends: tuple[np.ndarray, np.ndarray]) -> Graph:
     """g with edges added after its own: canonical edges that g lacks,
-    given by their (low, high) ends as int64 arrays."""
+    given by their (low, high) ends as int64 arrays. With none, g itself,
+    so that `max_matching` reuses the mate array kept on it."""
+    if not len(ends[0]):
+        return g
     lows, highs = g.endpoints
     union_ends = (np.concatenate((lows, ends[0])), np.concatenate((highs, ends[1])))
     return _graph_of_canonical(g.n, union_ends, g.bipartition)
@@ -828,14 +808,10 @@ def read_edge_list(path) -> Graph:
     return Graph(n, edges, bipartition)
 
 
-def _write_edges(path, n: int, edges: Sequence[Edge], left_size: int | None = None) -> None:
+def _write_edges(path, n: int, edges: Sequence[Edge]) -> None:
     """Write n and the edges, in their order, in the edge-list format that
-    read_edge_list reads, with a bipartite tag when left_size is given:
-    the left side is then 0..left_size-1. The caller vouches for the
-    edges: they are not checked."""
-    header = f"{n} {len(edges)}"
-    if left_size is not None:
-        header += f" bipartite {left_size}"
+    read_edge_list reads, with no bipartite tag. The caller vouches for
+    the edges: they are not checked."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write(f"{n} {len(edges)}\n")
         fh.writelines(f"{u} {v}\n" for u, v in edges)

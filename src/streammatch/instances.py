@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import (Edge, Graph, NotBipartiteError, _graph_of_ends, _missing_edges,
+from .graph import (Edge, Graph, NotBipartiteError, _graph_of_canonical, _missing_edges,
                     _write_edges, edge_key, max_matching)
 
 
@@ -295,15 +295,17 @@ def gen_random(
     if kind == "bipartite-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        # nonzero is row-major: pair (i, j) in nested-loop order
+        # nonzero is row-major: pair (i, j) in nested-loop order; each
+        # (i, n + j) is canonical, distinct, in range and crosses the sides
         rows, cols = np.nonzero(rng.random((n, n)) < p)
-        return _graph_of_ends(2 * n, rows, cols + n, (range(n), range(n, 2 * n)))
+        sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
+        return _graph_of_canonical(2 * n, (rows, cols + n), sides)
     if kind == "general-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        lows, highs = np.triu_indices(n, 1)  # pairs i < j in nested-loop order
+        lows, highs = np.triu_indices(n, 1)  # distinct pairs i < j in nested-loop order
         keep = rng.random(len(lows)) < p
-        return _graph_of_ends(n, lows[keep], highs[keep])
+        return _graph_of_canonical(n, (lows[keep], highs[keep]))
     if kind == "planted-matching":
         if plant is None or not 1 <= plant <= n // 2:
             raise ValueError("plant size must lie in [1, n//2]")

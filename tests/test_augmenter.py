@@ -41,7 +41,7 @@ from util import (
 
 
 def test_build_t_empty_matching_gives_empty_t():
-    t = build_t(*_ends_of([(0, 1), (2, 3)]), Matching(4), b=5, n=4)
+    t = build_t(*_ends_of([(0, 1), (2, 3)]), Matching(4), b=5)
     assert t.edges == ()
 
 
@@ -49,7 +49,7 @@ def test_build_t_membership_rule():
     # matched edge (x, y) = (0, 1); u = 2 unmatched; uz = (2, 3) has no
     # matched endpoint and is skipped
     m_h = Matching(4, [(0, 1)])
-    t = build_t(*_ends_of([(2, 0), (2, 1), (2, 3)]), m_h, b=5, n=4)
+    t = build_t(*_ends_of([(2, 0), (2, 1), (2, 3)]), m_h, b=5)
     assert t.edges == ((0, 2), (1, 2))
 
 
@@ -73,21 +73,21 @@ def test_build_t_unmatched_side_cap(monkeypatch):
     calls = _spy_admission(monkeypatch)
     m_h = Matching(11, [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
     arrivals = [(0, v) for v in (1, 3, 5, 7, 9)]
-    t = build_t(*_ends_of(arrivals), m_h, b=2, n=11)
+    t = build_t(*_ends_of(arrivals), m_h, b=2)
     assert frozenset(t.edges) == {(0, 1), (0, 3)}
     assert len(calls) == 1
     # a hub that also sees matched vertices already full, and edges with
     # no or two matched ends between its arrivals
     m_h = Matching(12, [(1, 2), (3, 4), (5, 6), (7, 8)])
     arrivals = [(1, 9), (1, 10), (0, 1), (0, 3), (3, 4), (0, 11), (5, 0), (0, 7), (9, 10)]
-    t = build_t(*_ends_of(arrivals), m_h, b=2, n=12)
+    t = build_t(*_ends_of(arrivals), m_h, b=2)
     assert t.edges == reference_build_t(arrivals, m_h, 2, 12).edges == ((1, 9), (1, 10), (0, 3), (0, 5))
     assert len(calls) == 2
 
 
 def test_build_t_keeps_admission_order():
     m_h = Matching(7, [(1, 2), (3, 4)])
-    t = build_t(*_ends_of([(4, 5), (0, 3), (1, 6), (0, 2)]), m_h, b=2, n=7)
+    t = build_t(*_ends_of([(4, 5), (0, 3), (1, 6), (0, 2)]), m_h, b=2)
     assert t.edges == ((4, 5), (0, 3), (1, 6), (0, 2))
     assert t.adj[0] == (2, 3) and tuple(map(len, t.adj)) == (2, 1, 1, 1, 1, 1, 1)
 
@@ -95,7 +95,7 @@ def test_build_t_keeps_admission_order():
 def test_build_t_matched_side_cap():
     # matched vertex 1 sees three unmatched suitors; degree cap 2 binds
     m_h = Matching(6, [(1, 2)])
-    t = build_t(*_ends_of([(1, 3), (1, 4), (1, 5)]), m_h, b=5, n=6)
+    t = build_t(*_ends_of([(1, 3), (1, 4), (1, 5)]), m_h, b=5)
     assert frozenset(t.edges) == {(1, 3), (1, 4)}
 
 
@@ -107,7 +107,7 @@ def test_build_t_caps_hold_on_random_runs():
         m_h = max_matching(Graph(g.n, s.arrivals()[:10], g.bipartition))
         b = rnd.choice([2, 3, 5])
         arrivals = s.arrivals()[10:]
-        t = build_t(*_ends_of(arrivals), m_h, b, g.n)
+        t = build_t(*_ends_of(arrivals), m_h, b)
         matched = partner_dict(m_h)
         t_edges = frozenset(t.edges)
         for v in range(g.n):
@@ -151,7 +151,7 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
         one_matched = [(x, y) for x, y in phase2a if (x in matched) != (y in matched)]
         for arrivals in (phase2a, one_matched):
             del calls[:]
-            t = build_t(*_ends_of(arrivals), m_h, b, g.n)
+            t = build_t(*_ends_of(arrivals), m_h, b)
             ref = reference_build_t(arrivals, m_h, b, g.n)
             assert t.edges == ref.edges, trial
             assert t.adj == ref.adj, trial
@@ -159,7 +159,7 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
             assert len(calls) == capped, trial
         unmatched_capped += capped
     for m_h in (Matching(4), Matching(4, [(0, 1)])):
-        assert build_t(*_ends_of([]), m_h, b, 4).edges == reference_build_t([], m_h, b, 4).edges == ()
+        assert build_t(*_ends_of([]), m_h, b).edges == reference_build_t([], m_h, b, 4).edges == ()
     if b == 2:
         assert 0 < unmatched_capped < 25
     elif b == 500:
@@ -168,9 +168,7 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
 
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
-        build_t(*_ends_of([(0, 1), (1, 2)]), Matching(4, [(1, 3)]), b=1, n=4)
-    with pytest.raises(ValueError, match="M_H is on 3 vertices, not 4"):
-        build_t(*_ends_of([(0, 1)]), Matching(3), b=2, n=4)
+        build_t(*_ends_of([(0, 1), (1, 2)]), Matching(4, [(1, 3)]), b=1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ def test_two_b_matching_validates():
 
 def test_phase2b_applies_length_one_then_three():
     m_h = Matching(10, [(1, 2)])
-    t = build_t(*_ends_of([(0, 1), (2, 3)]), m_h, b=5, n=10)
+    t = build_t(*_ends_of([(0, 1), (2, 3)]), m_h, b=5)
     m, applied = phase2b(m_h, t, 42, *_ends_of([(9, 8)]))
     assert len(m) == 3
     assert sorted(p.length for p in applied) == [1, 3]
@@ -190,7 +188,7 @@ def test_phase2b_applies_length_one_then_three():
 
 def test_phase2b_length_five_through_current_edge():
     m_h = Matching(6, [(1, 2), (3, 4)])
-    t = build_t(*_ends_of([(0, 1), (4, 5)]), m_h, b=5, n=6)
+    t = build_t(*_ends_of([(0, 1), (4, 5)]), m_h, b=5)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 3)]))
     assert len(m) == 3
     assert [p.length for p in applied] == [5]
@@ -199,7 +197,7 @@ def test_phase2b_length_five_through_current_edge():
 
 def test_phase2b_no_path_leaves_state_unchanged():
     m_h = Matching(5, [(1, 2), (3, 4)])
-    t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=5)
+    t = build_t(*_ends_of([(0, 1)]), m_h, b=5)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(2, 4)]))  # both endpoints matched, no pattern
     assert m == m_h
     assert applied == ()
@@ -208,7 +206,7 @@ def test_phase2b_no_path_leaves_state_unchanged():
 def test_phase2b_rejects_a_path_outside_t(monkeypatch):
     # a search that yields a path whose unmatched edge (2, 3) T lacks
     m_h = Matching(4, [(1, 2)])
-    t = build_t(*_ends_of([(0, 1)]), m_h, b=5, n=4)
+    t = build_t(*_ends_of([(0, 1)]), m_h, b=5)
     monkeypatch.setattr(augmenter, "_augmenting_paths", lambda *args: iter([[0, 1, 2, 3]]))
     with pytest.raises(ValueError, match="2, 3 are not adjacent"):
         phase2b(m_h, t, 1, *_ends_of([]))
@@ -234,7 +232,7 @@ def _phase2b_cases():
         cut = rnd.randint(1, len(s) // 3)
         iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
-        t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]), g.n)
+        t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]))
         flip = random.Random(trial)
         arrivals = [(y, x) if flip.random() < 0.5 else (x, y) for x, y in s.arrivals()[iia_end:]]
         yield trial, m_h, t, iia_end + 1, arrivals
@@ -313,14 +311,14 @@ def test_phase2b_anchored_start_four_steps_back_from_e():
     # the first step applies 2-1=7-8 and leaves 3-4 matched; then e=(4, 19)
     # closes 10-1=2-3=4-19, whose lower end 10 lies four steps back from 4
     m_h = Matching(20, [(1, 7), (3, 4)])
-    t = build_t(*_ends_of([(1, 2), (7, 8), (1, 10), (2, 3)]), m_h, b=5, n=20)
+    t = build_t(*_ends_of([(1, 2), (7, 8), (1, 10), (2, 3)]), m_h, b=5)
     m, applied = phase2b(m_h, t, 1, *_ends_of([(3, 7), (4, 19)]))
     assert applied == ((1, 3, (2, 1, 7, 8)), (2, 5, (10, 1, 2, 3, 4, 19)))
     assert m.edges == {(1, 10), (2, 3), (4, 19), (7, 8)}
 
 
 def test_phase2b_histogram():
-    t = build_t(*_ends_of([]), Matching(2), b=2, n=2)
+    t = build_t(*_ends_of([]), Matching(2), b=2)
     _, applied = phase2b(Matching(2), t, 1, *_ends_of([(0, 1)]))
     assert [p.length for p in applied] == [1]
 
@@ -449,7 +447,7 @@ def test_beats23_stages_match_sparsifier_and_build_t(kind):
         assert diag.u == sp.u
         split = diag.split
         iia = s.arrivals()[split.eps_cut : split.eps_cut + split.tau]
-        assert diag.t.edges == build_t(*_ends_of(iia), diag.m_h, params.b, g.n).edges
+        assert diag.t.edges == build_t(*_ends_of(iia), diag.m_h, params.b).edges
 
 
 def test_beats23_boundary_pass_when_tau_covers_phase2():

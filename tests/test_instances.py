@@ -22,6 +22,7 @@ from streammatch import (
     verify_induced,
     xor_gadget,
 )
+from streammatch.graph import _graph_plus
 from util import maximum_matchings, random_bipartite, random_general, reference_verify_induced
 
 
@@ -298,6 +299,23 @@ def test_gen_random_deterministic():
     a = gen_random("bipartite-gnp", 10, p=0.3, seed=5)
     b = gen_random("bipartite-gnp", 10, p=0.3, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize("kind", ["bipartite-gnp", "general-gnp"])
+def test_gen_random_gnp_graphs_pass_graph_checks(kind):
+    # the G(n, p) kinds build their graphs unchecked, so their edges must
+    # be canonical, distinct, in range and crossing the sides by
+    # construction: the checked constructor gives the same graph
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+    for seed in range(4):
+        for p in (0.0, 0.05, 1.0):
+            g = gen_random(kind, 30 + 7 * seed, p, seed=seed)
+            checked = Graph(g.n, g.edges, g.bipartition)
+            assert g == checked and g.edges == checked.edges
+            for ends, checked_ends in zip(g.endpoints, checked.endpoints):
+                assert ends.dtype == np.int64
+                assert ends.tolist() == checked_ends.tolist()
+            assert _graph_plus(g, empty) is g
 
 
 # (kind, n, p, plant, seed) -> SHA-256 of repr((n, edges, sorted sides)).
