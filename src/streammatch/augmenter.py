@@ -314,10 +314,12 @@ def beats23_match(
     m_aug, applied = phase2b(m_h, t, iia_end + 1, *stream.ends(iia_end + 1, m))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it; with
-    # none outside it is H | U itself, whose mates max_matching kept
+    # none outside it is H | U itself, whose mates max_matching kept. The
+    # search reads H | U's full rows first, so that Hopcroft-Karp reuses
+    # them and a bipartite H | U builds one set of rows, not two
     hu = sp.hu_graph
-    m_hu = max_matching(hu)
     extra = _ends_of(sorted(_missing_edges(hu.adj, m_aug)))
+    m_hu = max_matching(hu)
     final = max_matching(_graph_plus(hu, extra))
     diag = TrialDiagnostics(
         split=split,

@@ -90,33 +90,27 @@ def _vertex_ints(n: int) -> np.ndarray:
     return _vertex_table[:n]
 
 
-def _adjacency_codes(n: int, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Both orientations of every edge as codes v * n + w, sorted: by v,
-    then by w."""
-    codes = np.concatenate((lows * n + highs, highs * n + lows))
-    codes.sort()  # not lexsort or a stable argsort, which are 10-20x slower
-    return codes
-
-
 class Graph:
     """Simple undirected graph with adjacency lists and an optional
     (left, right) bipartition tag.
 
-    Adjacency lists are kept sorted so that every index-based search in
-    this package is deterministic, and they are a canonical form of the
-    edge set: graphs compare and hash by (n, adj, bipartition). The one
-    edge store is `endpoints`, the (low, high) ends of the edges as int64
-    arrays, from which the adjacency was built; `m` is the edge count and
-    a vertex's degree is the length of its row. The edge tuples are built
-    once, on first use, as the object array `edge_array`, and
-    `max_matching` keeps its mate array on the graph on its first call.
+    The one edge store is `endpoints`, the (low, high) ends of the edges
+    as int64 arrays; `m` is the edge count. Everything else is built from
+    it on first read and kept: the adjacency `adj`, the edge tuples as
+    the object array `edge_array`, and, on the first `max_matching` call,
+    the mate array. Adjacency lists are sorted so that every index-based
+    search in this package is deterministic, and they are a canonical
+    form of the edge set: graphs compare and hash by (n, adj,
+    bipartition), and a vertex's degree is the length of its row. A
+    bipartite graph that is only solved never builds `adj`: Hopcroft-Karp
+    gets the left side's rows alone.
 
     The constructor checks edges that come from outside the package;
     `_graph_of_canonical` builds a graph from the package's own arrays
     and checks nothing.
     """
 
-    __slots__ = ("n", "m", "endpoints", "adj", "bipartition", "_edge_array", "_mate")
+    __slots__ = ("n", "m", "endpoints", "bipartition", "_adj", "_edge_array", "_mate")
 
     def __init__(
         self,
@@ -136,10 +130,11 @@ class Graph:
             raise _first_edge_error(n, edges) from None
         lows = np.minimum(firsts, seconds)
         highs = np.maximum(firsts, seconds)
-        codes = _adjacency_codes(n, lows, highs)
-        # a repeated edge, and a self-loop's two orientations, give equal
-        # neighbouring codes; the bipartition is checked after the edges
-        if len(codes) and (lows.min() < 0 or highs.max() >= n or (codes[1:] == codes[:-1]).any()):
+        codes = np.sort(lows * n + highs)
+        # a repeated edge gives equal neighbouring codes; the bipartition
+        # is checked after the edges
+        if len(codes) and (lows.min() < 0 or highs.max() >= n or (lows == highs).any()
+                           or (codes[1:] == codes[:-1]).any()):
             raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
         if bipartition is not None:
             left = frozenset(bipartition[0])
@@ -155,7 +150,16 @@ class Graph:
                 a, b = lows[same[0]], highs[same[0]]
                 raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
             bipartition = (left, right)
-        _fill_graph(self, n, (lows, highs), codes, bipartition)
+        _fill_graph(self, n, (lows, highs), bipartition)
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted adjacency rows, one per vertex, built from
+        `endpoints` on first read (`_rows`)."""
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = _rows(self)
+        return adj
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -178,8 +182,8 @@ class Graph:
         return arr
 
     def __reduce__(self):
-        # a pickle carries the edge store alone: the adjacency is built
-        # again from it, and the caches are left out (a forked pool worker
+        # a pickle carries the edge store alone: the caches, the adjacency
+        # among them, are built again on first read (a forked pool worker
         # inherits them instead)
         return _graph_of_canonical, (self.n, self.endpoints, self.bipartition)
 
@@ -227,7 +231,7 @@ def _graph_of_canonical(
     `gen_random`'s G(n, p) draws, T, H | U, a stream slice. Edges from
     outside go through `Graph`, which checks them."""
     g = object.__new__(Graph)
-    _fill_graph(g, n, ends, _adjacency_codes(n, *ends), bipartition)
+    _fill_graph(g, n, ends, bipartition)
     return g
 
 
@@ -246,32 +250,48 @@ def _fill_graph(
     g: Graph,
     n: int,
     ends: tuple[np.ndarray, np.ndarray],
-    codes: np.ndarray,
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
 ) -> None:
-    """Set every field of g from checked canonical edges: `ends` are their
-    (low, high) ends, `codes` their `_adjacency_codes`, and `bipartition`
-    is a `Graph.bipartition` pair. Adjacency lists are sorted, so a search
-    gives the same result whatever order the edges came in. A vertex is
-    one int object (`_vertex_ints`) in `adj`."""
-    vertex = _vertex_ints(n)
-    owners, others = np.divmod(codes, max(n, 1))
-    degrees = np.bincount(owners, minlength=n)
-    flat = tuple(vertex[others].tolist())
-    # isolated vertices keep the shared empty tuple; a loop that slices
-    # only the others beat `map(slice, ...)` over all of them
-    adj = [()] * n
-    start = 0
-    touched = np.flatnonzero(degrees)
-    for v, stop in zip(touched.tolist(), accumulate(degrees[touched].tolist())):
-        adj[v] = flat[start:stop]
-        start = stop
+    """Set every field of g from checked canonical edges, given by their
+    (low, high) ends, and a `Graph.bipartition` pair. The rows and the
+    other caches are left to be built on first read."""
     g.n = n
     g.m = len(ends[0])
     g.endpoints = ends
-    g.adj = tuple(adj)
     g.bipartition = bipartition
-    g._edge_array = g._mate = None
+    g._adj = g._edge_array = g._mate = None
+
+
+def _rows(g: Graph, left: list[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """g's sorted adjacency rows, one per vertex, built from `endpoints`:
+    every vertex's, or, given `left`, the vertices of that bipartition
+    side, in ascending order, hold their rows and every other vertex an
+    empty one. Each edge is packed as the code v * n + w once per row
+    that holds it, 2m codes or, with `left`, m, and one `np.sort` of them
+    orders the rows by v and each row by w. A row is a slice of one flat
+    tuple of neighbours, whose vertices are the shared int objects of
+    `_vertex_ints`."""
+    n = g.n
+    lows, highs = g.endpoints
+    if left is None:
+        codes = np.concatenate((lows * n + highs, highs * n + lows))
+    else:
+        in_left = np.zeros(n, bool)
+        in_left[left] = True
+        codes = np.where(in_left[lows], lows * n + highs, highs * n + lows)
+    codes.sort()  # not lexsort or a stable argsort, which are 10-20x slower
+    owners, others = np.divmod(codes, max(n, 1))
+    degrees = np.bincount(owners, minlength=n)
+    flat = tuple(_vertex_ints(n)[others].tolist())
+    # isolated vertices keep the shared empty tuple; a loop that slices
+    # only the others beat `map(slice, ...)` over all of them
+    rows = [()] * n
+    start = 0
+    touched = np.flatnonzero(degrees)
+    for v, stop in zip(touched.tolist(), accumulate(degrees[touched].tolist())):
+        rows[v] = flat[start:stop]
+        start = stop
+    return tuple(rows)
 
 
 class Matching:
@@ -400,6 +420,10 @@ def max_matching(g: Graph) -> Matching:
     with a blossom-contraction augmenting search. Both break ties by
     lowest vertex index.
 
+    Hopcroft-Karp reads the left side's rows only, so a graph whose `adj`
+    was never read gets just those (`_rows`), at half the cost; one whose
+    `adj` exists passes it, so that no graph builds two sets of rows.
+
     The first call keeps the mate array on g, so a later call on the same
     graph, such as a trial's H | U when the sparsifier kept every edge of
     G, costs one pass over it. Every call returns a new `Matching`, which
@@ -408,7 +432,9 @@ def max_matching(g: Graph) -> Matching:
     mate = g._mate
     if mate is None:
         if g.bipartition is not None:
-            mate = _hopcroft_karp(g.n, g.adj, sorted(g.bipartition[0]))
+            left = sorted(g.bipartition[0])
+            rows = g._adj if g._adj is not None else _rows(g, left)
+            mate = _hopcroft_karp(g.n, rows, left)
         else:
             mate = _blossom(g.n, g.adj)
         g._mate = mate
@@ -438,7 +464,11 @@ def _greedy_mates(n: int, adj, order: Iterable[int]) -> tuple[list[int], list[in
 def _hopcroft_karp(n: int, adj, left: list[int]) -> list[int]:
     """Hopcroft-Karp on a bipartite graph; returns the mate array (-1 = free).
 
-    `left` is the left side in ascending order. The mates are those of the
+    `left` is the left side in ascending order, and only the rows of its
+    vertices are read: the greedy pass, the BFS layers and the DFS stack
+    hold left vertices only, and a right vertex is reached through an
+    entry of a left row and left through `mate`. So `adj` may be the
+    graph's full rows or its left rows alone. The mates are those of the
     textbook form, which in every phase runs a BFS from all free left
     vertices and then a layered DFS from each of them in ascending order
     (`tests/util.py` keeps it as `reference_hopcroft_karp`). Three of its

@@ -19,7 +19,6 @@ from .graph import (
     Edge,
     Graph,
     Matching,
-    _ends_of,
     _graph_of_canonical,
     _graph_plus,
     edge_key,
@@ -158,23 +157,29 @@ def phase1_build_h(
     only by eviction, so top bounds every current degree, and no edge at u
     or v can then exceed the cap: the skipped scan would find nothing.
     With caps far above the degrees the scan never runs; with tight caps
-    the skip seldom fires, and most arrivals are rejected before it.
-    H's edges keep their arrival order.
+    the skip seldom fires, and most arrivals are rejected before it. The
+    per-vertex neighbour sets that the scan reads are made at the first
+    scan, from the edges kept until then, and kept up to date after it.
+
+    H's edges keep their arrival order: each kept edge maps to its index
+    in the prefix, and H's ends are gathered from `lows` and `highs` at
+    those indices.
     """
     # integer caps: for an integer degree sum s, s >= beta_minus iff
     # s >= ceil(beta_minus), and s > beta_plus iff s > floor(beta_plus)
     reject_from = math.ceil(params.beta_minus)
     cap = math.floor(params.beta_plus)
     deg = [0] * n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    present: dict[Edge, None] = {}
+    adj: list[set[int]] | None = None  # neighbour sets, from the first scan on
+    present: dict[Edge, int] = {}  # kept edge -> its index in the prefix
     top = 0  # largest degree reached so far
-    for u, v in zip(lows.tolist(), highs.tolist()):
+    for i, (u, v) in enumerate(zip(lows.tolist(), highs.tolist())):
         if deg[u] + deg[v] >= reject_from:
             continue
-        present[u, v] = None
-        adj[u].add(v)
-        adj[v].add(u)
+        present[u, v] = i
+        if adj is not None:
+            adj[u].add(v)
+            adj[v].add(u)
         deg[u] += 1
         deg[v] += 1
         du = deg[u]
@@ -185,6 +190,11 @@ def phase1_build_h(
             top = dv
         if du + top <= cap and dv + top <= cap:
             continue
+        if adj is None:
+            adj = [set() for _ in range(n)]
+            for a, b in present:
+                adj[a].add(b)
+                adj[b].add(a)
         while True:
             worst: Edge | None = None
             for x in (u, v):
@@ -202,7 +212,8 @@ def phase1_build_h(
             adj[wv].discard(wu)
             deg[wu] -= 1
             deg[wv] -= 1
-    return _graph_of_canonical(n, _ends_of(list(present)), bipartition)
+    kept = np.fromiter(present.values(), np.int64, len(present))
+    return _graph_of_canonical(n, (lows[kept], highs[kept]), bipartition)
 
 
 def phase2_collect_u(

@@ -610,3 +610,35 @@ def test_beats23_safety_cap_propagates(monkeypatch):
     monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 3)
     with pytest.raises(SafetyCapExceeded):
         beats23_match(s, params, np.random.default_rng(0))
+
+
+def test_beats23_trial_builds_each_graph_rows_once(monkeypatch):
+    # at tight caps on a bipartite input H | U is not G. beats23 reads H | U's
+    # full rows to find M's edges outside it before it solves it, so
+    # Hopcroft-Karp reuses those rows, and no graph of a checked trial
+    # builds rows twice; H and the census's Phase II graph build left rows
+    import streammatch.graph as graph
+    from streammatch import CheckConfig, GeneratorSpec, TrialConfig
+    from streammatch.bench import load_instance, run_one_trial
+
+    checks = CheckConfig(edcs=True, dichotomy_deltas=(0.1,), census=True)
+    config = TrialConfig("beats23", gen=GeneratorSpec("bipartite-gnp", 60, 0.2),
+                         params=params_with_betas(0.1, 4, 3), trials=5, seed=3, checks=checks)
+    g = load_instance(config)
+    mu_g = len(max_matching(g))
+    builds = []
+    rows = graph._rows
+
+    def recording(h, left=None):
+        builds.append((h, left is None))
+        return rows(h, left)
+
+    monkeypatch.setattr(graph, "_rows", recording)
+    for index in range(config.trials):
+        builds.clear()
+        record = run_one_trial(config, g, mu_g, index)
+        assert record.h_size + record.u_size < g.m, index  # H | U is not G
+        built = [id(h) for h, _ in builds]
+        assert len(set(built)) == len(built), index
+        full = sum(is_full for _, is_full in builds)
+        assert full >= 2 and len(builds) - full >= 2, index  # T and H | U; H and the census

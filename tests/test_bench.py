@@ -23,7 +23,8 @@ from streammatch import (
 )
 from streammatch.bench import trial_seeds
 from streammatch.cli import main
-from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _write_edges
+from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _write_edges, edge_key
+from util import reference_fill
 
 
 def _config(algo="beats23", trials=4, checks=CheckConfig(), kind="bipartite-gnp", n=30, p=0.2):
@@ -215,8 +216,10 @@ def test_trials_leave_no_cyclic_garbage(kind, tmp_path):
 @pytest.mark.parametrize("kind, keeps_all", [("gnp", True), ("gadget", False)])
 def test_trial_solves_each_graph_at_most_once(kind, keeps_all, tmp_path, monkeypatch):
     # max_matching keeps a graph's mate array on it: a trial solves no
-    # adjacency twice, and where H | U is G it reads the mates of the
-    # set-up's mu(G) solve instead of solving G again
+    # graph twice, and where H | U is G it reads the mates of the set-up's
+    # mu(G) solve instead of solving G again. Hopcroft-Karp gets a graph's
+    # left rows, or its full rows where adj was read first, so a solve is
+    # compared by the edge set its rows hold, which either form gives
     import streammatch.bench as bench
     import streammatch.graph as graph
     from streammatch import make_stream, run_sparsifier
@@ -229,7 +232,19 @@ def test_trial_solves_each_graph_at_most_once(kind, keeps_all, tmp_path, monkeyp
 
         monkeypatch.setattr(graph, name, recording)
     configs, g, mu_g = _instance_configs(kind, tmp_path)
-    assert len(solved) == 1 and solved[0] is g.adj
+    assert len(solved) == 1
+    if g.bipartition is not None:  # set-up solves G over its left rows alone
+        left = g.bipartition[0]
+        full = reference_fill(g.n, g.edges)
+        assert solved[0] == tuple(row if v in left else () for v, row in enumerate(full))
+    else:
+        assert solved[0] is g.adj
+
+    def edge_set(adj):
+        return frozenset(edge_key(v, w) for v, row in enumerate(adj) for w in row)
+
+    g_edges = frozenset(g.edges)
+    assert edge_set(solved[0]) == g_edges
     for config in (c for c in configs if c.algo != "greedy"):
         assert config.checks.census
         stream = make_stream(g, trial_seeds(config.seed, 0)[0])
@@ -237,9 +252,9 @@ def test_trial_solves_each_graph_at_most_once(kind, keeps_all, tmp_path, monkeyp
         solved.clear()
         bench.run_one_trial(config, g, mu_g, 0)
         # by content, so that a rebuilt copy of a solved graph counts too
-        rows = [tuple(map(tuple, adj)) for adj in solved]
-        assert len(set(rows)) == len(rows), config.algo
-        assert tuple(map(tuple, g.adj)) not in rows, config.algo
+        edge_sets = [edge_set(adj) for adj in solved]
+        assert len(set(edge_sets)) == len(edge_sets), config.algo
+        assert g_edges not in edge_sets, config.algo
         if keeps_all:  # H and the census's Phase II graph only
             assert len(solved) == 2, config.algo
 

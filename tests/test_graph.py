@@ -33,6 +33,8 @@ from streammatch.graph import (
     _augmenting_paths,
     _hopcroft_karp,
     _missing_edges,
+    _rows,
+    _vertex_ints,
     _write_edges,
 )
 from util import (
@@ -412,6 +414,41 @@ def test_hopcroft_karp_golden_edges():
         assert g.bipartition is not None
         digest.update(repr(sorted(max_matching(g).edges)).encode())
     assert digest.hexdigest() == GOLDEN_HK_MATCHINGS
+
+
+def test_rows_are_built_on_first_read_of_adj():
+    # both builders store the endpoint arrays alone; the first read of adj
+    # builds the rows, equal to the reference fill, and keeps them
+    for n, edges, bipartition in _fill_cases():
+        checked = Graph(n, edges, bipartition)
+        g = _graph_of_canonical(n, checked.endpoints, checked.bipartition)
+        for graph in (checked, g):
+            assert graph.edges == checked.edges and graph.m == len(edges)
+            assert graph._adj is None
+        adj = g.adj
+        assert adj == reference_fill(n, edges) and g.adj is adj and g._adj is adj
+
+
+def test_left_rows_equal_adj_rows_and_give_the_same_mates():
+    # Hopcroft-Karp reads left rows only: the left rows max_matching
+    # builds are adj's, an empty row stands for every right vertex, and
+    # the mates over either are equal, as are max_matching's whether or
+    # not adj was read first
+    rnd = random.Random(2028)
+    graphs = [_shuffled_bipartite(rnd, rnd.randint(0, 60), 0.02 * 45 ** rnd.random())
+              for _ in range(2000)]
+    graphs.append(gen_random("bipartite-gnp", 200, 0.02, seed=3))  # above 256 vertices
+    for g in graphs:
+        left = sorted(g.bipartition[0])
+        rows = _rows(g, left)
+        assert g._adj is None
+        adj = g.adj
+        assert rows == tuple(adj[v] if v in g.bipartition[0] else () for v in range(g.n))
+        vertex = _vertex_ints(g.n)
+        assert all(w is vertex[w] for w in chain.from_iterable(rows))
+        assert _hopcroft_karp(g.n, rows, left) == _hopcroft_karp(g.n, adj, left)
+        unread = _graph_of_canonical(g.n, g.endpoints, g.bipartition)
+        assert max_matching(unread) == max_matching(g) and unread._adj is None
 
 
 def _assert_same_graph(got, want):

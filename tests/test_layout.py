@@ -21,7 +21,7 @@ PRIVATE_GRAPH_IMPORTS = {
     "bench": {"_graph_of_canonical"},
     "cli": set(),
     "instances": {"_graph_of_canonical", "_missing_edges", "_write_edges"},
-    "sparsifier": {"_ends_of", "_graph_of_canonical", "_graph_plus"},
+    "sparsifier": {"_graph_of_canonical", "_graph_plus"},
     "stream": set(),
 }
 

@@ -142,9 +142,32 @@ def _insert_only(prefix, n, params) -> list[tuple[int, int]]:
     return kept
 
 
-# (beta_plus, beta_minus): caps that reject and evict, fractional caps, and
-# loose caps that keep every edge, where the eviction scan is mostly skipped
-PHASE1_CAPS = [(3, 3), (4, 3), (8, 7), (5.5, 3.5), (50, 45)]
+def _kept_at_first_scan(prefix, n, params) -> int | None:
+    """How many edges Phase I holds when its first eviction scan runs,
+    or None if none runs: up to that scan nothing is evicted, and a scan
+    runs after the first insertion whose end u has deg(u) + top above
+    floor(beta_plus), where top is the largest degree reached so far."""
+    reject_from, cap = math.ceil(params.beta_minus), math.floor(params.beta_plus)
+    deg = [0] * n
+    top = kept = 0
+    for a, b in prefix:
+        if deg[a] + deg[b] >= reject_from:
+            continue
+        deg[a] += 1
+        deg[b] += 1
+        kept += 1
+        top = max(top, deg[a], deg[b])
+        if max(deg[a], deg[b]) + top > cap:
+            return kept
+    return None
+
+
+# (beta_plus, beta_minus): caps that reject and evict, fractional caps,
+# caps whose first eviction scan comes after 20 or more insertions, so that
+# the neighbour sets it makes hold many edges, and loose caps that keep
+# every edge, where the eviction scan is mostly skipped
+LATE_SCAN_CAPS = [(12, 11), (10, 9)]
+PHASE1_CAPS = [(3, 3), (4, 3), (8, 7), (5.5, 3.5), *LATE_SCAN_CAPS, (50, 45)]
 
 
 @pytest.mark.parametrize("caps", PHASE1_CAPS, ids=lambda c: f"{c[0]}/{c[1]}")
@@ -155,7 +178,7 @@ def test_phase1_matches_reference(caps):
     # of a stream prefix; the reference canonicalises each pair itself
     params = params_with_betas(0.1, *caps)
     rnd = random.Random(f"phase1-{caps}")
-    rejected = evicted = 0
+    rejected = evicted = late_scans = 0
     for trial in range(30):
         if trial % 2:
             g = random_general(rnd, rnd.randint(10, 40), rnd.choice([0.1, 0.3, 0.6]))
@@ -176,12 +199,16 @@ def test_phase1_matches_reference(caps):
         kept = _insert_only(prefix, g.n, params)
         rejected += len(kept) < len(prefix)
         evicted += list(h.edges) != kept
+        first_scan = _kept_at_first_scan(prefix, g.n, params)
+        late_scans += first_scan is not None and first_scan >= 20 and list(h.edges) != kept
     empty = phase1_build_h(*_ends_of(()), 4, params)
     assert empty.edges == reference_phase1_build_h((), 4, params).edges
     if caps == (50, 45):
         assert not rejected and not evicted
     else:
         assert rejected and evicted
+    if caps in LATE_SCAN_CAPS:
+        assert late_scans
 
 
 # ---------------------------------------------------------------------------
