@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Edge, Graph, Matching, _missing_edges, edge_key
+from .graph import Edge, Graph, Matching, _lacking, edge_key
 from .sparsifier import AlgoParams
 from .stream import EdgeStream, Phase, phase1_cut
 
@@ -51,8 +51,9 @@ def check_edcs(
     own over the stream's endpoint arrays. Indices out of order, repeated
     or outside Phase II fail (ii); one outside the stream names no edge of
     G and fails the subgraph check as well, as does an H edge that G
-    lacks. The missing and extra edges are listed, canonical and sorted,
-    only on a mismatch."""
+    lacks, found by one lookup of H's edge codes in G's sorted codes
+    (`graph._lacking`), so the check builds no rows of G. The missing and
+    extra edges are listed, canonical and sorted, only on a mismatch."""
     g = stream.graph
     m = len(stream)
     cut = phase1_cut(m, params.eps)
@@ -73,11 +74,10 @@ def check_edcs(
         in_stream = len(inside) == len(got)
         missing = tuple(sorted(stream.edges_at(np.setdiff1d(expected, got))))
         extra = tuple(sorted(stream.edges_at(np.setdiff1d(inside, expected))))
-    h_pairs = zip(h_lows.tolist(), h_highs.tolist())
     return EdcsReport(
         degree_cap_ok=not cap_violations,
         u_exact=u_exact,
-        subgraph_ok=in_stream and h.n <= g.n and not _missing_edges(g.adj, h_pairs),
+        subgraph_ok=in_stream and h.n <= g.n and not _lacking(g, h_lows, h_highs).any(),
         cap_violations=cap_violations,
         u_missing=missing,
         u_extra=extra,

@@ -25,7 +25,7 @@ position. The one visible difference from an interleaved pass is that
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -37,10 +37,9 @@ from .graph import (
     Graph,
     Matching,
     _augmenting_paths,
-    _ends_of,
     _graph_of_canonical,
     _graph_plus,
-    _missing_edges,
+    _lacking,
     edge_key,
     max_matching,
 )
@@ -60,10 +59,13 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int) -> G
     unmatched endpoint has T-degree below b at its arrival. The others
     are never kept and change no degree, so one numpy mask drops them
     first. Without the b cap, the rule keeps the first two remaining
-    arrivals at each matched end, which one stable argsort finds. The
-    greedy rule agrees with that up to the first arrival the b cap
-    rejects, and that arrival would be the b+1-th one the cap-free rule
-    keeps at its unmatched end. So when no unmatched end holds more than
+    arrivals at each matched end. One `np.sort` of the keys
+    ins[i] * k + i, over the k remaining arrivals with matched ends ins,
+    finds them: the keys are distinct, so their order is that of a stable
+    argsort of ins, and since ins[i] < n <= MAX_VERTICES they fit in
+    int64 for every k below 2**32. The greedy rule agrees with that up to
+    the first arrival the b cap rejects, and that arrival would be the
+    b+1-th one the cap-free rule keeps at its unmatched end. So when no unmatched end holds more than
     b of the cap-free edges, they are T; otherwise the admission loop
     runs over the remaining arrivals.
     """
@@ -77,9 +79,9 @@ def build_t(firsts: np.ndarray, seconds: np.ndarray, m_h: Matching, b: int) -> G
     lows, highs, low_in = lows[one], highs[one], low_in[one]
     # each remaining edge's matched end and unmatched end
     ins, outs = np.where(low_in, lows, highs), np.where(low_in, highs, lows)
-    by_in = np.argsort(ins, kind="stable")
-    sorted_ins = ins[by_in]
-    first_two = np.ones(len(ins), bool)
+    k = len(ins)
+    sorted_ins, by_in = np.divmod(np.sort(ins * k + np.arange(k)), max(k, 1))
+    first_two = np.ones(k, bool)
     first_two[2:] = sorted_ins[2:] != sorted_ins[:-2]
     kept = np.sort(by_in[first_two])
     if len(kept) > b and np.bincount(outs[kept]).max() > b:
@@ -153,7 +155,7 @@ def _reaching(mate: Sequence[int], t: Graph) -> np.ndarray:
 def _row_with(row: Sequence[int], v: int) -> list[int]:
     """A copy of the sorted adjacency row with v put in its place."""
     merged = list(row)
-    bisect.insort(merged, v)
+    insort(merged, v)
     return merged
 
 
@@ -170,9 +172,22 @@ def phase2b(
 
     The first step searches from every vertex of T and applies T's own
     Phase II.A paths too; it resumes its search after each applied path
-    instead of restarting it (see `graph._augmenting_paths`). It leaves
-    no augmenting path of length <= 5 in M | T | {e_1}, so from then on
+    instead of restarting it (see `graph._augmenting_paths`). A path of
+    length 1 is an edge with two free ends, and no edge of M has one, so
+    its length-1 pass runs only from the ends of the edges of T | {e_1}
+    whose two ends are free, which one numpy mask over T's endpoint
+    arrays finds; for a T from `build_t`, whose every edge has one
+    M_H-matched end, only e_1 can be such an edge. The step leaves no
+    augmenting path of length <= 5 in M | T | {e_1}, so from then on
     M | T holds none and every path in M | T | {e} uses e:
+    - An arrival whose two ends are free is applied as the path
+      [low, high] at once, with no walk, no row copy and no search. The
+      search would start from its two ends alone, as the walk from a free
+      end yields that end, and neither end has a free T-neighbour, which
+      would make a path of length 1 in M | T. So its length-1 pass finds
+      e from the lower end first, and returns that same path. The loop
+      below visits every such arrival, since a free vertex reaches itself
+      and is never marked as not reaching.
     - An arrival is skipped unless both of its ends are free or walk over
       M | T to a free vertex (`_free_ends`). A path through e, which is
       unmatched, leaves each end of e along that end's matched edge unless
@@ -228,22 +243,35 @@ def phase2b(
         # the path's unmatched edges, but for the arrival, must lie in T:
         # one bisection each into T's sorted adjacency rows, which a II.B
         # arrival is never in
-        for u, v in _missing_edges(t_adj, zip(verts[::2], verts[1::2])):
-            if edge_key(u, v) != edge:
+        for j in range(0, len(verts) - 1, 2):
+            u, v = verts[j], verts[j + 1]
+            row = t_adj[u]
+            k = bisect_left(row, v)
+            if (k == len(row) or row[k] != v) and edge_key(u, v) != edge:
                 raise ValueError(f"consecutive vertices {u}, {v} are not adjacent")
         m.augment(verts)
         applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))
 
     pos, edge = None, ()
+    lows, highs = t.endpoints
+    free = np.array(mate, np.int64) < 0
+    two_free = free[lows] & free[highs]
     starts = np.zeros(t.n, bool)  # the vertices of T, and e's ends
-    for ends in t.endpoints:
+    starts1 = np.zeros(t.n, bool)  # the ends of those edges with two free ends
+    for ends in (lows, highs):
         starts[ends] = True
+        starts1[ends[two_free]] = True
     if len(firsts):
         pos = first
         edge = ea, eb = edge_key(int(firsts[0]), int(seconds[0]))
         starts[[ea, eb]] = True
+        if free[ea] and free[eb]:
+            starts1[[ea, eb]] = True
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-    for verts in _augmenting_paths(mate, np.flatnonzero(starts).tolist(), rows):
+    paths = _augmenting_paths(
+        mate, np.flatnonzero(starts).tolist(), rows, np.flatnonzero(starts1).tolist()
+    )
+    for verts in paths:
         apply(verts, edge, pos)
     for v in edge:
         rows[v] = t_adj[v]
@@ -258,6 +286,10 @@ def phase2b(
         return ends
 
     for i, x, y in zip(later.tolist(), firsts[later].tolist(), seconds[later].tolist()):
+        if mate[x] < 0 and mate[y] < 0:
+            edge = edge_key(x, y)
+            apply(list(edge), edge, first + i)
+            continue
         if not (alive[x] and alive[y] and (ends_x := walk(x)) and (ends_y := walk(y))):
             continue
         edge = ea, eb = edge_key(x, y)
@@ -304,7 +336,10 @@ def beats23_match(
 ) -> tuple[Matching, TrialDiagnostics]:
     """Bernstein's sparsifier plus T and II.B: H and U from
     `run_sparsifier`, T from `build_t` over Phase II.A, `phase2b` over
-    Phase II.B, returning a maximum matching of M | H | U."""
+    Phase II.B, returning a maximum matching of M | H | U. M's edges
+    outside H | U are found by one lookup of M's pairs, read off its mate
+    list as one int64 array, in H | U's sorted edge codes, so neither
+    H | U nor G builds rows for it."""
     m = len(stream)
     split = split_phases(m, params.eps, params.gamma, rng)
     sp = run_sparsifier(stream, params)
@@ -314,13 +349,16 @@ def beats23_match(
     m_aug, applied = phase2b(m_h, t, iia_end + 1, *stream.ends(iia_end + 1, m))
 
     # M | H | U is H | U plus the at most |M| edges of M outside it; with
-    # none outside it is H | U itself, whose mates max_matching kept. The
-    # search reads H | U's full rows first, so that Hopcroft-Karp reuses
-    # them and a bipartite H | U builds one set of rows, not two
+    # none outside it is H | U itself, whose mates max_matching kept. M's
+    # pairs (v, mate[v]) with v < mate[v] are canonical and ascending, and
+    # H | U's sorted codes tell which of them it lacks, with no rows built
     hu = sp.hu_graph
-    extra = _ends_of(sorted(_missing_edges(hu.adj, m_aug)))
+    mate = np.array(m_aug.mate, np.int64)
+    lows = np.flatnonzero(mate > np.arange(len(mate)))
+    highs = mate[lows]
+    outside = _lacking(hu, lows, highs)
     m_hu = max_matching(hu)
-    final = max_matching(_graph_plus(hu, extra))
+    final = max_matching(_graph_plus(hu, (lows[outside], highs[outside])))
     diag = TrialDiagnostics(
         split=split,
         sparsifier=sp,

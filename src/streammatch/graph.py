@@ -8,7 +8,6 @@ All tie-breaking is by lowest vertex index so results are reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from itertools import accumulate, chain, compress
 from operator import index
@@ -103,14 +102,16 @@ class Graph:
     form of the edge set: graphs compare and hash by (n, adj,
     bipartition), and a vertex's degree is the length of its row. A
     bipartite graph that is only solved never builds `adj`: Hopcroft-Karp
-    gets the left side's rows alone.
+    gets the left side's rows alone. Edge membership reads `codes`, the
+    sorted edge codes low * n + high, which the constructor keeps from its
+    duplicate check, and never needs the rows (`_lacking`).
 
     The constructor checks edges that come from outside the package;
     `_graph_of_canonical` builds a graph from the package's own arrays
     and checks nothing.
     """
 
-    __slots__ = ("n", "m", "endpoints", "bipartition", "_adj", "_edge_array", "_mate")
+    __slots__ = ("n", "m", "endpoints", "bipartition", "_adj", "_codes", "_edge_array", "_mate")
 
     def __init__(
         self,
@@ -151,6 +152,7 @@ class Graph:
                 raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
             bipartition = (left, right)
         _fill_graph(self, n, (lows, highs), bipartition)
+        self._codes = codes
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -160,6 +162,17 @@ class Graph:
         if adj is None:
             adj = self._adj = _rows(self)
         return adj
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The edges' codes low * n + high as one ascending int64 array,
+        built from `endpoints` on first read and kept. They fit in int64
+        since n <= MAX_VERTICES."""
+        codes = self._codes
+        if codes is None:
+            lows, highs = self.endpoints
+            codes = self._codes = np.sort(lows * self.n + highs)
+        return codes
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -188,7 +201,15 @@ class Graph:
         return _graph_of_canonical, (self.n, self.endpoints, self.bipartition)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and not _missing_edges(self.adj, ((u, v),))
+        """Whether (u, v) is an edge: one bisection of its code into
+        `codes`, as `_lacking` does for arrays of pairs."""
+        lo, hi = edge_key(u, v)
+        if not 0 <= lo < hi < self.n:
+            return False
+        code = lo * self.n + hi
+        codes = self.codes
+        i = codes.searchsorted(code)
+        return bool(i < len(codes) and codes[i] == code)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -207,16 +228,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{tag})"
 
 
-def _missing_edges(adj: Sequence[Sequence[int]], edges: Iterable[Edge]) -> list[Edge]:
-    """The edges (u, v), in the order given, whose v is not in the sorted
-    adjacency list adj[u]: one bisection each, and no edge set built."""
-    missing = []
-    for u, v in edges:
-        row = adj[u]
-        i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
-            missing.append((u, v))
-    return missing
+def _lacking(g: Graph, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Whether g lacks each pair (lows[i], highs[i]), as one bool array:
+    one `np.searchsorted` of the pairs' codes into g's sorted `codes`, so
+    no rows are built. The pairs must be on g's vertices, where each pair
+    has a code of its own; only a canonical pair, low < high, is found."""
+    codes = g.codes
+    if not len(codes):
+        return np.ones(len(lows), bool)
+    want = lows * g.n + highs
+    at = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+    return codes[at] != want
 
 
 def _graph_of_canonical(
@@ -259,7 +281,7 @@ def _fill_graph(
     g.m = len(ends[0])
     g.endpoints = ends
     g.bipartition = bipartition
-    g._adj = g._edge_array = g._mate = None
+    g._adj = g._codes = g._edge_array = g._mate = None
 
 
 def _rows(g: Graph, left: list[int] | None = None) -> tuple[tuple[int, ...], ...]:
@@ -345,9 +367,10 @@ class Matching:
         mate = self.mate
         if not vs or len(vs) % 2:
             raise NotAugmentingError("augmenting paths have odd length")
-        for v in vs:
-            if not 0 <= v < len(mate):
-                raise NotAugmentingError(f"vertex {v} out of range for n={len(mate)}")
+        if min(vs) < 0 or max(vs) >= len(mate):
+            for v in vs:
+                if not 0 <= v < len(mate):
+                    raise NotAugmentingError(f"vertex {v} out of range for n={len(mate)}")
         if len(set(vs)) != len(vs):
             raise NotAugmentingError("path vertices must be pairwise distinct")
         if mate[vs[0]] >= 0 or mate[vs[-1]] >= 0:
@@ -758,7 +781,7 @@ def _path5(u, mate, adj) -> list[int] | None:
     return None
 
 
-def _augmenting_paths(mate, starts, adj) -> Iterator[list[int]]:
+def _augmenting_paths(mate, starts, adj, starts1=None) -> Iterator[list[int]]:
     """Augmenting paths of length 1, 3 or 5, shortest first; within
     a length, from the lowest free start first, then by ascending
     neighbour index.
@@ -767,7 +790,12 @@ def _augmenting_paths(mate, starts, adj) -> Iterator[list[int]]:
     holds the allowed-edge neighbours of v in ascending order, and
     `mate` is the matching's mate list (-1 = free). Matched edges are
     traversed through `mate` only, so every odd-position edge of a
-    yielded path comes from the allowed universe.
+    yielded path comes from the allowed universe. `starts1`, if given,
+    is an ascending iterable that replaces `starts` for the length-1 pass
+    alone: a caller may pass the ends of the allowed edges whose two ends
+    are free, and get the same paths. A vertex with no free neighbour
+    keeps none while that pass runs, as its flips only match free
+    vertices.
 
     The first yield is what a fresh search returns. A caller that flips
     each yielded path in `mate` before resuming, with `starts` holding
@@ -784,8 +812,9 @@ def _augmenting_paths(mate, starts, adj) -> Iterator[list[int]]:
       ends Q would have yielded it already.
     """
     starts = [u for u in starts if mate[u] < 0]
-    for first_from in (_path1, _path3, _path5):
-        for u in starts:
+    passes = (_path1, starts if starts1 is None else starts1), (_path3, starts), (_path5, starts)
+    for first_from, pass_starts in passes:
+        for u in pass_starts:
             if mate[u] < 0:
                 path = first_from(u, mate, adj)
                 if path is not None:

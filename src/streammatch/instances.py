@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import (Edge, Graph, NotBipartiteError, _graph_of_canonical, _missing_edges,
+from .graph import (Edge, Graph, NotBipartiteError, _ends_of, _graph_of_canonical, _lacking,
                     _write_edges, edge_key, max_matching)
 
 
@@ -98,13 +98,15 @@ def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> 
 
     One pass over g's edges: the matchings that match both ends of an
     edge are those its ends' index lists share. There may be one, the
-    matching the edge belongs to, or none if it belongs to none."""
+    matching the edge belongs to, or none if it belongs to none. That
+    the matchings' edges are g's is one lookup of all their codes in g's
+    sorted codes."""
     used: set[Edge] = set()
     owners: dict[int, list[int]] = {}  # vertex -> the matchings that match it
     for i, matching in enumerate(matchings):
         edges = frozenset(edge_key(u, v) for u, v in matching)
-        # in range first: adj[-1] would read the last vertex's row
-        if not all(0 <= u and v < g.n for u, v in edges) or _missing_edges(g.adj, edges):
+        # in range first: a code is g's only for a pair on its vertices
+        if not all(0 <= u and v < g.n for u, v in edges):
             return False
         verts: set[int] = set()
         for u, v in edges:
@@ -117,6 +119,8 @@ def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> 
         used |= edges
         for v in verts:
             owners.setdefault(v, []).append(i)
+    if _lacking(g, *_ends_of(list(used))).any():
+        return False
     for u, v in g.edges:
         if u in owners and v in owners:
             if len(set(owners[u]).intersection(owners[v])) > ((u, v) in used):

@@ -89,18 +89,19 @@ def test_check_edcs_lists_cap_violations_in_h_order():
 def test_check_edcs_flags_h_outside_g():
     g, s, sp, params, _ = _sparsifier_run(0)
     assert check_edcs(s, sp.h, sp.u_index, params).subgraph_ok
-    # an H edge that G lacks
-    foreign = next(
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
-    )
-    h = Graph(g.n, [*sp.h.edges, foreign])
-    report = check_edcs(s, h, sp.u_index, params)
-    assert not report.subgraph_ok and not report.ok
+    # an H edge that G lacks: the first such pair, and one at the last vertex
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    for foreign in (absent[0], next(e for e in absent if e[1] == g.n - 1)):
+        h = Graph(g.n, [*sp.h.edges, foreign])
+        report = check_edcs(s, h, sp.u_index, params)
+        assert not report.subgraph_ok and not report.ok
     # an H on more vertices than G, with G's edges only
     wide = Graph(g.n + 1, sp.h.edges)
     report = check_edcs(s, wide, sp.u_index, params)
     assert not report.subgraph_ok and not report.ok
     assert report.u_exact and report.degree_cap_ok
+    # the check looked G's edges up by their codes, and built no rows
+    assert g._adj is None
 
 
 def test_check_edcs_accepts_h_on_fewer_vertices():

@@ -166,6 +166,27 @@ def test_build_t_matches_reference(kind, b, monkeypatch):
         assert unmatched_capped == 0
 
 
+@pytest.mark.parametrize("b", [2, 3, 500])
+def test_build_t_matches_reference_under_heavy_ties(b, monkeypatch):
+    # thousands of arrivals on eight matched ends, which their packed sort
+    # keys must keep in arrival order; the first arrivals at every matched
+    # end go to three unmatched hubs, so a small b sends build_t to its
+    # admission loop. Arrivals with no or two matched ends lie in between
+    calls = _spy_admission(monkeypatch)
+    rnd = random.Random(f"ties-{b}")
+    n = 1_000
+    m_h = Matching(n, [(v, v + 4) for v in range(4)])
+    hubs = [(v, 8 + h) for v in range(8) for h in range(3)]
+    spokes = [(v, u) for v in range(8) for u in range(11, n)]
+    others = [(u, u + 1) for u in range(11, n - 1, 2)] + [(0, 5), (2, 7)]
+    arrivals = hubs + rnd.sample(spokes + others, 4_000)
+    arrivals = [(y, x) if rnd.random() < 0.5 else (x, y) for x, y in arrivals]
+    t = build_t(*_ends_of(arrivals), m_h, b)
+    ref = reference_build_t(arrivals, m_h, b, n)
+    assert t.edges == ref.edges and t.adj == ref.adj
+    assert len(calls) == (b < 500)
+
+
 def test_two_b_matching_validates():
     with pytest.raises(ValueError, match="b must be at least 2"):
         build_t(*_ends_of([(0, 1), (1, 2)]), Matching(4, [(1, 3)]), b=1)
@@ -501,13 +522,17 @@ def _beats23_cases(kind):
 
 @pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "general-flips", "closing"])
 def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
-    # beats23 resumes its first step, skips later arrivals by reach and
-    # builds M | H | U from H | U; the reference restarts every search,
-    # visits every arrival and builds M | H | U from scratch
+    # beats23 resumes its first step, applies a later arrival with two free
+    # ends at once, skips later arrivals by reach and builds M | H | U from
+    # H | U; the reference restarts every search, visits every arrival and
+    # builds M | H | U from scratch
     import streammatch.augmenter as augmenter
 
-    events = []  # in call order: ("walk", end, found a free vertex) or ("search", rows)
+    # in call order: ("walk", end, found a free vertex), ("search", rows,
+    # the length-1 pass's starts) or ("apply", path vertices)
+    events = []
     free_ends, augmenting_paths = augmenter._free_ends, augmenter._augmenting_paths
+    augment = Matching.augment
 
     def walked(a, mate, adj):
         found = False
@@ -516,17 +541,23 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             yield v
         events.append(("walk", a, found))
 
-    def searched(mate, starts, rows):
-        events.append(("search", list(rows)))
-        return augmenting_paths(mate, starts, rows)
+    def searched(mate, starts, rows, starts1=None):
+        events.append(("search", list(rows), starts1))
+        return augmenting_paths(mate, starts, rows, starts1)
+
+    def augmented(self, vertices):
+        events.append(("apply", tuple(vertices)))
+        return augment(self, vertices)
 
     monkeypatch.setattr(augmenter, "_free_ends", walked)
     monkeypatch.setattr(augmenter, "_augmenting_paths", searched)
-    arrivals_total = hit_arrivals = stepped = dead_ends = 0
+    monkeypatch.setattr(Matching, "augment", augmented)
+    arrivals_total = hit_arrivals = stepped = dead_ends = direct_total = 0
     m_inside_hu = []  # per trial: whether M adds no edge to H | U
     for trial, (s, params) in enumerate(_beats23_cases(kind)):
         del events[:]
         out, diag = beats23_match(s, params, np.random.default_rng(trial))
+        ours = list(events)
         split = diag.split
         iia_end = split.eps_cut + split.tau
         arrivals = list(enumerate(s.arrivals()[iia_end:], iia_end + 1))
@@ -542,32 +573,72 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
 
-        # the first step is a search; after it, each later search is one
-        # arrival's, whose edge is the pair of rows that differ from T's
-        assert events[0][0] == "search"
-        anchored, walks, dead = [], [], set()
-        for event in events[1:]:
-            if event[0] == "walk":
-                _, end, found = event
+        # the first step is one search, whose length-1 pass starts from the
+        # first arrival's ends if both are free and from nowhere else, as
+        # every edge of T has one M_H-matched end; its paths follow it
+        m = diag.m_h.copy()
+        kind_of, _, starts1 = ours[0]
+        assert kind_of == "search"
+        e1 = edge_key(*arrivals[0][1]) if arrivals else ()
+        assert starts1 == (list(e1) if e1 and not any(map(m.is_matched, e1)) else []), trial
+        first_step = [p for p in diag.applied if p.arrival in (None, iia_end + 1)]
+        for i, p in enumerate(first_step, 1):
+            assert ours[i] == ("apply", p.vertices), trial
+            m.augment(p.vertices)
+        i = 1 + len(first_step)
+        # then each visited arrival is, in order, one of:
+        # - its path of length 1 alone, both ends free: no walk, no search;
+        # - a walk that finds no free vertex;
+        # - a walk that finds one, then a walk that finds none;
+        # - two walks that find one, its search, and at most one path
+        anchored, direct, dead = [], [], set()
+        while i < len(ours):
+            event = ours[i]
+            if event[0] == "apply":
+                path = event[1]
+                assert len(path) == 2 and not any(map(m.is_matched, path)), (trial, path)
+                direct.append(path)
+                m.augment(path)
+                i += 1
+                continue
+            ends = []
+            while i < len(ours) and ours[i][0] == "walk":
+                _, end, found = ours[i]
                 assert end not in dead, (trial, end)  # a dead end is never walked again
                 if not found:
                     dead.add(end)
-                walks.append((end, found))
-            else:
-                rows = event[1]
-                edge = tuple(v for v, row in enumerate(rows) if tuple(row) != diag.t.adj[v])
-                # both ends were walked just before, and both found a free vertex
-                assert set(walks[-2:]) == {(edge[0], True), (edge[1], True)}, (trial, edge)
-                anchored.append(edge)
+                ends.append(end)
+                i += 1
+                if not found or len(ends) == 2:
+                    break
+            assert ends, (trial, event)
+            if len(ends) < 2 or ends[-1] in dead:
+                continue
+            kind_of, rows, _ = ours[i]
+            assert kind_of == "search", (trial, ends)
+            # the arrival's edge is the pair of rows that differ from T's
+            edge = tuple(v for v, row in enumerate(rows) if tuple(row) != diag.t.adj[v])
+            assert set(edge) == set(ends), (trial, edge)
+            assert any(map(m.is_matched, edge)), (trial, edge)  # not two free ends
+            anchored.append(edge)
+            i += 1
+            # its path runs through its edge; an apply that does not is the
+            # next arrival's, applied at once
+            if i < len(ours) and ours[i][0] == "apply" and set(edge) <= set(ours[i][1]):
+                m.augment(ours[i][1])
+                i += 1
+        assert m == diag.m_aug, trial
         dead_ends += len(dead)
+        direct_total += len(direct)
         if kind == "closing":
-            assert not arrivals and not anchored and not walks
+            assert len(ours) == 1 + len(diag.applied) and not anchored and not direct
         else:
             # the first arrival is always searched in full; later ones are
-            # searched, anchored, only past the filter
-            assert set(anchored) <= {e for _, e in arrivals[1:]}
-            assert len(anchored) < len(arrivals)
-            stepped += 1 + len(anchored)
+            # applied at once or searched, anchored, only past the filter
+            later = {e for _, e in arrivals[1:]}
+            assert set(anchored) | set(direct) <= later
+            assert len(anchored) + len(direct) < len(arrivals)
+            stepped += 1 + len(anchored) + len(direct)
     # the answer is the H | U matching when M adds no edge, else a matching
     # of H | U extended by M's edges: the cases take both branches
     if kind == "bipartite":
@@ -575,6 +646,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     if kind == "gadget":
         assert not all(m_inside_hu)
         assert hit_arrivals >= arrivals_total / 2
+        # most of the gadget's later paths are arrivals with two free ends
+        assert direct_total > 0
     elif kind != "closing":
         assert hit_arrivals <= stepped < arrivals_total / 2
     if kind != "closing":
@@ -613,10 +686,11 @@ def test_beats23_safety_cap_propagates(monkeypatch):
 
 
 def test_beats23_trial_builds_each_graph_rows_once(monkeypatch):
-    # at tight caps on a bipartite input H | U is not G. beats23 reads H | U's
-    # full rows to find M's edges outside it before it solves it, so
-    # Hopcroft-Karp reuses those rows, and no graph of a checked trial
-    # builds rows twice; H and the census's Phase II graph build left rows
+    # at tight caps on a bipartite input H | U is not G. No graph of a
+    # checked trial builds rows twice, and G builds none: beats23 finds M's
+    # edges outside H | U, and check_edcs tests H against G, by sorted edge
+    # codes. T builds full rows, as phase2b walks them; the exact matchings
+    # of H, H | U and the census's Phase II graph build left rows
     import streammatch.graph as graph
     from streammatch import CheckConfig, GeneratorSpec, TrialConfig
     from streammatch.bench import load_instance, run_one_trial
@@ -640,5 +714,7 @@ def test_beats23_trial_builds_each_graph_rows_once(monkeypatch):
         assert record.h_size + record.u_size < g.m, index  # H | U is not G
         built = [id(h) for h, _ in builds]
         assert len(set(built)) == len(built), index
-        full = sum(is_full for _, is_full in builds)
-        assert full >= 2 and len(builds) - full >= 2, index  # T and H | U; H and the census
+        assert id(g) not in built, index
+        full = [h for h, is_full in builds if is_full]
+        assert len(full) == 1 and len(builds) >= 4, index  # T; H, H | U and the census
+    assert g._adj is None

@@ -28,11 +28,12 @@ from streammatch import (
 )
 from streammatch.graph import (
     MAX_VERTICES,
+    _ends_of,
     _graph_of_canonical,
     _blossom,
     _augmenting_paths,
     _hopcroft_karp,
-    _missing_edges,
+    _lacking,
     _rows,
     _vertex_ints,
     _write_edges,
@@ -133,10 +134,40 @@ def test_fill_equals_reference_fill():
         assert same.adj == adj and same.edges == g.edges
         assert same.endpoints is g.endpoints and same == g
         edge_set = set(canonical)
-        assert _missing_edges(g.adj, canonical) == []
+        assert not _lacking(g, *g.endpoints).any()
         for u in range(-1, n + 1):
             for v in range(n):
                 assert g.has_edge(u, v) == ((u, v) in edge_set or (v, u) in edge_set)
+
+
+def test_lacking_equals_edge_set_reference():
+    # every pair u < v of each graph, those that end at vertex n - 1
+    # among them, against the edge set; the codes Graph keeps from its
+    # duplicate check equal those a `_graph_of_canonical` graph builds on
+    # first read from the same ends
+    present = absent = 0
+    at_last = [0, 0]  # pairs at vertex n - 1: present, absent
+    for n, edges, bipartition in _fill_cases():
+        g = Graph(n, edges, bipartition)
+        edge_set = {edge_key(u, v) for u, v in edges}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        lows, highs = _ends_of(pairs)
+        want = [e not in edge_set for e in pairs]
+        same = _graph_of_canonical(n, g.endpoints, g.bipartition)
+        assert same._codes is None
+        for h in (g, same):
+            assert _lacking(h, lows, highs).tolist() == want
+        assert same.codes.dtype == np.int64 and np.array_equal(same.codes, g.codes)
+        assert g._adj is None and same._adj is None  # no rows were built
+        present += want.count(False)
+        absent += want.count(True)
+        for (_, v), lacked in zip(pairs, want):
+            if v == n - 1:
+                at_last[lacked] += 1
+    assert present > 1000 and absent > 1000 and min(at_last) > 50
+    empty = Graph(5, [])
+    assert _lacking(empty, *_ends_of([(0, 1), (3, 4)])).tolist() == [True, True]
+    assert _lacking(empty, *_ends_of([])).tolist() == []
 
 
 def test_fill_holds_one_int_object_per_vertex():

@@ -15,12 +15,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streammatch"
 # the private names each module imports from `.graph`
 PRIVATE_GRAPH_IMPORTS = {
     "__init__": set(),
-    "analyzer": {"_missing_edges"},
-    "augmenter": {"_augmenting_paths", "_ends_of", "_graph_of_canonical", "_graph_plus",
-                  "_missing_edges"},
+    "analyzer": {"_lacking"},
+    "augmenter": {"_augmenting_paths", "_graph_of_canonical", "_graph_plus", "_lacking"},
     "bench": {"_graph_of_canonical"},
     "cli": set(),
-    "instances": {"_graph_of_canonical", "_missing_edges", "_write_edges"},
+    "instances": {"_ends_of", "_graph_of_canonical", "_lacking", "_write_edges"},
     "sparsifier": {"_graph_of_canonical", "_graph_plus"},
     "stream": set(),
 }
@@ -92,3 +91,10 @@ def test_no_module_names_another_builder():
     others = GRAPH_BUILDERS - SHARED_BUILDERS
     for module in PRIVATE_GRAPH_IMPORTS:
         assert not _names(_tree(module)) & others, module
+
+
+def test_analyzer_reads_no_rows():
+    # check_edcs tests H against G by sorted edge codes; a verifier that
+    # read a graph's `adj` would build all of its rows for that one check
+    reads = {node.attr for node in ast.walk(_tree("analyzer")) if isinstance(node, ast.Attribute)}
+    assert "adj" not in reads

@@ -13,6 +13,7 @@ as a disagreement."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -23,7 +24,6 @@ from streammatch.graph import (
     _ends_of,
     _graph_of_canonical,
     _greedy_mates,
-    _missing_edges,
 )
 
 
@@ -435,8 +435,13 @@ def reference_verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, i
     for matching in matchings:
         edges = frozenset(edge_key(u, v) for u, v in matching)
         # in range first: adj[-1] would read the last vertex's row
-        if not all(0 <= u and v < g.n for u, v in edges) or _missing_edges(g.adj, edges):
+        if not all(0 <= u and v < g.n for u, v in edges):
             return False
+        for u, v in edges:
+            row = g.adj[u]
+            i = bisect_left(row, v)
+            if i == len(row) or row[i] != v:
+                return False
         verts: set[int] = set()
         for u, v in edges:
             if u in verts or v in verts:
