@@ -179,7 +179,11 @@ def phase2b(
     arrays finds; for a T from `build_t`, whose every edge has one
     M_H-matched end, only e_1 can be such an edge. The step leaves no
     augmenting path of length <= 5 in M | T | {e_1}, so from then on
-    M | T holds none and every path in M | T | {e} uses e:
+    M | T holds none and every path in M | T | {e} uses e. Free vertices
+    only become matched, so no edge of T has two free ends from then on,
+    and a later search runs no length-1 pass: its one possible path of
+    length 1 is e itself, which the first rule below applies before any
+    search.
     - An arrival whose two ends are free is applied as the path
       [low, high] at once, with no walk, no row copy and no search. The
       search would start from its two ends alone, as the walk from a free
@@ -294,7 +298,7 @@ def phase2b(
             continue
         edge = ea, eb = edge_key(x, y)
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-        verts = next(_augmenting_paths(mate, sorted(ends_x | ends_y), rows), None)
+        verts = next(_augmenting_paths(mate, sorted(ends_x | ends_y), rows, ()), None)
         rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
             apply(verts, edge, first + i)

@@ -201,15 +201,12 @@ class Graph:
         return _graph_of_canonical, (self.n, self.endpoints, self.bipartition)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether (u, v) is an edge: one bisection of its code into
-        `codes`, as `_lacking` does for arrays of pairs."""
+        """Whether (u, v) is an edge: `_lacking` on the one pair, which
+        reads `codes`, not the rows."""
         lo, hi = edge_key(u, v)
         if not 0 <= lo < hi < self.n:
             return False
-        code = lo * self.n + hi
-        codes = self.codes
-        i = codes.searchsorted(code)
-        return bool(i < len(codes) and codes[i] == code)
+        return not _lacking(self, np.array([lo]), np.array([hi]))[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -781,7 +778,7 @@ def _path5(u, mate, adj) -> list[int] | None:
     return None
 
 
-def _augmenting_paths(mate, starts, adj, starts1=None) -> Iterator[list[int]]:
+def _augmenting_paths(mate, starts, adj, starts1) -> Iterator[list[int]]:
     """Augmenting paths of length 1, 3 or 5, shortest first; within
     a length, from the lowest free start first, then by ascending
     neighbour index.
@@ -790,12 +787,12 @@ def _augmenting_paths(mate, starts, adj, starts1=None) -> Iterator[list[int]]:
     holds the allowed-edge neighbours of v in ascending order, and
     `mate` is the matching's mate list (-1 = free). Matched edges are
     traversed through `mate` only, so every odd-position edge of a
-    yielded path comes from the allowed universe. `starts1`, if given,
-    is an ascending iterable that replaces `starts` for the length-1 pass
-    alone: a caller may pass the ends of the allowed edges whose two ends
-    are free, and get the same paths. A vertex with no free neighbour
-    keeps none while that pass runs, as its flips only match free
-    vertices.
+    yielded path comes from the allowed universe. `starts1` is the
+    ascending iterable of the length-1 pass's starts: `starts` again, or
+    the ends of the allowed edges whose two ends are free, which gives
+    the same paths, or () where no allowed edge has two free ends. A
+    vertex with no free neighbour keeps none while the search runs, as
+    its flips only match free vertices.
 
     The first yield is what a fresh search returns. A caller that flips
     each yielded path in `mate` before resuming, with `starts` holding
@@ -812,7 +809,7 @@ def _augmenting_paths(mate, starts, adj, starts1=None) -> Iterator[list[int]]:
       ends Q would have yielded it already.
     """
     starts = [u for u in starts if mate[u] < 0]
-    passes = (_path1, starts if starts1 is None else starts1), (_path3, starts), (_path5, starts)
+    passes = (_path1, starts1), (_path3, starts), (_path5, starts)
     for first_from, pass_starts in passes:
         for u in pass_starts:
             if mate[u] < 0:

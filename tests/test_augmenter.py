@@ -23,7 +23,7 @@ from streammatch import (
     trivial_family,
 )
 from streammatch.augmenter import _free_ends, _reaching
-from streammatch.graph import _ends_of
+from streammatch.graph import _ends_of, _graph_of_canonical
 from util import (
     find_augmenting_path,
     partner_dict,
@@ -239,9 +239,12 @@ def test_phase2b_rejects_a_path_outside_t(monkeypatch):
 def _phase2b_cases():
     """(trial, m_h, t, first II.B position, II.B arrivals) on seeded random
     bipartite and general graphs, with random Phase I and II.A lengths
-    and b, and about half of the arrivals' pairs flipped."""
+    and b, and about half of the arrivals' pairs flipped. From trial 50 on,
+    T is not `build_t`'s but a random share of the edges after Phase I
+    outside M_H, so some of its edges have two free ends or two matched
+    ones, and the other edges are the II.B arrivals."""
     rnd = random.Random(2024)
-    for trial in range(50):
+    for trial in range(80):
         if trial % 2:
             g = random_general(rnd, rnd.randint(12, 30), rnd.choice([0.15, 0.25, 0.4]))
         else:
@@ -251,17 +254,27 @@ def _phase2b_cases():
             continue
         s = make_stream(g, trial)
         cut = rnd.randint(1, len(s) // 3)
-        iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
         m_h = max_matching(Graph(g.n, s.arrivals()[:cut], g.bipartition))
-        t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]))
         flip = random.Random(trial)
-        arrivals = [(y, x) if flip.random() < 0.5 else (x, y) for x, y in s.arrivals()[iia_end:]]
-        yield trial, m_h, t, iia_end + 1, arrivals
+        if trial < 50:
+            iia_end = rnd.randint(cut + 1, (cut + len(s)) // 2)
+            t = build_t(*_ends_of(s.arrivals()[cut:iia_end]), m_h, rnd.choice([2, 3, 5]))
+            rest = s.arrivals()[iia_end:]
+        else:
+            iia_end = cut
+            in_t = [rnd.random() < 0.4 and (x, y) not in m_h for x, y in s.arrivals()[cut:]]
+            t_edges = sorted(e for e, kept in zip(s.arrivals()[cut:], in_t) if kept)
+            t = _graph_of_canonical(g.n, _ends_of(t_edges), g.bipartition)
+            rest = [e for e, kept in zip(s.arrivals()[cut:], in_t) if not kept]
+        arrivals = [(y, x) if flip.random() < 0.5 else (x, y) for x, y in rest]
+        if arrivals:
+            yield trial, m_h, t, iia_end + 1, arrivals
 
 
 def test_phase2b_anchored_search_matches_reference():
     lengths = set()
     later_hits = 0
+    t_length1 = 0  # first-step paths that are edges of T with two free ends
     for trial, m_h, t, first, arrivals in _phase2b_cases():
         m, applied = phase2b(m_h, t, first, *_ends_of(arrivals))
         ref_matching, ref_applied = reference_phase2b(m_h, t, enumerate(arrivals, first))
@@ -270,14 +283,20 @@ def test_phase2b_anchored_search_matches_reference():
         assert m == ref_matching, trial
         lengths.update(p.length for p in applied)
         later_hits += sum(p.arrival != first for p in applied)
+        e1 = edge_key(*arrivals[0])
+        t_length1 += sum(
+            p.length == 1 and p.arrival == first and edge_key(*p.vertices) != e1 for p in applied
+        )
         # with no arrivals, one pass over M | T, whose paths have no position
         m, applied = phase2b(m_h, t, first, *_ends_of([]))
         ref_matching, ref_applied = reference_phase2b(m_h, t, [(None, None)])
         assert [tuple(p) for p in applied] == ref_applied, trial
         assert m == ref_matching, trial
-    # the anchored search ran and found paths of every length
+    # the anchored search ran and found paths of every length, and the
+    # first step's length-1 pass found T's own
     assert lengths == {1, 3, 5}
     assert later_hits > 50
+    assert t_length1 > 20
 
 
 def test_phase2b_reach_skip_is_exact():
@@ -541,7 +560,7 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             yield v
         events.append(("walk", a, found))
 
-    def searched(mate, starts, rows, starts1=None):
+    def searched(mate, starts, rows, starts1):
         events.append(("search", list(rows), starts1))
         return augmenting_paths(mate, starts, rows, starts1)
 
@@ -590,7 +609,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         # - its path of length 1 alone, both ends free: no walk, no search;
         # - a walk that finds no free vertex;
         # - a walk that finds one, then a walk that finds none;
-        # - two walks that find one, its search, and at most one path
+        # - two walks that find one, its search with no length-1 pass,
+        #   and at most one path
         anchored, direct, dead = [], [], set()
         while i < len(ours):
             event = ours[i]
@@ -614,8 +634,9 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             assert ends, (trial, event)
             if len(ends) < 2 or ends[-1] in dead:
                 continue
-            kind_of, rows, _ = ours[i]
+            kind_of, rows, starts1 = ours[i]
             assert kind_of == "search", (trial, ends)
+            assert starts1 == (), (trial, ends)  # no length-1 pass
             # the arrival's edge is the pair of rows that differ from T's
             edge = tuple(v for v, row in enumerate(rows) if tuple(row) != diag.t.adj[v])
             assert set(edge) == set(ends), (trial, edge)

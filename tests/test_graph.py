@@ -735,18 +735,26 @@ def test_matching_augment_flips_in_place_or_leaves_it_unchanged():
 
 def test_augmenting_paths_equal_reference():
     # every path the resumed search yields is what a fresh search over the
-    # partner table finds on the matching as it stands, and none is left
+    # partner table finds on the matching as it stands, and none is left,
+    # whether the length-1 pass starts from every vertex or only from the
+    # ends of the edges whose two ends are free
     last_matched = set()
     lengths = set()
-    for g, m in random_matched_graphs(55, 600):
-        last_matched.add(m.mate[-1] >= 0)
-        for verts in _augmenting_paths(m.mate, range(g.n), g.adj):
-            assert verts == reference_augmenting_path(partner_dict(m), range(g.n), g.adj)
-            m.augment(verts)
-            lengths.add(len(verts) - 1)
-        assert reference_augmenting_path(partner_dict(m), range(g.n), g.adj) is None
+    narrowed = 0  # matchings where those ends are not all free vertices
+    for g, m0 in random_matched_graphs(55, 600):
+        last_matched.add(m0.mate[-1] >= 0)
+        free_free = sorted({v for e in g.edges if not any(map(m0.is_matched, e)) for v in e})
+        narrowed += len(free_free) < g.n - 2 * len(m0)
+        for starts1 in (range(g.n), free_free):
+            m = m0.copy()
+            for verts in _augmenting_paths(m.mate, range(g.n), g.adj, starts1):
+                assert verts == reference_augmenting_path(partner_dict(m), range(g.n), g.adj)
+                m.augment(verts)
+                lengths.add(len(verts) - 1)
+            assert reference_augmenting_path(partner_dict(m), range(g.n), g.adj) is None
     assert last_matched == {True, False}
     assert lengths == {1, 3, 5}
+    assert narrowed > 100
 
 
 def test_matching_augment_equals_reference():
