@@ -63,7 +63,6 @@ from .sparsifier import (
     Sparsifier,
     bernstein_match,
     default_u_cap,
-    derive_params,
     params_with_betas,
     phase1_build_h,
     phase2_collect_u,

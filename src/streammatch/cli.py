@@ -14,6 +14,7 @@ import numpy as np
 
 from . import instances
 from .bench import (
+    ALGORITHMS,
     CheckConfig,
     GeneratorSpec,
     TrialConfig,
@@ -22,7 +23,7 @@ from .bench import (
     run_trials,
 )
 from .graph import BRUTE_FORCE_VERTEX_LIMIT, brute_force_matching_size, max_matching
-from .sparsifier import SafetyCapExceeded, derive_params, params_with_betas
+from .sparsifier import SafetyCapExceeded, params_with_betas
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +41,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run seeded trials of one algorithm")
-    run.add_argument("--algo", required=True, choices=["greedy", "bernstein", "beats23"])
+    run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--gen", choices=sorted(_GEN_PARAM_FLAG))
     run.add_argument("--n", type=int)
     run.add_argument("--p", type=float)
@@ -95,13 +96,10 @@ def _parse_checks(spec: str) -> CheckConfig:
 def _cmd_run(args) -> int:
     params = None
     if args.algo != "greedy":
-        if args.beta_plus is not None or args.beta_minus is not None:
-            if args.beta_plus is None or args.beta_minus is None:
-                raise ValueError("--beta-plus and --beta-minus go together")
-            params = params_with_betas(args.eps, args.beta_plus, args.beta_minus,
-                                       args.gamma, args.b)
-        else:
-            params = derive_params(args.eps, args.gamma, args.b)
+        if args.beta_plus is None or args.beta_minus is None:
+            raise ValueError(f"--algo {args.algo} needs --beta-plus and --beta-minus")
+        params = params_with_betas(args.eps, args.beta_plus, args.beta_minus,
+                                   args.gamma, args.b)
     gen = None
     if args.gen:
         if args.n is None:

@@ -36,9 +36,8 @@ class AlgoParams:
     """Parameter bundle shared by the streaming matching algorithms.
 
     The two degree caps fix the sparsifier, with 0 < beta_minus <=
-    beta_plus; lam, the gap between them, is derived from the caps.
-    `derive_params` computes the bundle from eps alone;
-    `params_with_betas` takes explicit desk-scale caps.
+    beta_plus < inf; lam, the gap between them, is derived from the caps.
+    Every run names its caps: `params_with_betas` builds the bundle.
     """
 
     eps: float
@@ -50,14 +49,10 @@ class AlgoParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
-        if not self.beta_plus > 0:
-            raise ValueError("beta_plus must be positive")
-        if not self.beta_minus > 0:
-            raise ValueError("beta_minus must be positive")
-        if self.beta_plus == math.inf:
-            raise ValueError("beta_plus must be finite")
-        if self.beta_minus == math.inf:
-            raise ValueError("beta_minus must be finite")
+        if not 0.0 < self.beta_plus < math.inf:
+            raise ValueError("beta_plus must be positive and finite")
+        if not 0.0 < self.beta_minus < math.inf:
+            raise ValueError("beta_minus must be positive and finite")
         if self.beta_minus > self.beta_plus:
             raise ValueError("beta_minus must not exceed beta_plus")
         if not 0.0 < self.gamma < 1.0:
@@ -72,16 +67,6 @@ class AlgoParams:
         return 1.0 - self.beta_minus / self.beta_plus
 
 
-def derive_params(eps: float, gamma: float = 2.0 / 3.0, b: int = 500) -> AlgoParams:
-    """Parameters from eps alone: lam = eps/128,
-    beta_plus = 64 * lam^-2 * ln(1/lam), beta_minus = (1 - lam) * beta_plus."""
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    lam = eps / 128.0
-    beta_plus = 64.0 * lam**-2 * math.log(1.0 / lam)
-    return AlgoParams(eps, beta_plus, (1.0 - lam) * beta_plus, gamma, b)
-
-
 def params_with_betas(
     eps: float,
     beta_plus: float,
@@ -89,7 +74,7 @@ def params_with_betas(
     gamma: float = 2.0 / 3.0,
     b: int = 500,
 ) -> AlgoParams:
-    """Desk-scale override with explicit degree caps; lam is then
+    """The parameter bundle for the given degree caps, as floats; lam is
     1 - beta_minus/beta_plus."""
     return AlgoParams(eps, float(beta_plus), float(beta_minus), gamma, b)
 

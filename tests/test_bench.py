@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import pickle
 import random
+import shlex
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -415,9 +417,10 @@ def test_cli_hard_trivial(capsys):
 
 def test_cli_operational_error_exit_code(tmp_path, capsys):
     code = main(["run", "--algo", "beats23", "--instance", str(tmp_path / "nope.edges"),
-                 "--eps", "0.1", "--trials", "1", "--workers", "1"])
+                 "--eps", "0.1", "--beta-plus", "12", "--beta-minus", "10",
+                 "--trials", "1", "--workers", "1"])
     assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert "nope.edges" in _assert_one_line_error(capsys).err
 
 
 def _assert_one_line_error(capsys):
@@ -425,6 +428,34 @@ def _assert_one_line_error(capsys):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("match-bench: error:") and captured.err.count("\n") == 1
     return captured
+
+
+def _readme_run_lines():
+    """The `match-bench run` command lines of README's CLI block, with
+    their continuation lines joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("match-bench run ")]
+
+
+def test_readme_run_examples_exit_0(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the examples write their --out files here
+    examples = _readme_run_lines()
+    assert examples
+    for argv in examples:
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("algo", ["bernstein", "beats23"])
+@pytest.mark.parametrize("caps", [[], ["--beta-plus", "12"], ["--beta-minus", "10"]],
+                         ids=["no-caps", "plus-only", "minus-only"])
+def test_cli_run_without_both_caps_exits_1(algo, caps, capsys):
+    code = main(["run", "--algo", algo, "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+                 "--workers", "1"] + caps)
+    assert code == 1
+    message = f"--algo {algo} needs --beta-plus and --beta-minus"
+    assert _assert_one_line_error(capsys).err == f"match-bench: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,14 +480,23 @@ def test_cli_out_of_memory_exits_1_without_traceback(capsys):
     assert "Unable to allocate" in _assert_one_line_error(capsys).err
 
 
+def _cap_case(plus, minus, cap, breaks):
+    """A bad pair of caps, with an id that names the half of the cap's
+    rule that it breaks; a NaN breaks both."""
+    return pytest.param(plus, minus, f"{cap} must be positive and finite",
+                        id=f"{plus}-{minus}-{cap} must be {breaks}")
+
+
 @pytest.mark.parametrize("plus, minus, message", [
     ("5", "6", "beta_minus must not exceed beta_plus"),
-    ("5", "0", "beta_minus must be positive"),
-    ("5", "-2", "beta_minus must be positive"),
-    ("-3", "-4", "beta_plus must be positive"),
-    ("inf", "3", "beta_plus must be finite"),
-    ("5", "inf", "beta_minus must be finite"),
-    ("inf", "inf", "beta_plus must be finite"),
+    _cap_case("5", "0", "beta_minus", "positive"),
+    _cap_case("5", "-2", "beta_minus", "positive"),
+    _cap_case("-3", "-4", "beta_plus", "positive"),
+    _cap_case("inf", "3", "beta_plus", "finite"),
+    _cap_case("5", "inf", "beta_minus", "finite"),
+    _cap_case("inf", "inf", "beta_plus", "finite"),
+    _cap_case("nan", "3", "beta_plus", "positive and finite"),
+    _cap_case("5", "nan", "beta_minus", "positive and finite"),
 ])
 def test_cli_bad_beta_caps_name_the_cap(plus, minus, message, capsys):
     code = main(["run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "10",
@@ -769,7 +809,8 @@ def test_cli_fuzzed_bad_input_exits_1_or_2_without_traceback(tmp_path, capsys):
         elif source == 1:
             edges_path.write_bytes(_bad_edge_list(rnd))
             argv = ["run", "--algo", rnd.choice(["greedy", "bernstein", "beats23"]),
-                    "--instance", str(edges_path), "--eps", "0.2", "--workers", "1"]
+                    "--instance", str(edges_path), "--eps", "0.2",
+                    "--beta-plus", "6", "--beta-minus", "5", "--workers", "1"]
         else:
             family_path.write_text(_bad_family(rnd))
             argv = ["hard", "--base", str(family_path), "--trials", "1"]

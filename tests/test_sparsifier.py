@@ -11,7 +11,6 @@ from streammatch import (
     SafetyCapExceeded,
     bernstein_match,
     default_u_cap,
-    derive_params,
     make_stream,
     max_matching,
     params_with_betas,
@@ -25,32 +24,6 @@ from util import random_bipartite, random_general, reference_phase1_build_h
 
 # ---------------------------------------------------------------------------
 # parameters
-
-
-def test_derive_params_lambda():
-    p = derive_params(0.01)
-    assert p.lam == pytest.approx(7.8125e-5)
-    assert p.beta_minus / p.beta_plus == pytest.approx(1 - p.lam)
-    assert p.beta_minus / p.beta_plus == pytest.approx(0.999921875)
-
-
-def test_derive_params_formula():
-    p = derive_params(0.01)
-    lam = 0.01 / 128
-    assert p.beta_plus == pytest.approx(64 * lam**-2 * math.log(1 / lam))
-    assert p.gamma == pytest.approx(2 / 3)
-    assert p.b == 500
-
-
-def test_derive_params_monotone_in_eps():
-    caps = [derive_params(eps).beta_plus for eps in (0.4, 0.2, 0.1, 0.05, 0.01)]
-    assert caps == sorted(caps)  # smaller eps gives larger beta_plus
-
-
-def test_derive_params_rejects_out_of_range():
-    for eps in (0.0, 0.5, -0.1, 1.0):
-        with pytest.raises(ValueError):
-            derive_params(eps)
 
 
 def test_params_with_betas_back_solves_lambda():
@@ -71,6 +44,11 @@ def test_params_invariants_enforced():
         AlgoParams(eps=0.1, beta_plus=50, beta_minus=41, gamma=1.0)
     with pytest.raises(ValueError):
         AlgoParams(eps=0.1, beta_plus=50, beta_minus=41, b=1)
+    with pytest.raises(ValueError, match="^beta_plus must be positive and finite$"):
+        AlgoParams(0.1, float("nan"), 1.0)
+    for eps in (0.0, 0.5, -0.1, 1.0):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            params_with_betas(eps, 50, 41)
 
 
 # ---------------------------------------------------------------------------
