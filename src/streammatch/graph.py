@@ -247,8 +247,9 @@ def _graph_of_canonical(
     a bipartition, crossing it; `ends` are their (low, high) ends as int64
     arrays and the bipartition is a `Graph.bipartition` pair. Nothing is
     validated, so use it only for edge sets the package built itself:
-    `gen_random`'s G(n, p) draws, T, H | U, a stream slice. Edges from
-    outside go through `Graph`, which checks them."""
+    `gen_random`'s draws, the gadgets and hard instances, T, H | U, a
+    stream slice. Edges from outside go through `Graph`, which checks
+    them."""
     g = object.__new__(Graph)
     _fill_graph(g, n, ends, bipartition)
     return g

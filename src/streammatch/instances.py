@@ -4,8 +4,8 @@ the parity-gadget adversarial family for hard-instance testing."""
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
 
@@ -49,46 +49,42 @@ def xor_gadget(bits: Sequence[int]) -> XorGadget:
     Bit 1 crosses the two rails between consecutive levels, bit 0 keeps
     them straight; the first and last bits pick which rail s and t join.
     """
-    bits = tuple(int(x) for x in bits)
+    try:
+        bits = tuple(map(index, bits))
+    except TypeError:
+        raise ValueError("bits must be the integers 0 or 1") from None
     if any(x not in (0, 1) for x in bits):
-        raise ValueError("bits must be 0 or 1")
+        raise ValueError("bits must be the integers 0 or 1")
     k = len(bits)
     if k <= 1:
         raise ValueError("need at least 3 bits")
     if k % 2 == 0:
         raise ValueError("bit count must be odd")
-    edges, bit_edges = _gadget_edges(bits)
-    return XorGadget(bits, Graph(2 * k, edges), 0, 2 * k - 1, bit_edges)
+    lows, highs = _gadget_ends(np.array([bits]))
+    graph = _graph_of_canonical(2 * k, (lows[0], highs[0]))
+    edges = graph.edges
+    bit_edges = (edges[:1], *zip(edges[1:-1:2], edges[2:-1:2]), edges[-1:])
+    return XorGadget(bits, graph, 0, 2 * k - 1, bit_edges)
 
 
-def _gadget_edges(bits: tuple[int, ...]) -> tuple[list[Edge], tuple[tuple[Edge, ...], ...]]:
-    """The canonical edges of `xor_gadget(bits)`, for checked bits, and
-    the edges that each bit chose."""
-    k = len(bits)
-
-    def a(i: int) -> int:
-        return 2 * i - 1
-
-    def b(i: int) -> int:
-        return 2 * i
-
-    s, t = 0, 2 * k - 1
-    edges: list[Edge] = []
-    bit_edges: list[tuple[Edge, ...]] = []
-    first = edge_key(s, a(1) if bits[0] == 0 else b(1))
-    edges.append(first)
-    bit_edges.append((first,))
-    for i in range(2, k):
-        if bits[i - 1] == 0:
-            pair = (edge_key(a(i - 1), a(i)), edge_key(b(i - 1), b(i)))
-        else:
-            pair = (edge_key(a(i - 1), b(i)), edge_key(b(i - 1), a(i)))
-        edges.extend(pair)
-        bit_edges.append(pair)
-    last = edge_key(t, a(k - 1) if bits[-1] == 0 else b(k - 1))
-    edges.append(last)
-    bit_edges.append((last,))
-    return edges, tuple(bit_edges)
+def _gadget_ends(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The local (low, high) ends of the 2k - 2 edges of the gadget of
+    each row of `bits`, a (g, k) array of checked bits, as two (g, 2k - 2)
+    int64 arrays in `xor_gadget`'s edge order: s-level 1, then each
+    middle bit's pair of edges from level i - 1 to level i, then level
+    k - 1 to t. The pair's low ends are a_{i-1}, b_{i-1}; bit 1 swaps
+    their high ends a_i, b_i. Only the last edge has t = 2k - 1 as an
+    end, its high one."""
+    g, k = bits.shape
+    lows = np.tile(np.arange(2 * k - 2), (g, 1))
+    highs = lows + 2
+    middle = bits[:, 1:-1]
+    highs[:, 1:-1:2] += middle
+    highs[:, 2:-1:2] -= middle
+    highs[:, 0] = 1 + bits[:, 0]
+    lows[:, -1] = 2 * k - 3 + bits[:, -1]
+    highs[:, -1] = 2 * k - 1
+    return lows, highs
 
 
 def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
@@ -188,83 +184,64 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
 
     t = len(matchings)
     j_star = int(rng.integers(t))
-    special_vs = {v for e in matchings[j_star] for v in e}
     base_n = base.n
-    parities = tuple(1 if v in special_vs else 0 for v in range(base_n))
+    parity = np.zeros(base_n, np.int64)  # 1 on the special matching's vertices
+    special_lows, special_highs = _ends_of(list(matchings[j_star]))
+    parity[special_lows] = parity[special_highs] = 1
+    # the draws in the order of a per-vertex then per-edge loop, which
+    # they match number for number
+    heads = rng.integers(0, 2, size=(base_n, k - 1))
+    z = rng.integers(0, 2, size=base.m)
+    bits = np.column_stack((heads, parity ^ np.bitwise_xor.reduce(heads, axis=1)))
 
-    edges: list[Edge] = []
-    gadget_bits: list[tuple[int, ...]] = []
-    gadget_vertices: list[tuple[int, ...]] = []
-    extra = 2 * k - 1  # fresh vertices per gadget; the final vertex is shared
-    for v in range(base_n):
-        head = tuple(int(x) for x in rng.integers(0, 2, size=k - 1))
-        parity_head = 0
-        for x in head:
-            parity_head ^= x
-        bits = head + (parities[v] ^ parity_head,)
-        offset = base_n + v * extra
-        final_local = 2 * k - 1
+    # gadget v's local vertex x < 2k - 1 is base_n + v(2k - 1) + x and its
+    # t is v itself, which is below every gadget vertex, so the last
+    # edge's ends trade places
+    extra = 2 * k - 1
+    vertices = np.arange(base_n)
+    offsets = base_n + extra * vertices[:, None]
+    lows, highs = _gadget_ends(bits)
+    lows += offsets
+    highs += offsets
+    highs[:, -1] = lows[:, -1]
+    lows[:, -1] = vertices
+    base_lows, base_highs = base.endpoints
+    kept = z == 1
+    ends = (np.concatenate((lows.ravel(), base_lows[kept])),
+            np.concatenate((highs.ravel(), base_highs[kept])))
 
-        def remap(local: int) -> int:
-            return v if local == final_local else offset + local
-
-        for x, y in _gadget_edges(bits)[0]:
-            edges.append(edge_key(remap(x), remap(y)))
-        gadget_bits.append(bits)
-        gadget_vertices.append(tuple(remap(i) for i in range(2 * k)))
-
-    z_bits = tuple((e, int(rng.integers(2))) for e in base.edges)
-    edges.extend(e for e, z in z_bits if z == 1)
-
+    # a gadget vertex at level (x + 1) // 2 lies k minus that many edges
+    # from t = v, so its side is v's side flipped that many times
     total_n = base_n + base_n * extra
-    bipartition = _two_color(total_n, edges)
-    graph = Graph(total_n, edges, bipartition)
+    in_left = np.zeros(total_n, bool)
+    in_left[list(left)] = True
+    flips = (k - (np.arange(extra) + 1) // 2) % 2 == 1
+    in_left[base_n:] = (in_left[:base_n, None] ^ flips).ravel()
+    sides = (frozenset(np.flatnonzero(in_left).tolist()),
+             frozenset(np.flatnonzero(~in_left).tolist()))
+    gadget_vertices = np.column_stack((offsets + np.arange(extra), vertices))
     return HardInstance(
-        graph=graph,
+        graph=_graph_of_canonical(total_n, ends, sides),
         base=base,
         matchings=matchings,
         special_index=j_star,
-        parities=parities,
-        gadget_bits=tuple(gadget_bits),
-        gadget_vertices=tuple(gadget_vertices),
-        z_bits=z_bits,
+        parities=tuple(parity.tolist()),
+        gadget_bits=tuple(map(tuple, bits.tolist())),
+        gadget_vertices=tuple(map(tuple, gadget_vertices.tolist())),
+        z_bits=tuple(zip(base.edges, z.tolist())),
         r=r,
         k=k,
     )
-
-
-def _two_color(n: int, edges: Iterable[Edge]) -> tuple[list[int], list[int]]:
-    """2-coloring by BFS from the lowest vertex of each component."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    color = [-1] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    raise ValueError("graph is not bipartite")
-    left = [v for v in range(n) if color[v] == 0]
-    right = [v for v in range(n) if color[v] == 1]
-    return left, right
 
 
 def mu_with_and_without_special(instance: HardInstance) -> tuple[int, int]:
     """(mu(G), mu(G minus the special matching)) via the exact oracle."""
     g = instance.graph
     mu_g = len(max_matching(g))
-    special = instance.special_matching()
-    kept = [e for e in g.edges if e not in special]
-    stripped = Graph(g.n, kept, g.bipartition)
+    special_lows, special_highs = _ends_of(list(instance.special_matching()))
+    lows, highs = g.endpoints
+    kept = ~np.isin(lows * g.n + highs, special_lows * g.n + special_highs)
+    stripped = _graph_of_canonical(g.n, (lows[kept], highs[kept]), g.bipartition)
     return mu_g, len(max_matching(stripped))
 
 
@@ -275,8 +252,11 @@ def trivial_family(base: Graph) -> list[frozenset[Edge]]:
 
 def matched_base(n_side: int) -> Graph:
     """Perfect-matching base graph: left i joined to right n_side + i."""
-    edges = [(i, n_side + i) for i in range(n_side)]
-    return Graph(2 * n_side, edges, (range(n_side), range(n_side, 2 * n_side)))
+    if n_side < 0:
+        raise ValueError("n_side must be non-negative")
+    lefts = np.arange(n_side)
+    sides = (frozenset(range(n_side)), frozenset(range(n_side, 2 * n_side)))
+    return _graph_of_canonical(2 * n_side, (lefts, lefts + n_side), sides)
 
 
 def gen_random(
@@ -290,8 +270,9 @@ def gen_random(
 
     bipartite-gnp: n vertices per side, each cross pair kept w.p. p.
     general-gnp: n vertices, each pair kept w.p. p.
-    planted-matching: n vertices, `plant` disjoint edges plus n random
-    extra edges, so mu >= plant.
+    planted-matching: n vertices, `plant` disjoint edges plus up to n
+    random extra edges (n pairs are drawn; a self-loop is dropped and a
+    repeat merged), so mu >= plant. The edges are in ascending order.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -313,13 +294,11 @@ def gen_random(
     if kind == "planted-matching":
         if plant is None or not 1 <= plant <= n // 2:
             raise ValueError("plant size must lie in [1, n//2]")
-        perm = rng.permutation(n)
-        edges = {edge_key(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(plant)}
-        for _ in range(n):
-            u, v = int(rng.integers(n)), int(rng.integers(n))
-            if u != v:
-                edges.add(edge_key(u, v))
-        return Graph(n, sorted(edges))
+        pairs = np.concatenate((rng.permutation(n)[:2 * plant].reshape(plant, 2),
+                                rng.integers(n, size=(n, 2))))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        codes = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        return _graph_of_canonical(n, np.divmod(codes, n))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
@@ -410,9 +411,29 @@ def test_cli_verify_gadgets(capsys):
     assert "k=5" in capsys.readouterr().out
 
 
-def test_cli_hard_trivial(capsys):
-    assert main(["hard", "--trivial", "6", "--k", "3", "--trials", "5", "--seed", "2"]) == 0
-    assert "0 violations" in capsys.readouterr().out
+# SHA-256 of the five .edges files that the run below writes, recorded
+# from the per-vertex instance builder
+HARD_TRIVIAL_EDGES = [
+    "931f0ac9b55949151fc5eb78a9075221892cecbd9e521ce85384c9f213ef3db4",
+    "dd0553ce9f40a79af421de44a6f84095342ad44683d5654d5a16f8f52e33c31d",
+    "ce313b82bc80a848efbce9e2ca5e838c5e06210cc612a0da21312ff8d497160c",
+    "c81e6f624003a5bb5de8f2199a45c23e74cdceeac81730a7423b3554829b0706",
+    "4ce4f75102f591d8264528c89d183c9b49f7e7de42fb1b05620933e2db3f8f81",
+]
+
+
+def test_cli_hard_trivial(tmp_path, capsys):
+    prefix = str(tmp_path / "inst")
+    assert main(["hard", "--trivial", "6", "--k", "3", "--trials", "5", "--seed", "2",
+                 "--save-prefix", prefix]) == 0
+    assert capsys.readouterr().out == (
+        "hard: trials=5 N=6 r=1 k=3\n"
+        "  removal bound 34: 0 violations\n"
+        "  mean mu = 34.40, floor 33.00: OK\n"
+    )
+    digests = [hashlib.sha256(Path(f"{prefix}{i}.edges").read_bytes()).hexdigest()
+               for i in range(5)]
+    assert digests == HARD_TRIVIAL_EDGES
 
 
 def test_cli_operational_error_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -45,6 +46,11 @@ def test_gadget_rejects_bad_bit_counts():
         xor_gadget((0,))  # too short
     with pytest.raises(ValueError):
         xor_gadget((0, 2, 0))
+    # a bit must be the integer 0 or 1, not a value that converts to one
+    with pytest.raises(ValueError, match="integers 0 or 1"):
+        xor_gadget((0, 1.5, 0))
+    with pytest.raises(ValueError, match="integers 0 or 1"):
+        xor_gadget(("1", 0, 0))
 
 
 def test_gadget_parity_zero_example():
@@ -236,9 +242,47 @@ def test_hard_instance_rejects_bad_families():
     k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)], (range(2), range(2, 4)))
     with pytest.raises(NotInducedError):
         build_hard_instance(k22, [[(0, 2), (1, 3)]], k=3, rng=rng)
+    with pytest.raises(ValueError):
+        matched_base(-1)
     # k is checked before the family is verified
     with pytest.raises(ValueError, match="gadget length k"):
         build_hard_instance(k22, [[(0, 2), (1, 3)]], k=4, rng=rng)
+
+
+# (k, seed, builds) -> SHA-256 of repr((fields, state)): `fields` lists, for
+# each of `builds` builds in a row on one generator over matched_base(60)
+# and its trivial family, (n, edges, special_index, parities, gadget_bits,
+# gadget_vertices, z_bits); `state` is the generator's bit_generator.state
+# after the last build. Recorded from the per-vertex builder; a faster
+# builder must draw the same numbers and emit the same edges in the same
+# order. The bipartition is left out: any valid 2-colouring will do.
+HARD_GOLDEN = {
+    (3, 0, 1): "bb5ce2d05de575379ccaa0aad858b977a9715ae815c4373e96550f33d0f9f4a1",
+    (3, 7, 1): "48b7b51ee5dcb5e49ab20cb4a3525f99edf37fff39a979c9d2425dcfabb3c360",
+    (5, 0, 1): "d66289c387f91e259aaf660002f61c58982626cf54baf40d52d83dd5fd8d76d6",
+    (5, 7, 1): "dfa7de31ba358a1ee4ca88b3fe41b164e6464fd741517126ca27ebfa3a69a3ab",
+    (7, 0, 1): "e693f465ba7963354e385d7e024f3cd5796d057844bf0d7ad69fd47472d487b2",
+    (7, 7, 1): "3f71d714c8598ca171219c4bacddfc183d652e7018ab59d3ae682c7d35692258",
+    (3, 2, 2): "04a03604167f1bd7709408e7688c4326eed9ec411ce5e6654ee90f0a2ff5114e",
+}
+
+
+@pytest.mark.parametrize("k, seed, builds", sorted(HARD_GOLDEN))
+def test_hard_instance_golden(k, seed, builds):
+    base = matched_base(60)
+    family = trivial_family(base)
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(builds):
+        inst = build_hard_instance(base, family, k, rng)
+        g = inst.graph
+        left, right = g.bipartition
+        assert not left & right and left | right == frozenset(range(g.n))
+        assert all((u in left) != (v in left) for u, v in g.edges)
+        fields.append((g.n, g.edges, inst.special_index, inst.parities, inst.gadget_bits,
+                       inst.gadget_vertices, inst.z_bits))
+    digest = hashlib.sha256(repr((fields, rng.bit_generator.state)).encode()).hexdigest()
+    assert digest == HARD_GOLDEN[k, seed, builds]
 
 
 def test_hiding_event_frequency():
@@ -301,21 +345,39 @@ def test_gen_random_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("kind", ["bipartite-gnp", "general-gnp"])
+def _assert_passes_graph_checks(g):
+    """g was built unchecked, so its edges must be canonical, distinct, in
+    range and crossing its sides by construction: the checked constructor
+    gives the same graph from the same edges, in the same edge order."""
+    checked = Graph(g.n, g.edges, g.bipartition)
+    assert g == checked and g.edges == checked.edges
+    for ends, checked_ends in zip(g.endpoints, checked.endpoints):
+        assert ends.dtype == np.int64
+        assert ends.tolist() == checked_ends.tolist()
+
+
+@pytest.mark.parametrize("kind", ["bipartite-gnp", "general-gnp", "planted-matching"])
 def test_gen_random_gnp_graphs_pass_graph_checks(kind):
-    # the G(n, p) kinds build their graphs unchecked, so their edges must
-    # be canonical, distinct, in range and crossing the sides by
-    # construction: the checked constructor gives the same graph
     empty = (np.zeros(0, np.int64), np.zeros(0, np.int64))
     for seed in range(4):
+        n = 30 + 7 * seed
         for p in (0.0, 0.05, 1.0):
-            g = gen_random(kind, 30 + 7 * seed, p, seed=seed)
-            checked = Graph(g.n, g.edges, g.bipartition)
-            assert g == checked and g.edges == checked.edges
-            for ends, checked_ends in zip(g.endpoints, checked.endpoints):
-                assert ends.dtype == np.int64
-                assert ends.tolist() == checked_ends.tolist()
+            if kind == "planted-matching":  # p sets the planted share of n // 2
+                g = gen_random(kind, n, plant=max(1, int(p * (n // 2))), seed=seed)
+            else:
+                g = gen_random(kind, n, p, seed=seed)
+            _assert_passes_graph_checks(g)
             assert _graph_plus(g, empty) is g
+
+
+def test_instance_builders_pass_graph_checks():
+    base = matched_base(5)
+    _assert_passes_graph_checks(base)
+    for k in (3, 5, 7):
+        for bits in itertools.product((0, 1), repeat=k):
+            _assert_passes_graph_checks(xor_gadget(bits).graph)
+        inst = build_hard_instance(base, trivial_family(base), k, np.random.default_rng(k))
+        _assert_passes_graph_checks(inst.graph)
 
 
 # (kind, n, p, plant, seed) -> SHA-256 of repr((n, edges, sorted sides)).
