@@ -36,7 +36,6 @@ from .graph import (
     Edge,
     Graph,
     Matching,
-    _augmenting_paths,
     _graph_of_canonical,
     _graph_plus,
     _lacking,
@@ -159,6 +158,69 @@ def _row_with(row: Sequence[int], v: int) -> list[int]:
     return merged
 
 
+def _path3(u, mate, adj) -> list[int] | None:
+    for x1 in adj[u]:
+        x2 = mate[x1]
+        if x2 < 0:
+            continue
+        for w in adj[x2]:
+            if w != u and mate[w] < 0:
+                return [u, x1, x2, w]
+    return None
+
+
+def _path5(u, mate, adj) -> list[int] | None:
+    for x1 in adj[u]:
+        x2 = mate[x1]
+        if x2 < 0:
+            continue
+        for x3 in adj[x2]:
+            if x3 == x1 or x3 == u:
+                continue
+            x4 = mate[x3]
+            if x4 < 0:
+                continue
+            for w in adj[x4]:
+                if w != u and mate[w] < 0:
+                    return [u, x1, x2, x3, x4, w]
+    return None
+
+
+def _augmenting_paths(mate, starts, adj) -> Iterator[list[int]]:
+    """Augmenting paths of length 3 or 5, shortest first; within a
+    length, from the lowest free start first, then by ascending
+    neighbour index. No allowed edge may have two free ends, so there is
+    no path of length 1 to look for.
+
+    `starts` is an ascending iterable of candidate endpoints, `adj[v]`
+    holds the allowed-edge neighbours of v in ascending order, and
+    `mate` is the matching's mate list (-1 = free). Matched edges are
+    traversed through `mate` only, so every odd-position edge of a
+    yielded path comes from the allowed universe.
+
+    The first yield is what a fresh search returns. A caller that flips
+    each yielded path in `mate` before resuming, with `starts` holding
+    every endpoint of an allowed edge, gets from each later yield what a
+    fresh search on the flipped matching would return, without
+    rescanning. The search resumes at the same length and the next start:
+    - No shorter path appears. The flipped path P is a shortest one, and
+      by the Hopcroft-Karp lemma, which holds in general graphs too, an
+      augmenting path Q of the new matching has |Q| >= |P| + |P & Q|.
+    - A new Q of the same length shares no edge with P, so it shares no
+      vertex either: every vertex of P is now matched along an edge of P,
+      and Q would have to use that edge. So Q augmented the old matching
+      as well, and a start before P's (P's own start is now matched) that
+      ends Q would have yielded it already.
+    """
+    starts = [u for u in starts if mate[u] < 0]
+    for first_from in (_path3, _path5):
+        for u in starts:
+            if mate[u] < 0:
+                path = first_from(u, mate, adj)
+                if path is not None:
+                    yield path
+
+
 def phase2b(
     m_h: Matching, t: Graph, first: int, firsts: np.ndarray, seconds: np.ndarray
 ) -> tuple[Matching, tuple[AppliedPath, ...]]:
@@ -170,28 +232,23 @@ def phase2b(
     copy of m_h and the applied paths in order. With no arrivals it makes
     one pass over M | T alone, whose paths have no arrival position.
 
-    The first step searches from every vertex of T and applies T's own
-    Phase II.A paths too; it resumes its search after each applied path
-    instead of restarting it (see `graph._augmenting_paths`). A path of
-    length 1 is an edge with two free ends, and no edge of M has one, so
-    its length-1 pass runs only from the ends of the edges of T | {e_1}
-    whose two ends are free, which one numpy mask over T's endpoint
-    arrays finds; for a T from `build_t`, whose every edge has one
-    M_H-matched end, only e_1 can be such an edge. The step leaves no
-    augmenting path of length <= 5 in M | T | {e_1}, so from then on
-    M | T holds none and every path in M | T | {e} uses e. Free vertices
-    only become matched, so no edge of T has two free ends from then on,
-    and a later search runs no length-1 pass: its one possible path of
-    length 1 is e itself, which the first rule below applies before any
-    search.
-    - An arrival whose two ends are free is applied as the path
-      [low, high] at once, with no walk, no row copy and no search. The
-      search would start from its two ends alone, as the walk from a free
-      end yields that end, and neither end has a free T-neighbour, which
-      would make a path of length 1 in M | T. So its length-1 pass finds
-      e from the lower end first, and returns that same path. The loop
-      below visits every such arrival, since a free vertex reaches itself
-      and is never marked as not reaching.
+    No edge of t may have two ends free in m_h, as no edge of a T from
+    `build_t` does; phase2b raises ValueError before it applies anything
+    otherwise. Free vertices only become matched, so this stays true, and
+    after an arrival e the one possible augmenting path of length 1 is e
+    itself.
+    - An arrival whose two ends are free, the first one included, is
+      applied as the path [low, high] at once, with no walk, no row copy
+      and no search. It is the only path of length 1, and a search tries
+      the shortest paths first, from the lowest end first.
+    - The first step then searches from every vertex of T, and from e_1's
+      ends if e_1 was not applied, and applies T's own Phase II.A paths
+      too; it resumes its search after each applied path instead of
+      restarting it (see `_augmenting_paths`). The step leaves no
+      augmenting path of length <= 5 in M | T | {e_1}, so from then on
+      M | T holds none and every path in M | T | {e} uses e. The loop
+      below visits every later arrival with two free ends, since a free
+      vertex reaches itself and is never marked as not reaching.
     - An arrival is skipped unless both of its ends are free or walk over
       M | T to a free vertex (`_free_ends`). A path through e, which is
       unmatched, leaves each end of e along that end's matched edge unless
@@ -233,11 +290,16 @@ def phase2b(
       matching, and the one without e would lie in M | T and have length
       <= |Q| <= 5, since a path through e is no shorter than P.
 
-    Raises ValueError if a path uses an edge outside T | {e} | M.
+    Raises ValueError if an edge of t has two free ends, or if a path
+    uses an edge outside T | {e} | M.
     """
     m = m_h.copy()
     mate = m.mate
     t_adj = t.adj
+    lows, highs = t.endpoints
+    free = np.array(mate, np.int64) < 0
+    if (free[lows] & free[highs]).any():
+        raise ValueError("an edge of T has two ends free in m_h")
     # the searches read T's rows, with the current arrival's two rows
     # swapped for sorted copies that hold it while its search runs
     rows = list(t_adj)
@@ -256,26 +318,25 @@ def phase2b(
         m.augment(verts)
         applied.append(AppliedPath(pos, len(verts) - 1, tuple(verts)))
 
+    def apply_if_free(x: int, y: int, pos: int) -> bool:
+        # the arrival (x, y) as the path [low, high], if its ends are free
+        if mate[x] >= 0 or mate[y] >= 0:
+            return False
+        edge = edge_key(x, y)
+        apply(list(edge), edge, pos)
+        return True
+
     pos, edge = None, ()
-    lows, highs = t.endpoints
-    free = np.array(mate, np.int64) < 0
-    two_free = free[lows] & free[highs]
-    starts = np.zeros(t.n, bool)  # the vertices of T, and e's ends
-    starts1 = np.zeros(t.n, bool)  # the ends of those edges with two free ends
-    for ends in (lows, highs):
-        starts[ends] = True
-        starts1[ends[two_free]] = True
+    starts = np.zeros(t.n, bool)  # the vertices of T, and e_1's ends
+    starts[lows] = starts[highs] = True
     if len(firsts):
         pos = first
-        edge = ea, eb = edge_key(int(firsts[0]), int(seconds[0]))
-        starts[[ea, eb]] = True
-        if free[ea] and free[eb]:
-            starts1[[ea, eb]] = True
-        rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-    paths = _augmenting_paths(
-        mate, np.flatnonzero(starts).tolist(), rows, np.flatnonzero(starts1).tolist()
-    )
-    for verts in paths:
+        x, y = int(firsts[0]), int(seconds[0])
+        if not apply_if_free(x, y, pos):
+            edge = ea, eb = edge_key(x, y)
+            starts[[ea, eb]] = True
+            rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
+    for verts in _augmenting_paths(mate, np.flatnonzero(starts).tolist(), rows):
         apply(verts, edge, pos)
     for v in edge:
         rows[v] = t_adj[v]
@@ -290,15 +351,13 @@ def phase2b(
         return ends
 
     for i, x, y in zip(later.tolist(), firsts[later].tolist(), seconds[later].tolist()):
-        if mate[x] < 0 and mate[y] < 0:
-            edge = edge_key(x, y)
-            apply(list(edge), edge, first + i)
+        if apply_if_free(x, y, first + i):
             continue
         if not (alive[x] and alive[y] and (ends_x := walk(x)) and (ends_y := walk(y))):
             continue
         edge = ea, eb = edge_key(x, y)
         rows[ea], rows[eb] = _row_with(t_adj[ea], eb), _row_with(t_adj[eb], ea)
-        verts = next(_augmenting_paths(mate, sorted(ends_x | ends_y), rows, ()), None)
+        verts = next(_augmenting_paths(mate, sorted(ends_x | ends_y), rows), None)
         rows[ea], rows[eb] = t_adj[ea], t_adj[eb]
         if verts is not None:
             apply(verts, edge, first + i)

@@ -170,7 +170,7 @@ def _run_checks(config, g, stream, sp, m_h, mu_g, mu_hu) -> dict[str, bool]:
                 mu_g, len(m_h), mu_hu, config.params.lam, delta,
                 bipartite=g.bipartition is not None,
             )
-            checks[f"dichotomy:{delta:g}"] = rep.holds
+            checks[f"dichotomy:{float(delta)!r}"] = rep.holds
     if config.checks.census:
         # stream edges are g's own: canonical, distinct and in range
         suffix = _graph_of_canonical(g.n, stream.ends(sp.eps_cut + 1, len(stream)), g.bipartition)

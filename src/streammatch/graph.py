@@ -1,5 +1,5 @@
-"""Graph and matching primitives: exact maximum-matching oracles and
-bounded-length augmenting-path search.
+"""Graph and matching primitives, the exact maximum-matching oracles and
+the edge-list file format.
 
 Vertices are dense integers 0..n-1. Edges are unordered pairs stored in
 canonical (min, max) form; self-loops and parallel edges are rejected.
@@ -738,85 +738,6 @@ def brute_force_matching_size(g: Graph) -> int:
             avail ^= ubit
         best[mask] = b
     return best[size - 1]
-
-
-# ---------------------------------------------------------------------------
-# bounded-length augmenting paths
-
-
-def _path1(u, mate, adj) -> list[int] | None:
-    for v in adj[u]:
-        if mate[v] < 0:
-            return [u, v]
-    return None
-
-
-def _path3(u, mate, adj) -> list[int] | None:
-    for x1 in adj[u]:
-        x2 = mate[x1]
-        if x2 < 0:
-            continue
-        for w in adj[x2]:
-            if w != u and mate[w] < 0:
-                return [u, x1, x2, w]
-    return None
-
-
-def _path5(u, mate, adj) -> list[int] | None:
-    for x1 in adj[u]:
-        x2 = mate[x1]
-        if x2 < 0:
-            continue
-        for x3 in adj[x2]:
-            if x3 == x1 or x3 == u:
-                continue
-            x4 = mate[x3]
-            if x4 < 0:
-                continue
-            for w in adj[x4]:
-                if w != u and mate[w] < 0:
-                    return [u, x1, x2, x3, x4, w]
-    return None
-
-
-def _augmenting_paths(mate, starts, adj, starts1) -> Iterator[list[int]]:
-    """Augmenting paths of length 1, 3 or 5, shortest first; within
-    a length, from the lowest free start first, then by ascending
-    neighbour index.
-
-    `starts` is an ascending iterable of candidate endpoints, `adj[v]`
-    holds the allowed-edge neighbours of v in ascending order, and
-    `mate` is the matching's mate list (-1 = free). Matched edges are
-    traversed through `mate` only, so every odd-position edge of a
-    yielded path comes from the allowed universe. `starts1` is the
-    ascending iterable of the length-1 pass's starts: `starts` again, or
-    the ends of the allowed edges whose two ends are free, which gives
-    the same paths, or () where no allowed edge has two free ends. A
-    vertex with no free neighbour keeps none while the search runs, as
-    its flips only match free vertices.
-
-    The first yield is what a fresh search returns. A caller that flips
-    each yielded path in `mate` before resuming, with `starts` holding
-    every endpoint of an allowed edge, gets from each later yield what a
-    fresh search on the flipped matching would return, without
-    rescanning. The search resumes at the same length and the next start:
-    - No shorter path appears. The flipped path P is a shortest one, and
-      by the Hopcroft-Karp lemma, which holds in general graphs too, an
-      augmenting path Q of the new matching has |Q| >= |P| + |P & Q|.
-    - A new Q of the same length shares no edge with P, so it shares no
-      vertex either: every vertex of P is now matched along an edge of P,
-      and Q would have to use that edge. So Q augmented the old matching
-      as well, and a start before P's (P's own start is now matched) that
-      ends Q would have yielded it already.
-    """
-    starts = [u for u in starts if mate[u] < 0]
-    passes = (_path1, starts1), (_path3, starts), (_path5, starts)
-    for first_from, pass_starts in passes:
-        for u in pass_starts:
-            if mate[u] < 0:
-                path = first_from(u, mate, adj)
-                if path is not None:
-                    yield path
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def save_hard_instance(instance: HardInstance, path) -> None:
 
 
 def _int_pairs(items) -> list[tuple[int, int]]:
-    return [(int(u), int(v)) for u, v in items]
+    return [(index(u), index(v)) for u, v in items]
 
 
 def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
@@ -343,8 +343,9 @@ def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
     {"n": ..., "left_size": ..., "edges": [[u, v], ...],
      "matchings": [[[u, v], ...], ...]}.
 
-    A file of another shape raises ValueError with one line that names
-    the file and the field at fault."""
+    A file of another shape, or with a number that is not an integer,
+    raises ValueError with one line that names the file and the field at
+    fault."""
     try:
         data = json.loads(FilePath(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -360,8 +361,12 @@ def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
         except (TypeError, ValueError):
             raise ValueError(f"{path!r} has a malformed field {key!r}") from None
 
-    n = field("n", int)
-    left_size = field("left_size", int)
+    n = field("n", index)
+    left_size = field("left_size", index)
+    if not 0 <= left_size <= n:
+        raise ValueError(
+            f"{path!r} has a field 'left_size' of {left_size}, out of range for n={n}"
+        )
     edges = field("edges", _int_pairs)
     matchings = field(
         "matchings", lambda ms: [frozenset(edge_key(u, v) for u, v in _int_pairs(m)) for m in ms]

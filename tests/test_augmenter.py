@@ -22,7 +22,7 @@ from streammatch import (
     run_sparsifier,
     trivial_family,
 )
-from streammatch.augmenter import _free_ends, _reaching
+from streammatch.augmenter import _augmenting_paths, _free_ends, _reaching
 from streammatch.graph import _ends_of, _graph_of_canonical
 from util import (
     find_augmenting_path,
@@ -30,6 +30,7 @@ from util import (
     random_bipartite,
     random_general,
     random_matched_graphs,
+    reference_augmenting_path,
     reference_build_t,
     reference_free_ends,
     reference_phase2b,
@@ -241,8 +242,9 @@ def _phase2b_cases():
     bipartite and general graphs, with random Phase I and II.A lengths
     and b, and about half of the arrivals' pairs flipped. From trial 50 on,
     T is not `build_t`'s but a random share of the edges after Phase I
-    outside M_H, so some of its edges have two free ends or two matched
-    ones, and the other edges are the II.B arrivals."""
+    outside M_H that have an M_H-matched end, so some of its edges have
+    two matched ends, as the middle edge of a path of length 5 does, and
+    the other edges are the II.B arrivals."""
     rnd = random.Random(2024)
     for trial in range(80):
         if trial % 2:
@@ -262,7 +264,11 @@ def _phase2b_cases():
             rest = s.arrivals()[iia_end:]
         else:
             iia_end = cut
-            in_t = [rnd.random() < 0.4 and (x, y) not in m_h for x, y in s.arrivals()[cut:]]
+            in_t = [
+                rnd.random() < 0.4 and (x, y) not in m_h
+                and (m_h.is_matched(x) or m_h.is_matched(y))
+                for x, y in s.arrivals()[cut:]
+            ]
             t_edges = sorted(e for e, kept in zip(s.arrivals()[cut:], in_t) if kept)
             t = _graph_of_canonical(g.n, _ends_of(t_edges), g.bipartition)
             rest = [e for e, kept in zip(s.arrivals()[cut:], in_t) if not kept]
@@ -274,7 +280,6 @@ def _phase2b_cases():
 def test_phase2b_anchored_search_matches_reference():
     lengths = set()
     later_hits = 0
-    t_length1 = 0  # first-step paths that are edges of T with two free ends
     for trial, m_h, t, first, arrivals in _phase2b_cases():
         m, applied = phase2b(m_h, t, first, *_ends_of(arrivals))
         ref_matching, ref_applied = reference_phase2b(m_h, t, enumerate(arrivals, first))
@@ -283,20 +288,24 @@ def test_phase2b_anchored_search_matches_reference():
         assert m == ref_matching, trial
         lengths.update(p.length for p in applied)
         later_hits += sum(p.arrival != first for p in applied)
-        e1 = edge_key(*arrivals[0])
-        t_length1 += sum(
-            p.length == 1 and p.arrival == first and edge_key(*p.vertices) != e1 for p in applied
-        )
         # with no arrivals, one pass over M | T, whose paths have no position
         m, applied = phase2b(m_h, t, first, *_ends_of([]))
         ref_matching, ref_applied = reference_phase2b(m_h, t, [(None, None)])
         assert [tuple(p) for p in applied] == ref_applied, trial
         assert m == ref_matching, trial
-    # the anchored search ran and found paths of every length, and the
-    # first step's length-1 pass found T's own
+    # the anchored search ran and found paths of every length
     assert lengths == {1, 3, 5}
     assert later_hits > 50
-    assert t_length1 > 20
+
+
+def test_phase2b_rejects_a_t_edge_with_two_free_ends():
+    # no T from build_t has such an edge, and the search looks for no
+    # path of length 1 in M | T
+    m_h = Matching(6, [(1, 2)])
+    t = _graph_of_canonical(6, _ends_of([(0, 1), (3, 4)]))
+    for arrivals in ([], [(4, 5)], [(2, 5)]):
+        with pytest.raises(ValueError, match="two ends free"):
+            phase2b(m_h, t, 1, *_ends_of(arrivals))
 
 
 def test_phase2b_reach_skip_is_exact():
@@ -345,6 +354,26 @@ def test_free_ends_and_reaching_equal_reference():
         unreached += reach.count(False)
     assert last_matched == {True, False}
     assert reached > 1000 and unreached > 500
+
+
+def test_augmenting_paths_equal_reference():
+    # on a maximal matching, so that no edge has two free ends, every path
+    # the resumed search yields is what a fresh search over the partner
+    # table finds on the matching as it stands, and none is left
+    last_matched = set()
+    lengths = set()
+    for g, m in random_matched_graphs(55, 600):
+        for u, v in g.edges:
+            if not (m.is_matched(u) or m.is_matched(v)):
+                m.add(u, v)
+        last_matched.add(m.mate[-1] >= 0)
+        for verts in _augmenting_paths(m.mate, range(g.n), g.adj):
+            assert verts == reference_augmenting_path(partner_dict(m), range(g.n), g.adj)
+            m.augment(verts)
+            lengths.add(len(verts) - 1)
+        assert reference_augmenting_path(partner_dict(m), range(g.n), g.adj) is None
+    assert last_matched == {True, False}
+    assert lengths == {3, 5}
 
 
 def test_phase2b_anchored_start_four_steps_back_from_e():
@@ -547,8 +576,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     # builds M | H | U from scratch
     import streammatch.augmenter as augmenter
 
-    # in call order: ("walk", end, found a free vertex), ("search", rows,
-    # the length-1 pass's starts) or ("apply", path vertices)
+    # in call order: ("walk", end, found a free vertex), ("search", rows)
+    # or ("apply", path vertices)
     events = []
     free_ends, augmenting_paths = augmenter._free_ends, augmenter._augmenting_paths
     augment = Matching.augment
@@ -560,9 +589,9 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             yield v
         events.append(("walk", a, found))
 
-    def searched(mate, starts, rows, starts1):
-        events.append(("search", list(rows), starts1))
-        return augmenting_paths(mate, starts, rows, starts1)
+    def searched(mate, starts, rows):
+        events.append(("search", list(rows)))
+        return augmenting_paths(mate, starts, rows)
 
     def augmented(self, vertices):
         events.append(("apply", tuple(vertices)))
@@ -571,7 +600,7 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
     monkeypatch.setattr(augmenter, "_free_ends", walked)
     monkeypatch.setattr(augmenter, "_augmenting_paths", searched)
     monkeypatch.setattr(Matching, "augment", augmented)
-    arrivals_total = hit_arrivals = stepped = dead_ends = direct_total = 0
+    arrivals_total = hit_arrivals = stepped = dead_ends = direct_total = direct_first = 0
     m_inside_hu = []  # per trial: whether M adds no edge to H | U
     for trial, (s, params) in enumerate(_beats23_cases(kind)):
         del events[:]
@@ -592,25 +621,29 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         arrivals_total += len(arrivals)
         hit_arrivals += len({p.arrival for p in diag.applied if p.arrival is not None})
 
-        # the first step is one search, whose length-1 pass starts from the
-        # first arrival's ends if both are free and from nowhere else, as
-        # every edge of T has one M_H-matched end; its paths follow it
+        # a first arrival with two free ends is applied at once, as its
+        # own path of length 1; then the first step is one search, whose
+        # paths follow it
         m = diag.m_h.copy()
-        kind_of, _, starts1 = ours[0]
-        assert kind_of == "search"
-        e1 = edge_key(*arrivals[0][1]) if arrivals else ()
-        assert starts1 == (list(e1) if e1 and not any(map(m.is_matched, e1)) else []), trial
         first_step = [p for p in diag.applied if p.arrival in (None, iia_end + 1)]
-        for i, p in enumerate(first_step, 1):
+        e1 = edge_key(*arrivals[0][1]) if arrivals else ()
+        i = 0
+        if e1 and not any(map(m.is_matched, e1)):
+            assert ours[0] == ("apply", e1) and first_step[0].vertices == e1, trial
+            m.augment(e1)
+            first_step = first_step[1:]
+            direct_first += 1
+            i = 1
+        assert ours[i][0] == "search", trial
+        for i, p in enumerate(first_step, i + 1):
             assert ours[i] == ("apply", p.vertices), trial
             m.augment(p.vertices)
-        i = 1 + len(first_step)
+        i += 1
         # then each visited arrival is, in order, one of:
         # - its path of length 1 alone, both ends free: no walk, no search;
         # - a walk that finds no free vertex;
         # - a walk that finds one, then a walk that finds none;
-        # - two walks that find one, its search with no length-1 pass,
-        #   and at most one path
+        # - two walks that find one, its search and at most one path
         anchored, direct, dead = [], [], set()
         while i < len(ours):
             event = ours[i]
@@ -634,9 +667,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
             assert ends, (trial, event)
             if len(ends) < 2 or ends[-1] in dead:
                 continue
-            kind_of, rows, starts1 = ours[i]
+            kind_of, rows = ours[i]
             assert kind_of == "search", (trial, ends)
-            assert starts1 == (), (trial, ends)  # no length-1 pass
             # the arrival's edge is the pair of rows that differ from T's
             edge = tuple(v for v, row in enumerate(rows) if tuple(row) != diag.t.adj[v])
             assert set(edge) == set(ends), (trial, edge)
@@ -654,7 +686,7 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         if kind == "closing":
             assert len(ours) == 1 + len(diag.applied) and not anchored and not direct
         else:
-            # the first arrival is always searched in full; later ones are
+            # the first arrival belongs to the first step; later ones are
             # applied at once or searched, anchored, only past the filter
             later = {e for _, e in arrivals[1:]}
             assert set(anchored) | set(direct) <= later
@@ -675,6 +707,8 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         # ends that passed `_reaching` but whose walk found no free vertex
         # after a later flip: each is marked dead, without a search
         assert dead_ends > 0
+        # some first arrivals had two free ends
+        assert direct_first > 0
 
 
 # sha256 of the applied paths [(arrival, length, vertices)] and the sorted

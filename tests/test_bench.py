@@ -92,6 +92,17 @@ def test_checks_recorded_and_pass():
         assert set(r.checks) == {"edcs", "dichotomy:0.05", "dichotomy:0.2", "census"}
 
 
+def test_dichotomy_checks_keep_distinct_names():
+    # deltas equal to 6 significant digits get one key each, and a delta
+    # just below 1 is not named as 1
+    deltas = (0.1, 0.10000001, 0.9999999)
+    config = _config(trials=1, checks=CheckConfig(dichotomy_deltas=deltas))
+    report = run_trials(config, max_workers=1)
+    assert set(report.records[0].checks) == {
+        "dichotomy:0.1", "dichotomy:0.10000001", "dichotomy:0.9999999"
+    }
+
+
 def test_stages_and_checks_leave_g_without_edge_tuples():
     # every stage of bernstein and beats23, and every check, reads the
     # stream's int64 end arrays: none gathers G's edge tuples
@@ -668,6 +679,21 @@ def test_cli_structural_failure_exit_code(monkeypatch, capsys):
      "induced-matching family"),
     ('{"n": 6, "left_size": 3, "edges": [[0, 3], [1, 4], [2, 5]], "matchings": [[[6, 7]]]}',
      "induced-matching family"),
+    # numbers that are not integers, and strings, are rejected rather than
+    # truncated or parsed
+    ('{"n": 4.9, "left_size": 2, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}', "'n'"),
+    ('{"n": 4, "left_size": 2, "edges": [[0.7, 2.2], [1, 3]], "matchings": [[[0, 2]]]}',
+     "'edges'"),
+    ('{"n": 4, "left_size": 2, "edges": [[0, 2], ["1", 3]], "matchings": [[[0, 2]]]}', "'edges'"),
+    ('{"n": 4, "left_size": 2.0, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}',
+     "'left_size'"),
+    ('{"n": 4, "left_size": 2, "edges": [[0, 2], [1, 3]], "matchings": [[[0, "2"]]]}',
+     "'matchings'"),
+    # a left side larger than the graph is named as such
+    ('{"n": 4, "left_size": 5, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}',
+     "'left_size' of 5, out of range for n=4"),
+    ('{"n": 4, "left_size": -1, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}',
+     "'left_size' of -1, out of range for n=4"),
 ])
 def test_cli_malformed_family_file_exits_1(tmp_path, capsys, content, field):
     path = tmp_path / "family.json"

@@ -16,7 +16,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streammatch"
 PRIVATE_GRAPH_IMPORTS = {
     "__init__": set(),
     "analyzer": {"_lacking"},
-    "augmenter": {"_augmenting_paths", "_graph_of_canonical", "_graph_plus", "_lacking"},
+    "augmenter": {"_graph_of_canonical", "_graph_plus", "_lacking"},
     "bench": {"_graph_of_canonical"},
     "cli": set(),
     "instances": {"_ends_of", "_graph_of_canonical", "_lacking", "_write_edges"},
@@ -98,3 +98,9 @@ def test_analyzer_reads_no_rows():
     # read a graph's `adj` would build all of its rows for that one check
     reads = {node.attr for node in ast.walk(_tree("analyzer")) if isinstance(node, ast.Attribute)}
     assert "adj" not in reads
+
+
+def test_graph_holds_no_augmenting_path_search():
+    # Phase II.B's bounded search lives beside its one caller, `phase2b`
+    defined = {f.name for f in _tree("graph").body if isinstance(f, ast.FunctionDef)}
+    assert not defined & {"_path1", "_path3", "_path5", "_augmenting_paths"}

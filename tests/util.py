@@ -72,8 +72,9 @@ def reference_augmenting_path(partner: dict[int, int], starts, adj) -> list[int]
     """First augmenting path of length 1, 3 or 5 by a fresh search over
     the partner table: shortest first, then from the lowest free start,
     then by ascending neighbour index. Every path the library's resumed
-    search `graph._augmenting_paths` yields must be this one, taken on
-    the matching as it stands when the path is yielded."""
+    search `augmenter._augmenting_paths` yields, where no edge has two
+    free ends, must be this one, taken on the matching as it stands when
+    the path is yielded."""
     free = [u for u in starts if u not in partner]
     for u in free:
         for v in adj[u]:
