@@ -12,9 +12,9 @@ import csv
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -228,37 +228,99 @@ def _run_one_trial(config: TrialConfig, g: Graph, mu_g: int, index: int) -> Tria
 
 
 def resolve_workers(max_workers: int | None = None) -> int:
-    """Worker count: `max_workers`, else the CPU count. An explicit count
-    below 1 is an error, not a clamp."""
+    """Worker count: `max_workers`, else the CPU count where processes can
+    be forked and 1 where they cannot. An explicit count below 1 is an
+    error, not a clamp."""
     if max_workers is None:
-        return max(1, os.cpu_count() or 1)
+        return max(1, os.cpu_count() or 1) if _can_fork() else 1
     if max_workers < 1:
         raise ValueError(f"worker count must be at least 1, got {max_workers}")
     return max_workers
 
 
-# (config, g, mu_g) of the run this pool worker serves; set once per
-# worker by the pool's initializer, never in the parent process.
-_worker_instance: tuple[TrialConfig, Graph, int] | None = None
+def _can_fork() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _init_worker(config: TrialConfig, g: Graph, mu_g: int) -> None:
-    global _worker_instance
-    _worker_instance = (config, g, mu_g)
+class WorkerDied(RuntimeError):
+    """A forked trial worker exited without reporting its trials."""
 
 
-def _run_trial_in_worker(index: int) -> TrialRecord:
-    return run_one_trial(*_worker_instance, index)
+def _take_trials(config: TrialConfig, g: Graph, mu_g: int, counter) -> list[TrialRecord]:
+    """Run the trial at the shared counter's next index until every index
+    is taken."""
+    records = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= config.trials:
+            return records
+        records.append(run_one_trial(config, g, mu_g, index))
+
+
+def _worker(config: TrialConfig, g: Graph, mu_g: int, counter, conn) -> None:
+    """A forked worker's whole life: its trials' records, or the error of
+    the trial that raised, sent back in one message. An error also uses up
+    the counter, so the other processes stop after their current trial."""
+    try:
+        result = _take_trials(config, g, mu_g, counter)
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = config.trials
+        result = exc
+    conn.send(result)
+
+
+def _forked_trials(config: TrialConfig, g: Graph, mu_g: int, workers: int) -> list[TrialRecord]:
+    """Every trial, run by this process and `workers - 1` forked ones, in
+    trial order. The workers inherit config, g and mu_g through the fork,
+    so nothing is pickled on the way in. A trial that raised in a worker
+    raises the same error here; a worker that exits without reporting
+    raises WorkerDied. Every worker is killed if still alive and joined
+    before this returns or raises."""
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)  # the next trial index
+    procs, pipes = [], []
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = ctx.Pipe(duplex=False)
+            pipes.append(receiver)
+            proc = ctx.Process(target=_worker, args=(config, g, mu_g, counter, sender),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            sender.close()  # so that a worker's exit reads as EOF here
+        records = _take_trials(config, g, mu_g, counter)
+        for receiver in pipes:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                raise WorkerDied("a trial worker exited without reporting its trials") from None
+            if isinstance(result, BaseException):
+                raise result
+            records += result
+    finally:
+        for proc in procs:
+            proc.kill()  # a worker that has reported is done already
+            proc.join()
+        for receiver in pipes:
+            receiver.close()
+    return sorted(records, key=lambda r: r.trial)
 
 
 def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialReport:
     """Execute all trials; the report is byte-identical for a fixed config
     (wall-time fields excluded) no matter how many workers run.
 
-    A pool gets the instance once per worker, through its initializer,
-    and maps trial indices in chunks of about a quarter of a worker's
-    share; it never starts more workers than there are trials."""
+    With W = min(workers, trials) > 1, this process forks W - 1 workers
+    and runs trials too; each process takes its next trial index from one
+    shared counter. W = 1 runs every trial here in order. More than one
+    worker needs the 'fork' start method; without it that is an error."""
     workers = min(resolve_workers(max_workers), config.trials)
+    if workers > 1 and not _can_fork():
+        raise ValueError(f"{workers} workers need the 'fork' start method, "
+                         "which this platform lacks; run with one worker")
     g = load_instance(config)
     if not g.m:
         raise ValueError("instance has no edges")
@@ -266,11 +328,7 @@ def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialRepo
     if workers == 1:
         records = [run_one_trial(config, g, mu_g, i) for i in range(config.trials)]
     else:
-        chunksize = -(-config.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(config, g, mu_g)) as pool:
-            records = list(pool.map(_run_trial_in_worker, range(config.trials),
-                                    chunksize=chunksize))
+        records = _forked_trials(config, g, mu_g, workers)
     ratios = [r.ratio for r in records]
     mean = sum(ratios) / len(ratios)
     if len(ratios) > 1:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .bench import (
     CheckConfig,
     GeneratorSpec,
     TrialConfig,
+    WorkerDied,
     canonical_hash,
     emit_report,
     run_trials,
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         if args.command == "verify-gadgets":
             return _cmd_verify_gadgets(args)
         return _cmd_hard(args)
-    except (ValueError, OSError, KeyError, SafetyCapExceeded, BrokenExecutor,
+    except (ValueError, OSError, KeyError, SafetyCapExceeded, WorkerDied,
             MemoryError) as exc:
         print(f"match-bench: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

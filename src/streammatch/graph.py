@@ -196,7 +196,7 @@ class Graph:
 
     def __reduce__(self):
         # a pickle carries the edge store alone: the caches, the adjacency
-        # among them, are built again on first read (a forked pool worker
+        # among them, are built again on first read (a forked trial worker
         # inherits them instead)
         return _graph_of_canonical, (self.n, self.endpoints, self.bipartition)
 

@@ -280,9 +280,9 @@ def gen_random(
     if kind == "bipartite-gnp":
         if p is None or not 0.0 <= p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        # nonzero is row-major: pair (i, j) in nested-loop order; each
+        # flat indices ascend: pair (i, j) in nested-loop order; each
         # (i, n + j) is canonical, distinct, in range and crosses the sides
-        rows, cols = np.nonzero(rng.random((n, n)) < p)
+        rows, cols = np.divmod(np.flatnonzero(rng.random((n, n)) < p), n)
         sides = (frozenset(range(n)), frozenset(range(n, 2 * n)))
         return _graph_of_canonical(2 * n, (rows, cols + n), sides)
     if kind == "general-gnp":
@@ -334,8 +334,15 @@ def save_hard_instance(instance: HardInstance, path) -> None:
     )
 
 
+def _json_int(value) -> int:
+    """A JSON integer as an int; true and false are not integers here."""
+    if isinstance(value, bool):
+        raise TypeError("a JSON boolean is not an integer")
+    return index(value)
+
+
 def _int_pairs(items) -> list[tuple[int, int]]:
-    return [(index(u), index(v)) for u, v in items]
+    return [(_json_int(u), _json_int(v)) for u, v in items]
 
 
 def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
@@ -343,9 +350,9 @@ def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
     {"n": ..., "left_size": ..., "edges": [[u, v], ...],
      "matchings": [[[u, v], ...], ...]}.
 
-    A file of another shape, or with a number that is not an integer,
-    raises ValueError with one line that names the file and the field at
-    fault."""
+    A file of another shape, or with a number that is not an integer
+    (true and false included), raises ValueError with one line that names
+    the file and the field at fault."""
     try:
         data = json.loads(FilePath(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -361,8 +368,8 @@ def load_family(path) -> tuple[Graph, list[frozenset[Edge]]]:
         except (TypeError, ValueError):
             raise ValueError(f"{path!r} has a malformed field {key!r}") from None
 
-    n = field("n", index)
-    left_size = field("left_size", index)
+    n = field("n", _json_int)
+    left_size = field("left_size", _json_int)
     if not 0 <= left_size <= n:
         raise ValueError(
             f"{path!r} has a field 'left_size' of {left_size}, out of range for n={n}"

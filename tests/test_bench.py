@@ -4,11 +4,10 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import random
+import re
 import shlex
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,13 @@ from streammatch.bench import trial_seeds
 from streammatch.cli import main
 from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _write_edges, edge_key
 from util import reference_fill
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    # every run_trials call reaps its workers, whether it returns or raises
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _config(algo="beats23", trials=4, checks=CheckConfig(), kind="bipartite-gnp", n=30, p=0.2):
@@ -133,45 +139,32 @@ def test_determinism_across_worker_counts():
     assert h1 == h2
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records what a real pool would
-    be sent, then runs the initializer and the mapped calls in this
-    process."""
-
-    def __init__(self, made, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.initializer, self.initargs = initializer, initargs
-        made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        self.fn, self.items = fn, list(iterable)
-        self.initializer(*self.initargs)
-        return map(fn, self.items)
+def _refuse_pickle(self):
+    raise AssertionError("a graph was pickled")
 
 
-@pytest.mark.parametrize("max_workers, trials, pool_workers", [(2, 10, 2), (8, 3, 3), (8, 1, None)])
-def test_pool_ships_instance_once_and_maps_indices(max_workers, trials, pool_workers, monkeypatch):
-    import streammatch.bench as bench
+@pytest.mark.parametrize("max_workers, trials, forks",
+                         [(2, 10, 1), (8, 3, 2), (3, 7, 2), (6, 48, 5), (8, 1, 0)])
+def test_pool_forks_one_worker_fewer_than_it_runs(max_workers, trials, forks, monkeypatch):
+    # this process runs trials too, and the workers inherit the instance
+    # through the fork instead of unpickling it; with more processes than
+    # CPUs, an index the shared counter handed out twice, or never, would
+    # show in the records' trial numbers
+    from streammatch.graph import Graph
 
-    pools = []
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", partial(_RecordingPool, pools))
-    monkeypatch.setattr(bench, "_worker_instance", None)
+    made = []
+    real_fork = os.fork
+
+    def counting_fork():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(Graph, "__reduce__", _refuse_pickle)
     cfg = _config(trials=trials, checks=CheckConfig(edcs=True))
     report = run_trials(cfg, max_workers=max_workers)
-    if pool_workers is None:  # one trial runs in this process, no pool
-        assert pools == []
-    else:
-        (pool,) = pools
-        assert pool.max_workers == pool_workers
-        assert len(pickle.dumps(pool.fn)) < 1024  # by reference, not with the graph
-        assert all(type(i) is int for i in pool.items)
-        assert pool.items == list(range(trials))
+    assert len(made) == forks
+    assert [r.trial for r in report.records] == list(range(trials))
     assert canonical_hash(report) == canonical_hash(run_trials(cfg, max_workers=1))
 
 
@@ -572,41 +565,93 @@ def test_cli_safety_cap_exits_1_without_traceback(algo, monkeypatch, capsys):
     _assert_one_line_error(capsys)
 
 
-def _forked_pool(monkeypatch):
-    # forked workers inherit this process's monkeypatches
+def _in_worker_only(monkeypatch, act):
+    """Patch run_one_trial so that a forked worker calls act(index) before
+    each of its trials, while this process holds its own trials back until
+    a worker has started one."""
     import streammatch.bench as bench
 
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+    parent = os.getpid()
+    reached = multiprocessing.get_context("fork").Event()
+    real = bench.run_one_trial
+
+    def trial(config, g, mu_g, index):
+        if os.getpid() == parent:
+            reached.wait(30)
+        else:
+            reached.set()
+            act(index)
+        return real(config, g, mu_g, index)
+
+    monkeypatch.setattr(bench, "run_one_trial", trial)
+
+
+def _cap_hit(index):
+    from streammatch import SafetyCapExceeded
+
+    raise SafetyCapExceeded(f"trial {index} hit the safety cap")
 
 
 def test_cli_safety_cap_in_pool_worker_exits_1(monkeypatch, capsys):
-    import streammatch.sparsifier as sparsifier
-
-    _forked_pool(monkeypatch)
-    monkeypatch.setattr(sparsifier, "default_u_cap", lambda n: 0)
+    _in_worker_only(monkeypatch, _cap_hit)
     code = main([
         "run", "--algo", "bernstein", "--gen", "bipartite-gnp", "--n", "20", "--p", "0.3",
         "--eps", "0.2", "--beta-plus", "10", "--beta-minus", "9",
-        "--workers", "2", "--trials", "2",
+        "--workers", "2", "--trials", "4",
     ])
     assert code == 1
-    assert "safety cap" in _assert_one_line_error(capsys).err
+    assert re.fullmatch(r"match-bench: error: trial \d hit the safety cap\n",
+                        _assert_one_line_error(capsys).err)
 
 
-def _die(*args):
-    os._exit(3)
+def test_worker_error_raises_the_same_error_in_the_caller(monkeypatch):
+    from streammatch import SafetyCapExceeded
+
+    _in_worker_only(monkeypatch, _cap_hit)
+    with pytest.raises(SafetyCapExceeded, match=r"trial \d hit the safety cap"):
+        run_trials(_config(algo="greedy", trials=6), max_workers=3)
 
 
 def test_cli_broken_pool_exits_1(monkeypatch, capsys):
-    import streammatch.bench as bench
-
-    _forked_pool(monkeypatch)
-    monkeypatch.setattr(bench, "_init_worker", _die)
+    # a worker that dies without reporting
+    _in_worker_only(monkeypatch, lambda index: os._exit(3))
     code = main(["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
                  "--workers", "2", "--trials", "4"])
     assert code == 1
-    _assert_one_line_error(capsys)
+    assert "exited without reporting" in _assert_one_line_error(capsys).err
+
+
+def test_caller_trial_error_kills_and_reaps_the_workers(monkeypatch):
+    # the workers would sleep for a minute: they are killed, not waited for
+    import streammatch.bench as bench
+
+    parent = os.getpid()
+
+    def trial(config, g, mu_g, index):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyError(f"trial {index} in the caller")
+
+    monkeypatch.setattr(bench, "run_one_trial", trial)
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="in the caller"):
+        run_trials(_config(algo="greedy", trials=6), max_workers=3)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_workers_without_fork(monkeypatch, capsys):
+    # where processes cannot be forked, one worker still runs and more exit 1
+    from streammatch.bench import resolve_workers
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert resolve_workers() == 1
+    args = ["run", "--algo", "greedy", "--gen", "bipartite-gnp", "--n", "10", "--p", "0.3",
+            "--trials", "4", "--workers"]
+    assert main(args + ["2"]) == 1
+    assert "'fork' start method" in _assert_one_line_error(capsys).err
+    assert main(args + ["1"]) == 0
+    assert main(args[:-1]) == 0
 
 
 @pytest.mark.parametrize("n", ["99999999999999999999", "2147483648"])
@@ -689,6 +734,13 @@ def test_cli_structural_failure_exit_code(monkeypatch, capsys):
      "'left_size'"),
     ('{"n": 4, "left_size": 2, "edges": [[0, 2], [1, 3]], "matchings": [[[0, "2"]]]}',
      "'matchings'"),
+    # JSON true and false are not vertices 1 and 0
+    ('{"n": 4, "left_size": 2, "edges": [[false, 2], [true, 3]], "matchings": [[[0, 2]]]}',
+     "'edges'"),
+    ('{"n": 4, "left_size": 2, "edges": [[0, 2], [1, 3]], "matchings": [[[false, 2]]]}',
+     "'matchings'"),
+    ('{"n": 4, "left_size": true, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}',
+     "'left_size'"),
     # a left side larger than the graph is named as such
     ('{"n": 4, "left_size": 5, "edges": [[0, 2], [1, 3]], "matchings": [[[0, 2]]]}',
      "'left_size' of 5, out of range for n=4"),
