@@ -171,14 +171,16 @@ def _cmd_hard(args) -> int:
     else:
         base = instances.matched_base(args.trivial)
         matchings = instances.trivial_family(base)
+    # the family is checked once, then every trial samples from it
+    family = instances._checked_family(base, matchings, args.k)
     n_side = base.n // 2
-    r = len(matchings[0])
+    r = len(family[0])
     bound = instances.removed_special_bound(n_side, r, args.k)
     rng = np.random.default_rng(args.seed)
     mus = []
     violations = 0
     for i in range(args.trials):
-        inst = instances.build_hard_instance(base, matchings, args.k, rng)
+        inst = instances._sample_hard_instance(base, family, args.k, rng)
         mu_g, mu_stripped = instances.mu_with_and_without_special(inst)
         mus.append(mu_g)
         if mu_stripped > bound:

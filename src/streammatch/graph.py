@@ -8,8 +8,9 @@ All tie-breaking is by lowest vertex index so results are reproducible.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, islice
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
@@ -64,6 +65,46 @@ def _first_edge_error(n: int, edges: Iterable[tuple[int, int]]) -> ValueError:
     raise AssertionError("no offending edge found")
 
 
+def _checked_edges(
+    n: int,
+    firsts: np.ndarray,
+    seconds: np.ndarray,
+    bipartition: tuple[Iterable[int], Iterable[int]] | None,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[frozenset[int], frozenset[int]] | None,
+           np.ndarray]:
+    """The one check of edges from outside the package, given by the
+    int64 arrays of their first and second ends, on n vertices: every end
+    in range, no self-loop, no edge twice and, with a bipartition, sides
+    that split the vertices and that every edge crosses. Returns the
+    edges' canonical (low, high) ends, the bipartition as a
+    `Graph.bipartition` pair, and the sorted edge codes, which the
+    duplicate check sorts anyway. `Graph(...)` and `read_edge_list` both
+    check through here."""
+    lows = np.minimum(firsts, seconds)
+    highs = np.maximum(firsts, seconds)
+    codes = np.sort(lows * n + highs)
+    # a repeated edge gives equal neighbouring codes; the bipartition
+    # is checked after the edges
+    if len(codes) and (lows.min() < 0 or highs.max() >= n or (lows == highs).any()
+                       or (codes[1:] == codes[:-1]).any()):
+        raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
+    if bipartition is not None:
+        left = frozenset(bipartition[0])
+        right = frozenset(bipartition[1])
+        if left & right:
+            raise ValueError("bipartition sides overlap")
+        if left | right != frozenset(range(n)):
+            raise ValueError("bipartition must cover all vertices")
+        side = np.zeros(n, bool)
+        side[np.fromiter(left, np.int64, len(left))] = True
+        same = np.flatnonzero(side[lows] == side[highs])
+        if len(same):
+            a, b = lows[same[0]], highs[same[0]]
+            raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
+        bipartition = (left, right)
+    return (lows, highs), bipartition, codes
+
+
 def _ends_of(edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
     """(first ends, second ends) of a sequence of pairs as int64 arrays.
     Each end goes through `operator.index`, which raises TypeError for a
@@ -106,7 +147,8 @@ class Graph:
     sorted edge codes low * n + high, which the constructor keeps from its
     duplicate check, and never needs the rows (`_lacking`).
 
-    The constructor checks edges that come from outside the package;
+    The constructor checks edges that come from outside the package,
+    through `_checked_edges`, as `read_edge_list` does;
     `_graph_of_canonical` builds a graph from the package's own arrays
     and checks nothing.
     """
@@ -129,30 +171,8 @@ class Graph:
         except (TypeError, ValueError, OverflowError):
             # not pairs of int64s: the scan names the fault
             raise _first_edge_error(n, edges) from None
-        lows = np.minimum(firsts, seconds)
-        highs = np.maximum(firsts, seconds)
-        codes = np.sort(lows * n + highs)
-        # a repeated edge gives equal neighbouring codes; the bipartition
-        # is checked after the edges
-        if len(codes) and (lows.min() < 0 or highs.max() >= n or (lows == highs).any()
-                           or (codes[1:] == codes[:-1]).any()):
-            raise _first_edge_error(n, zip(firsts.tolist(), seconds.tolist()))
-        if bipartition is not None:
-            left = frozenset(bipartition[0])
-            right = frozenset(bipartition[1])
-            if left & right:
-                raise ValueError("bipartition sides overlap")
-            if left | right != frozenset(range(n)):
-                raise ValueError("bipartition must cover all vertices")
-            side = np.zeros(n, bool)
-            side[np.fromiter(left, np.int64, len(left))] = True
-            same = np.flatnonzero(side[lows] == side[highs])
-            if len(same):
-                a, b = lows[same[0]], highs[same[0]]
-                raise ValueError(f"edge ({a}, {b}) does not cross the bipartition")
-            bipartition = (left, right)
-        _fill_graph(self, n, (lows, highs), bipartition)
-        self._codes = codes
+        ends, bipartition, codes = _checked_edges(n, firsts, seconds, bipartition)
+        _fill_graph(self, n, ends, bipartition, codes)
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -242,16 +262,18 @@ def _graph_of_canonical(
     n: int,
     ends: tuple[np.ndarray, np.ndarray],
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None,
+    codes: np.ndarray | None = None,
 ) -> Graph:
     """Graph on edges known to be canonical, distinct, in range and, with
     a bipartition, crossing it; `ends` are their (low, high) ends as int64
-    arrays and the bipartition is a `Graph.bipartition` pair. Nothing is
-    validated, so use it only for edge sets the package built itself:
-    `gen_random`'s draws, the gadgets and hard instances, T, H | U, a
-    stream slice. Edges from outside go through `Graph`, which checks
-    them."""
+    arrays, the bipartition is a `Graph.bipartition` pair and `codes`, if
+    given, are the edges' sorted codes. Nothing is validated, so use it
+    only for edge sets the package built itself (`gen_random`'s draws,
+    the gadgets and hard instances, T, H | U, a stream slice) or that
+    `_checked_edges` passed (`read_edge_list`). Other edges from outside
+    go through `Graph`, which checks them."""
     g = object.__new__(Graph)
-    _fill_graph(g, n, ends, bipartition)
+    _fill_graph(g, n, ends, bipartition, codes)
     return g
 
 
@@ -271,15 +293,18 @@ def _fill_graph(
     n: int,
     ends: tuple[np.ndarray, np.ndarray],
     bipartition: tuple[frozenset[int], frozenset[int]] | None,
+    codes: np.ndarray | None,
 ) -> None:
     """Set every field of g from checked canonical edges, given by their
-    (low, high) ends, and a `Graph.bipartition` pair. The rows and the
-    other caches are left to be built on first read."""
+    (low, high) ends, a `Graph.bipartition` pair and the edges' sorted
+    codes, or None to sort them on first read. The rows and the other
+    caches are left to be built on first read."""
     g.n = n
     g.m = len(ends[0])
     g.endpoints = ends
     g.bipartition = bipartition
-    g._adj = g._codes = g._edge_array = g._mate = None
+    g._codes = codes
+    g._adj = g._edge_array = g._mate = None
 
 
 def _rows(g: Graph, left: list[int] | None = None) -> tuple[tuple[int, ...], ...]:
@@ -755,26 +780,21 @@ def _line_ints(tokens: list[str], path, line_no: int) -> list[int]:
 def read_edge_list(path) -> Graph:
     """Load a graph from the edge-list format: header `n m [bipartite L]`,
     then m lines `u v` with 0-indexed endpoints and nothing but blank
-    lines after them."""
+    lines after them.
+
+    The m edge lines are parsed in one C-level pass, `np.loadtxt`, which
+    is taken only when it gives exactly m pairs of int64s and only blank
+    lines follow. Any other file is read again from the start by the line
+    scan, which names the fault: loadtxt skips a blank line, which the
+    format does not allow, and rejects `1_0`, which `int` reads as 10."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) not in (2, 4):
-            raise ValueError(f"bad header in {path!r}")
-        n, m = _line_ints(header[:2], path, 1)
-        try:
-            _check_vertex_count(n)
-        except ValueError as exc:
-            raise ValueError(f"{path!r}: {exc}") from None
-        if m < 0:
-            raise ValueError(f"{path!r}: edge count must be non-negative, got {m}")
-        bipartition = None
-        if len(header) == 4:
-            if header[2] != "bipartite":
-                raise ValueError(f"bad header tag {header[2]!r}")
-            (left_size,) = _line_ints(header[3:], path, 1)
-            if not 0 <= left_size <= n:
-                raise ValueError("left side size out of range")
-            bipartition = (range(left_size), range(left_size, n))
+        n, m, bipartition = _edge_list_header(fh, path)
+        pairs = _int64_pairs(fh, m)
+        if pairs is not None and not any(line.strip() for line in fh):
+            ends, bipartition, codes = _checked_edges(n, pairs[:, 0], pairs[:, 1], bipartition)
+            return _graph_of_canonical(n, ends, bipartition, codes)
+    with open(path, "r", encoding="utf-8") as fh:
+        _edge_list_header(fh, path)
         edges = []
         for line_no in range(2, m + 2):
             parts = fh.readline().split()
@@ -786,10 +806,59 @@ def read_edge_list(path) -> Graph:
     return Graph(n, edges, bipartition)
 
 
-def _write_edges(path, n: int, edges: Sequence[Edge]) -> None:
-    """Write n and the edges, in their order, in the edge-list format that
-    read_edge_list reads, with no bipartite tag. The caller vouches for
-    the edges: they are not checked."""
+def _edge_list_header(fh, path) -> tuple[int, int, tuple[range, range] | None]:
+    """n, m and the bipartition sides, or None, from the header line."""
+    header = fh.readline().split()
+    if len(header) not in (2, 4):
+        raise ValueError(f"bad header in {path!r}")
+    n, m = _line_ints(header[:2], path, 1)
+    try:
+        _check_vertex_count(n)
+    except ValueError as exc:
+        raise ValueError(f"{path!r}: {exc}") from None
+    if m < 0:
+        raise ValueError(f"{path!r}: edge count must be non-negative, got {m}")
+    if len(header) == 2:
+        return n, m, None
+    if header[2] != "bipartite":
+        raise ValueError(f"bad header tag {header[2]!r}")
+    (left_size,) = _line_ints(header[3:], path, 1)
+    if not 0 <= left_size <= n:
+        raise ValueError("left side size out of range")
+    return n, m, (range(left_size), range(left_size, n))
+
+
+def _int64_pairs(fh, m: int) -> np.ndarray | None:
+    """The next m lines of fh as an (m, 2) int64 array, or None unless
+    each of them is a pair of int64s. It reads on by lines, so the
+    trailing lines are left to the caller."""
+    if not m:
+        return np.empty((0, 2), np.int64)
+    try:
+        with warnings.catch_warnings():
+            # all m lines blank: loadtxt warns that it found no data
+            warnings.simplefilter("ignore")
+            pairs = np.loadtxt(islice(iter(fh.readline, ""), m), np.int64,
+                               comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    return pairs if pairs.shape == (m, 2) else None
+
+
+_WRITE_CHUNK = 1 << 16  # edges per formatted string
+
+
+def _write_edges(path, n: int, ends: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write n and the edges with (first, second) ends `ends`, int64
+    arrays, in their order, in the edge-list format that read_edge_list
+    reads, with no bipartite tag. Each chunk of edges is one `%` format of
+    its ints, the bytes that one `f"{u} {v}\\n"` per edge wrote. The
+    caller vouches for the edges: they are not checked."""
+    firsts, seconds = ends
+    m = len(firsts)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {len(edges)}\n")
-        fh.writelines(f"{u} {v}\n" for u, v in edges)
+        fh.write(f"{n} {m}\n")
+        for start in range(0, m, _WRITE_CHUNK):
+            stop = start + _WRITE_CHUNK
+            flat = np.column_stack((firsts[start:stop], seconds[start:stop])).ravel().tolist()
+            fh.write("%d %d\n" * (len(flat) // 2) % tuple(flat))

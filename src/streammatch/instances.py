@@ -87,41 +87,71 @@ def _gadget_ends(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lows, highs
 
 
+_JOIN_ROWS = 1 << 20  # (g-edge, matching) rows per slice of verify_induced's join
+
+
 def verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
     """True iff the matchings are pairwise edge-disjoint induced matchings
     of g: each is a matching, no edge repeats across them, and no g-edge
     joins two vertices matched by the same M_i unless it belongs to M_i.
+    The ends must be integers.
 
-    One pass over g's edges: the matchings that match both ends of an
-    edge are those its ends' index lists share. There may be one, the
-    matching the edge belongs to, or none if it belongs to none. That
-    the matchings' edges are g's is one lookup of all their codes in g's
-    sorted codes."""
-    used: set[Edge] = set()
-    owners: dict[int, list[int]] = {}  # vertex -> the matchings that match it
-    for i, matching in enumerate(matchings):
-        edges = frozenset(edge_key(u, v) for u, v in matching)
-        # in range first: a code is g's only for a pair on its vertices
-        if not all(0 <= u and v < g.n for u, v in edges):
-            return False
-        verts: set[int] = set()
-        for u, v in edges:
-            if u in verts or v in verts:
-                return False
-            verts.add(u)
-            verts.add(v)
-        if edges & used:
-            return False
-        used |= edges
-        for v in verts:
-            owners.setdefault(v, []).append(i)
-    if _lacking(g, *_ends_of(list(used))).any():
+    Array passes over all the matchings at once, where M_i's edge (u, v)
+    holds the keys i * n + u and i * n + v: unique keys make each M_i a
+    matching, unique edge codes keep the M_i disjoint, one `_lacking`
+    lookup finds their edges in g, and a join of each g-edge's matchings
+    at one end against the keys at its other end finds the g-edges that
+    some M_i matches at both ends. Each M_i edge is one such hit, and any
+    other hit breaks inducedness."""
+    matchings = [tuple(m) for m in matchings]
+    n = g.n
+    try:
+        firsts, seconds = _ends_of([e for m in matchings for e in m])
+    except OverflowError:
+        return False  # an end beyond int64 is out of range
+    if not len(firsts):
+        return True
+    owner = np.repeat(np.arange(len(matchings)), [len(m) for m in matchings])
+    lows = np.minimum(firsts, seconds)
+    highs = np.maximum(firsts, seconds)
+    # in range first: a code is g's only for a pair on its vertices
+    if lows.min() < 0 or highs.max() >= n:
         return False
-    for u, v in g.edges:
-        if u in owners and v in owners:
-            if len(set(owners[u]).intersection(owners[v])) > ((u, v) in used):
-                return False
-    return True
+    # by edge code: an edge in two matchings is a fault, and one an M_i
+    # lists twice, in either order, it holds once
+    codes = lows * n + highs
+    order = np.argsort(codes)
+    owner, lows, highs, codes = owner[order], lows[order], highs[order], codes[order]
+    repeat = codes[1:] == codes[:-1]
+    if (repeat & (owner[1:] != owner[:-1])).any():
+        return False
+    if repeat.any():
+        first = np.append(True, ~repeat)
+        owner, lows, highs, codes = owner[first], lows[first], highs[first], codes[first]
+    keys = np.sort(np.concatenate((owner * n + lows, owner * n + highs)))
+    if (keys[1:] == keys[:-1]).any() or _lacking(g, lows, highs).any():
+        return False
+    # the matchings of each vertex, grouped by vertex
+    key_owner, key_vertex = np.divmod(keys, n)
+    vertex_owners = key_owner[np.argsort(key_vertex)]
+    counts = np.bincount(key_vertex, minlength=n)
+    starts = np.cumsum(counts) - counts
+    g_lows, g_highs = g.endpoints
+    both = (counts[g_lows] > 0) & (counts[g_highs] > 0)
+    xs, ys = g_lows[both], g_highs[both]
+    # the join, in slices of about _JOIN_ROWS (g-edge, matching) rows, so
+    # that memory stays linear however many matchings share a vertex
+    reach = np.cumsum(counts[xs])
+    cuts = [0, *np.searchsorted(reach, range(_JOIN_ROWS, reach[-1], _JOIN_ROWS)).tolist(), len(xs)]
+    hits = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        x, y = xs[lo:hi], ys[lo:hi]
+        c = counts[x]
+        owners = vertex_owners[np.arange(c.sum()) - np.repeat(np.cumsum(c) - c - starts[x], c)]
+        want = owners * n + np.repeat(y, c)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        hits += int(np.count_nonzero(keys[at] == want))
+    return hits == len(codes)
 
 
 @dataclass(frozen=True)
@@ -164,6 +194,14 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
     The base must be bipartite with equal sides, and the matchings must be
     pairwise disjoint induced matchings of equal size.
     """
+    return _sample_hard_instance(base, _checked_family(base, matchings, k), k, rng)
+
+
+def _checked_family(base: Graph, matchings, k: int) -> tuple[frozenset[Edge], ...]:
+    """The matchings as frozensets of canonical edges, once the base,
+    the family and k pass `build_hard_instance`'s checks. A caller that
+    samples many instances of one family checks it here once and then
+    calls `_sample_hard_instance`."""
     if base.bipartition is None:
         raise NotBipartiteError("hard instances need a bipartite base")
     left, right = base.bipartition
@@ -181,7 +219,15 @@ def build_hard_instance(base: Graph, matchings, k: int, rng) -> HardInstance:
         raise ValueError("gadget length k must be odd and at least 3")
     if not verify_induced(base, matchings):
         raise NotInducedError("matchings must be pairwise disjoint induced matchings")
+    return matchings
 
+
+def _sample_hard_instance(base: Graph, matchings: tuple[frozenset[Edge], ...], k: int,
+                          rng) -> HardInstance:
+    """`build_hard_instance` on a family that `_checked_family` returned
+    for this base and k: the sampling alone, no checks."""
+    left = base.bipartition[0]
+    r = len(matchings[0])
     t = len(matchings)
     j_star = int(rng.integers(t))
     base_n = base.n
@@ -313,7 +359,7 @@ def save_hard_instance(instance: HardInstance, path) -> None:
     lets `json.dumps` use its C encoder: about 6x faster on a gadget-tight
     instance."""
     path = FilePath(path)
-    _write_edges(path, instance.graph.n, instance.graph.edges)
+    _write_edges(path, instance.graph.n, instance.graph.endpoints)
     left = sorted(instance.graph.bipartition[0]) if instance.graph.bipartition else []
     sidecar = {
         "n_side": instance.n_side,

@@ -25,7 +25,7 @@ from streammatch import (
 )
 from streammatch.bench import trial_seeds
 from streammatch.cli import main
-from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _write_edges, edge_key
+from streammatch.graph import BRUTE_FORCE_VERTEX_LIMIT, _ends_of, _write_edges, edge_key
 from util import reference_fill
 
 
@@ -79,7 +79,7 @@ def test_trial_seeds_are_stable_and_distinct():
 
 def test_greedy_on_perfect_matching_all_ratio_one(tmp_path):
     path = tmp_path / "pm.edges"
-    _write_edges(path, 20, [(2 * i, 2 * i + 1) for i in range(10)])
+    _write_edges(path, 20, _ends_of([(2 * i, 2 * i + 1) for i in range(10)]))
     cfg = TrialConfig(algo="greedy", instance_path=str(path), trials=10, seed=3)
     report = run_trials(cfg, max_workers=1)
     assert all(r.ratio == 1.0 for r in report.records)
@@ -277,7 +277,7 @@ def test_load_instance_leaves_no_cyclic_garbage(source, tmp_path):
     if source == "edge-list":
         path = tmp_path / "g.edges"
         g = bench.load_instance(TrialConfig("greedy", gen=gen["general-gnp"]))
-        _write_edges(path, g.n, g.edges)
+        _write_edges(path, g.n, g.endpoints)
         config = TrialConfig("greedy", instance_path=str(path))
     else:
         config = TrialConfig("greedy", gen=gen[source], seed=1)
@@ -438,6 +438,31 @@ def test_cli_hard_trivial(tmp_path, capsys):
     digests = [hashlib.sha256(Path(f"{prefix}{i}.edges").read_bytes()).hexdigest()
                for i in range(5)]
     assert digests == HARD_TRIVIAL_EDGES
+
+
+def test_cli_hard_checks_the_family_once(tmp_path, monkeypatch, capsys):
+    # one family check per command, and each saved instance byte for byte
+    # the one that build_hard_instance, which checks on every call, samples
+    import numpy as np
+
+    from streammatch import (build_hard_instance, instances, matched_base, save_hard_instance,
+                             trivial_family)
+
+    calls = []
+    verify = instances.verify_induced
+    monkeypatch.setattr(instances, "verify_induced", lambda *a: calls.append(a) or verify(*a))
+    prefix = str(tmp_path / "inst")
+    assert main(["hard", "--trivial", "4", "--trials", "5", "--seed", "3",
+                 "--save-prefix", prefix]) == 0
+    assert len(calls) == 1
+    base = matched_base(4)
+    rng = np.random.default_rng(3)
+    for i in range(5):
+        want = tmp_path / f"want{i}.edges"
+        save_hard_instance(build_hard_instance(base, trivial_family(base), 3, rng), want)
+        for suffix in ("", ".json"):
+            got = Path(f"{prefix}{i}.edges{suffix}").read_bytes()
+            assert got == Path(f"{want}{suffix}").read_bytes(), (i, suffix)
 
 
 def test_cli_operational_error_exit_code(tmp_path, capsys):

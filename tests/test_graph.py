@@ -7,6 +7,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
+import streammatch.graph as graph_module
 from streammatch import (
     Graph,
     Matching,
@@ -823,7 +824,7 @@ def test_edge_list_round_trip(tmp_path):
     # the one writer writes no tag, so the tagged header is written here
     path.write_text("5 3 bipartite 3\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
     assert read_edge_list(path) == g
-    _write_edges(path, g.n, g.edges)
+    _write_edges(path, g.n, g.endpoints)
     assert read_edge_list(path) == Graph(5, g.edges)
 
 
@@ -838,6 +839,75 @@ def test_edge_list_shares_one_int_per_vertex(tmp_path):
         path.write_text(f"1000 1\n{bad}\n")
         with pytest.raises(ValueError, match=f"edge \\({bad.replace(' ', ', ')}\\) out of range"):
             read_edge_list(path)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_write_edges_bytes_and_read_back(tmp_path, monkeypatch, chunk):
+    # the bytes of one f-string per edge, also across chunk boundaries,
+    # and they read back as the same graph, with and without a tag
+    if chunk is not None:
+        monkeypatch.setattr(graph_module, "_WRITE_CHUNK", chunk)
+    rnd = random.Random(23)
+    path = tmp_path / "g.edges"
+    graphs = [Graph(0), Graph(5), Graph(300, [(299, 0)])]
+    for _ in range(20):
+        graphs.append(random_general(rnd, rnd.randint(2, 40), rnd.choice([0.05, 0.3])))
+        graphs.append(random_bipartite(rnd, rnd.randint(1, 20), rnd.randint(1, 20), 0.3))
+    for g in graphs:
+        _write_edges(path, g.n, g.endpoints)
+        text = f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+        assert path.read_bytes() == text.encode()
+        back = read_edge_list(path)
+        assert back.edges == g.edges and back.bipartition is None
+        if g.bipartition is not None:
+            left = len(g.bipartition[0])  # random_bipartite's left side is 0..L-1
+            path.write_text(text.replace("\n", f" bipartite {left}\n", 1))
+            back = read_edge_list(path)
+            assert back.edges == g.edges and back.bipartition == g.bipartition
+
+
+def test_edge_list_parse_agrees_with_line_scan(tmp_path, monkeypatch):
+    # random files near the format, read twice: as read, and with the
+    # one-pass parse failing so that the line scan reads every file;
+    # both give the same graph or the same message
+    rnd = random.Random(29)
+    tokens = ["0", "1", "2", "3", "7", "+1", "-1", "1_0", "x", "2.0", "1e0", "٣",
+              "9223372036854775808", " ", " ", "\t", "\x0c", "\n", "\n", "\r", "\r\n",
+              "\udcff"]  # the byte 0xff, which is not UTF-8
+    path = tmp_path / "g.edges"
+    outcomes = []
+    parsed = []  # the arrays loadtxt returned, accepted or not
+    loadtxt = np.loadtxt
+
+    def recorded(*args, **kwargs):
+        parsed.append(loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    for _ in range(400):
+        m = rnd.randint(0, 4)
+        lines = [f"{rnd.randint(0, 5)} {rnd.randint(0, 5)}" for _ in range(m)]
+        body = "\n".join(lines) + "\n" * rnd.randint(0, 2)
+        for _ in range(rnd.randint(0, 2)):  # a few edits of the body
+            at = rnd.randint(0, len(body))
+            body = body[:at] + rnd.choice(tokens) + body[at + rnd.randint(0, 2):]
+        path.write_bytes(f"6 {m}\n{body}".encode(errors="surrogateescape"))
+        results = []
+        for scan_only in (False, True):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "loadtxt", _loadtxt_fails if scan_only else recorded)
+                try:
+                    g = read_edge_list(path)
+                    results.append((g.edges, g.bipartition))
+                except ValueError as exc:
+                    results.append(str(exc))
+        assert results[0] == results[1], (path.read_bytes(), results)
+        outcomes.append(isinstance(results[0], str))
+    assert 100 < sum(outcomes) < 300  # both kinds of file are common
+    assert len(parsed) > 100
+
+
+def _loadtxt_fails(*args, **kwargs):
+    raise ValueError("parse refused")
 
 
 def test_edge_list_rejects_duplicates(tmp_path):
@@ -861,6 +931,68 @@ def test_edge_list_rejects_lines_past_the_declared_count(tmp_path):
     path.write_text("3 2\n0 1\n1 2\n0 2\n")
     with pytest.raises(ValueError, match="after the 2 declared edges"):
         read_edge_list(path)
+
+
+# (file text, exact message); {p} stands for the path's repr
+MALFORMED_EDGE_LISTS = {
+    "header-one-token": ("3\n0 1\n", "bad header in {p}"),
+    "header-three-tokens": ("4 1 bipartite\n0 2\n", "bad header in {p}"),
+    "header-tag": ("4 1 tagged 2\n0 2\n", "bad header tag 'tagged'"),
+    "header-token": ("4 x\n", "{p} line 1: expected integers, got '4 x'"),
+    "header-left-size": ("4 1 bipartite 5\n0 2\n", "left side size out of range"),
+    "token": ("4 2\n0 1\n2 x\n", "{p} line 3: expected integers, got '2 x'"),
+    "float": ("4 2\n0 1\n2 3.0\n", "{p} line 3: expected integers, got '2 3.0'"),
+    "too-few-lines": ("4 3\n0 1\n2 3\n", "expected 3 edge lines in {p}"),
+    "blank-body-line": ("4 2\n0 1\n\n2 3\n", "expected 2 edge lines in {p}"),
+    "one-token": ("4 2\n0 1\n2\n", "expected 2 edge lines in {p}"),
+    "three-tokens": ("4 2\n0 1\n2 3 1\n", "expected 2 edge lines in {p}"),
+    "line-after": ("4 1\n0 1\n2 3\n", "{p} has lines after the 1 declared edges"),
+    "line-after-blank": ("4 1\n0 1\n\n2 3\n", "{p} has lines after the 1 declared edges"),
+    "out-of-range": ("4 2\n0 1\n0 4\n", "edge (0, 4) out of range for n=4"),
+    "negative": ("4 1\n-1 2\n", "edge (-1, 2) out of range for n=4"),
+    "self-loop": ("4 2\n0 1\n2 2\n", "self-loop at vertex 2"),
+    "parallel": ("4 2\n0 1\n1 0\n", "parallel edge (0, 1)"),
+    "beyond-int64": ("4 1\n0 9223372036854775808\n",
+                     "edge (0, 9223372036854775808) out of range for n=4"),
+    "not-crossing": ("4 1 bipartite 2\n0 1\n", "edge (0, 1) does not cross the bipartition"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDGE_LISTS))
+def test_edge_list_malformed_message(tmp_path, case):
+    text, message = MALFORMED_EDGE_LISTS[case]
+    path = tmp_path / "bad.edges"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as info:
+        read_edge_list(path)
+    assert str(info.value) == message.format(p=repr(path))
+
+
+# (file text, edges in file order, left side or None)
+ACCEPTED_EDGE_LISTS = {
+    "crlf": ("4 2\r\n0 1\r\n3 2\r\n", ((0, 1), (2, 3)), None),
+    "no-final-newline": ("4 2\n0 1\n2 3", ((0, 1), (2, 3)), None),
+    "plus-sign": ("4 1\n+1 2\n", ((1, 2),), None),
+    "underscore": ("11 1\n1_0 2\n", ((2, 10),), None),
+    "trailing-blank-lines": ("4 1\n0 1\n\n \t\n\n", ((0, 1),), None),
+    "spaces-and-tabs": ("4 1\n\t0   1 \n", ((0, 1),), None),
+    "no-edges": ("4 0\n", (), None),
+    "no-edges-blank-after": ("4 0\n\n", (), None),
+    "bipartite": ("4 2 bipartite 2\n0 2\n3 1\n", ((0, 2), (1, 3)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED_EDGE_LISTS))
+def test_edge_list_accepted(tmp_path, case):
+    text, edges, left = ACCEPTED_EDGE_LISTS[case]
+    path = tmp_path / "g.edges"
+    path.write_bytes(text.encode())
+    g = read_edge_list(path)
+    assert g.edges == edges
+    if left is None:
+        assert g.bipartition is None
+    else:
+        assert g.bipartition == (frozenset(range(left)), frozenset(range(left, g.n)))
 
 
 @pytest.mark.parametrize("text", ["4 -1\n", "4 -1\n0 1\n"])

@@ -23,6 +23,7 @@ from streammatch import (
     verify_induced,
     xor_gadget,
 )
+from streammatch import instances
 from streammatch.graph import _graph_plus
 from util import maximum_matchings, random_bipartite, random_general, reference_verify_induced
 
@@ -106,9 +107,11 @@ def test_verify_induced_rejects_overlap_and_foreign_edges():
     assert not verify_induced(g, [[(0, 1), (1, 2)]])  # not a matching
 
 
-@pytest.mark.parametrize("edge", [(-3, 0), (6, 7), (0, 6)])
+@pytest.mark.parametrize("edge", [(-3, 0), (6, 7), (0, 6), (0, 10), (-1, 9)])
 def test_verify_induced_rejects_vertices_out_of_range(edge):
-    # (-3, 0) would read as the base edge (3, 0) were -3 taken as an index
+    # (-3, 0) would read as the base edge (3, 0) were -3 taken as an index,
+    # and the codes 0 * 6 + 10 and -1 * 6 + 9 are those of the base edges
+    # (1, 4) and (0, 3)
     base = matched_base(3)
     assert not verify_induced(base, [[edge]])
     assert not verify_induced(base, [[(1, 4)], [edge, (2, 5)]])
@@ -139,7 +142,7 @@ def _random_family(rnd, g):
             family.append(m)
             used.update(m)
     kind = rnd.choice(["none", "none", "repeat", "not-matching", "not-induced",
-                       "not-edge", "negative", "out-of-range"])
+                       "not-edge", "negative", "out-of-range", "self-loop", "listed-twice"])
     i = rnd.randrange(len(family))
     u, v = rnd.choice(family[i])
     if kind == "repeat":
@@ -156,13 +159,17 @@ def _random_family(rnd, g):
         family[i].append((-1 - u, v))
     elif kind == "out-of-range":
         family[i].append((u, g.n + v))
+    elif kind == "self-loop":
+        family[i].append((u, u))
+    elif kind == "listed-twice":  # the same edge again in its own matching: still valid
+        family[i].append((v, u))
     family = [[(y, x) if rnd.random() < 0.5 else (x, y) for x, y in m] for m in family]
     return kind, family
 
 
 def test_verify_induced_matches_reference_on_random_families():
-    # one pass over g's edges gives the per-matching walk's answer, on
-    # families with shared vertices and with each kind of flaw
+    # the array passes give the per-matching walk's answer, on families
+    # with shared vertices and with each kind of flaw
     rnd = random.Random(19)
     seen: dict[tuple[str, bool], int] = {}
     shared = 0
@@ -176,15 +183,40 @@ def test_verify_induced_matches_reference_on_random_families():
             continue
         kind, family = _random_family(rnd, g)
         ok = verify_induced(g, family)
+        assert type(ok) is bool
         assert ok == reference_verify_induced(g, family), (trial, kind, family)
         seen[kind, ok] = seen.get((kind, ok), 0) + 1
         if ok:
             owners = [v for m in family for e in m for v in e]
             shared += len(owners) > len(set(owners))
-    assert seen["none", True] > 50 and shared > 20
+    assert seen["none", True] > 50 and seen["listed-twice", True] > 20 and shared > 20
     for kind in ("repeat", "not-matching", "not-induced", "not-edge", "negative",
-                 "out-of-range"):
+                 "out-of-range", "self-loop"):
         assert seen.get((kind, False), 0) > 10, kind
+
+
+def test_verify_induced_join_in_small_slices(monkeypatch):
+    # the join in slices of one (g-edge, matching) row, and of three, on
+    # families whose vertices lie in many matchings (the trivial family
+    # of dense graphs), gives the answer of the join in one slice
+    rnd = random.Random(31)
+    answers = []
+    for trial in range(60):
+        g = random_general(rnd, rnd.randint(4, 14), 0.5)
+        if g.m < 2:
+            continue
+        if trial % 2:
+            kind, family = _random_family(rnd, g)
+        else:  # every edge its own matching, so a vertex lies in deg(v) of them
+            kind, family = "trivial", [[e] for e in g.edges]
+        whole = verify_induced(g, family)
+        assert whole == reference_verify_induced(g, family), (kind, family)
+        for rows in (1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(instances, "_JOIN_ROWS", rows)
+                assert verify_induced(g, family) == whole, (rows, kind, family)
+        answers.append(whole)
+    assert 10 < sum(answers) < len(answers) - 10
 
 
 # ---------------------------------------------------------------------------
