@@ -1,6 +1,9 @@
 """Runtime verification of the structural guarantees: sparsifier
 properties, the two-branch matching-size dichotomy, and the census of
-short augmenting paths with their phase-based classification."""
+short augmenting paths with their phase-based classification.
+
+A verifier may read what the trial holds, but it re-derives every
+result it checks."""
 
 from __future__ import annotations
 

@@ -313,10 +313,9 @@ def run_trials(config: TrialConfig, max_workers: int | None = None) -> TrialRepo
     """Execute all trials; the report is byte-identical for a fixed config
     (wall-time fields excluded) no matter how many workers run.
 
-    With W = min(workers, trials) > 1, this process forks W - 1 workers
-    and runs trials too; each process takes its next trial index from one
-    shared counter. W = 1 runs every trial here in order. More than one
-    worker needs the 'fork' start method; without it that is an error."""
+    With W = min(workers, trials) > 1, `_forked_trials` runs them on W
+    processes; W = 1 runs every trial here in order. More than one worker
+    needs the 'fork' start method; without it that is an error."""
     workers = min(resolve_workers(max_workers), config.trials)
     if workers > 1 and not _can_fork():
         raise ValueError(f"{workers} workers need the 'fork' start method, "

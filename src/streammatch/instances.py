@@ -30,7 +30,6 @@ class XorGadget:
 
     bits: tuple[int, ...]
     graph: Graph
-    start: int
     final: int
     bit_edges: tuple[tuple[Edge, ...], ...]
 
@@ -64,7 +63,7 @@ def xor_gadget(bits: Sequence[int]) -> XorGadget:
     graph = _graph_of_canonical(2 * k, (lows[0], highs[0]))
     edges = graph.edges
     bit_edges = (edges[:1], *zip(edges[1:-1:2], edges[2:-1:2]), edges[-1:])
-    return XorGadget(bits, graph, 0, 2 * k - 1, bit_edges)
+    return XorGadget(bits, graph, 2 * k - 1, bit_edges)
 
 
 def _gadget_ends(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

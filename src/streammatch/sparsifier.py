@@ -37,7 +37,10 @@ class AlgoParams:
 
     The two degree caps fix the sparsifier, with 0 < beta_minus <=
     beta_plus < inf; lam, the gap between them, is derived from the caps.
-    Every run names its caps: `params_with_betas` builds the bundle.
+    Every run names its caps: `params_with_betas` builds the bundle. They
+    have no default, because the asymptotic ones, beta_plus = 64 lam^-2
+    ln(1/lam) at lam = eps/128, exceed 2.3 * 10^7 at every eps in (0, 1/2),
+    far above the degrees of a desk-scale graph, so H | U would be all of G.
     """
 
     eps: float
@@ -98,11 +101,6 @@ class Sparsifier:
     @property
     def u_size(self) -> int:
         return len(self.u_index)
-
-    @cached_property
-    def u(self) -> frozenset[Edge]:
-        """U as a set of canonical edges, built on first use."""
-        return frozenset(self.stream.edges_at(self.u_index))
 
     @cached_property
     def hu_graph(self) -> Graph:

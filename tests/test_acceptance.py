@@ -111,7 +111,7 @@ def test_c04_dichotomy():
         if mu_g == 0:
             continue
         mu_h = len(max_matching(sp.h))
-        hu = Graph(g.n, sorted(frozenset(sp.h.edges) | sp.u), g.bipartition)
+        hu = Graph(g.n, sorted(frozenset(sp.h.edges) | set(sp.stream.edges_at(sp.u_index))), g.bipartition)
         mu_hu = len(max_matching(hu))
         for delta in deltas:
             if not check_dichotomy(mu_g, mu_h, mu_hu, params.lam, delta, bipartite).holds:

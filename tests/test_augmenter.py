@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from streammatch import (
+    EdgeStream,
     Graph,
     Matching,
     augmenter,
@@ -31,6 +32,7 @@ from util import (
     random_general,
     random_matched_graphs,
     reference_augmenting_path,
+    reference_beats23,
     reference_build_t,
     reference_free_ends,
     reference_phase2b,
@@ -513,7 +515,7 @@ def test_beats23_stages_match_sparsifier_and_build_t(kind):
         _, diag = beats23_match(s, params, np.random.default_rng(trial))
         sp = run_sparsifier(s, params)
         assert diag.sparsifier.h == sp.h
-        assert diag.u == sp.u
+        assert diag.u == frozenset(sp.stream.edges_at(sp.u_index))
         split = diag.split
         iia = s.arrivals()[split.eps_cut : split.eps_cut + split.tau]
         assert diag.t.edges == build_t(*_ends_of(iia), diag.m_h, params.b).edges
@@ -709,6 +711,42 @@ def test_beats23_phase2b_and_output_match_reference(kind, monkeypatch):
         assert dead_ends > 0
         # some first arrivals had two free ends
         assert direct_first > 0
+
+
+def _fixed_order_cases():
+    """(stream, params) pairs in chosen orders, not random ones: each
+    graph's own edge order and its reverse, for a bipartite graph and a
+    general one at caps 5/5 and b = 2, under which Phase I evicts and T's
+    admission loop runs, and for a hard instance with tight caps."""
+    rnd = random.Random("fixed-order")
+    tight = params_with_betas(0.3, 5, 5, 2.0 / 3.0, 2)
+    base = matched_base(12)
+    inst = build_hard_instance(base, trivial_family(base), 3, np.random.default_rng(4))
+    for g, params in ((random_bipartite(rnd, 20, 20, 0.25), tight),
+                      (random_general(rnd, 40, 0.15), tight),
+                      (inst.graph, params_with_betas(0.45, 2, 1, 2.0 / 3.0, 500))):
+        yield EdgeStream(g, np.arange(g.m)), params
+        yield EdgeStream(g, np.arange(g.m)[::-1]), params
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "general", "gadget", "general-flips", "closing",
+                                  "fixed-order"])
+def test_beats23_equals_one_pass_reference(kind):
+    # beats23 runs its stages one after another, each over its own slice
+    # of the stream; the reference reads the stream once, one arrival at a
+    # time, into one state
+    cases = _fixed_order_cases() if kind == "fixed-order" else _beats23_cases(kind)
+    for trial, (s, params) in enumerate(cases):
+        out, diag = beats23_match(s, params, np.random.default_rng(trial))
+        ref = reference_beats23(s, params, np.random.default_rng(trial))
+        sp = diag.sparsifier
+        assert list(sp.h.edges) == ref.h, trial
+        assert s.edges_at(sp.u_index) == ref.u, trial
+        assert list(diag.t.edges) == ref.t, trial
+        assert diag.m_aug == ref.m, trial
+        assert [tuple(p) for p in diag.applied] == ref.applied, trial
+        assert out == ref.output, trial
+        assert ref.stored[-1] == sp.h.m + sp.u_size + diag.t.m + len(diag.m_aug), trial
 
 
 # sha256 of the applied paths [(arrival, length, vertices)] and the sorted

@@ -585,7 +585,7 @@ def test_hu_graph_equals_validated_graph(kind):
             hu = sp.hu_graph
             assert sp.hu_graph is hu
             assert (hu is stream.graph) == keeps_all
-            union = Graph(g.n, sorted(frozenset(sp.h.edges) | sp.u), g.bipartition)
+            union = Graph(g.n, sorted(frozenset(sp.h.edges) | set(sp.stream.edges_at(sp.u_index))), g.bipartition)
             _assert_same_graph(hu, union)
             assert max_matching(hu).edges == max_matching(union).edges
 

@@ -5,12 +5,20 @@
 through it) takes int64 arrays that the package computed and checks
 nothing. These tests keep it at that: a change that adds a graph builder,
 or lets another module reach a private one, must edit the pins below.
+README's sections and its layout table are pinned here too.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streammatch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "streammatch"
+
+# README says what the library does; how and why live in the docstrings,
+# and measured speed in BENCH_*.json and CHANGES.md. A change that adds a
+# section, such as a results table, edits this pin on purpose
+README_SECTIONS = ["Install", "Tests", "CLI", "File formats", "Library layout"]
 
 # the private names each module imports from `.graph`
 PRIVATE_GRAPH_IMPORTS = {
@@ -104,3 +112,20 @@ def test_graph_holds_no_augmenting_path_search():
     # Phase II.B's bounded search lives beside its one caller, `phase2b`
     defined = {f.name for f in _tree("graph").body if isinstance(f, ast.FunctionDef)}
     assert not defined & {"_path1", "_path3", "_path5", "_augmenting_paths"}
+
+
+def _readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_sections_are_the_pinned_ones():
+    headings = [line[3:] for line in _readme().splitlines() if line.startswith("## ")]
+    assert headings == README_SECTIONS
+
+
+def test_readme_layout_table_lists_each_module_once():
+    table = _readme().split("## Library layout", 1)[1]
+    names = re.findall(r"^\| `(streammatch[\w.]*)` \|", table, re.M)
+    modules = ["__init__" if name == "streammatch" else name.removeprefix("streammatch.")
+               for name in names]
+    assert sorted(modules) == sorted(set(PRIVATE_GRAPH_IMPORTS) | {"graph"})

@@ -234,13 +234,13 @@ def test_phase2_exactness_rescan():
         recomputed = {
             e for e in suffix if len(sp.h.adj[e[0]]) + len(sp.h.adj[e[1]]) < params.beta_minus
         }
-        assert recomputed == set(sp.u)
+        assert recomputed == set(sp.stream.edges_at(sp.u_index))
 
 
 @pytest.mark.parametrize("kind", ["bipartite", "general"])
 def test_u_index_equals_per_edge_rule(kind):
-    # U's indices are those the per-edge scan keeps, ascending, and the
-    # lazy U is the frozenset of the same stream tuples that scan built
+    # U's indices are those the per-edge scan keeps, ascending, and
+    # `edges_at` gives U as the same stream tuples that scan built
     rnd = random.Random(kind)
     for trial in range(20):
         if kind == "bipartite":
@@ -260,9 +260,9 @@ def test_u_index_equals_per_edge_rule(kind):
         ]
         assert sp.u_index.tolist() == want
         assert sp.u_size == len(want)
-        assert sp.u == frozenset(arrivals[i] for i in want)
-        assert sp.u is sp.u  # built once
-        assert all(any(e is arrivals[i] for i in want) for e in sp.u)
+        u = s.edges_at(sp.u_index)
+        assert u == [arrivals[i] for i in want]
+        assert all(e is arrivals[i] for e, i in zip(u, want))
 
 
 def test_phase2_safety_cap(monkeypatch):

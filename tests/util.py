@@ -2,8 +2,9 @@
 brute-force oracles, and the references that the library code must
 agree with: the adjacency fill, textbook Hopcroft-Karp, the blossom
 search without tree pruning, the unanchored Phase II.B loop, the
-per-edge Phase I and Phase II.A loops, the per-matching induced-family
-check and the census that walks every component in full.
+per-edge Phase I and Phase II.A loops, beats23 as one pass over the
+stream, the per-matching induced-family check and the census that walks
+every component in full.
 
 The references that walk a matching walk a vertex -> partner dict
 (`partner_dict`), not the library's mate list, so that a fault in a
@@ -15,9 +16,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
-from streammatch import Graph, Matching, PathCensus, edge_key
+from streammatch import Graph, Matching, PathCensus, edge_key, phase1_cut
 from streammatch.graph import (
     Edge,
     NotAugmentingError,
@@ -349,21 +350,40 @@ def apply_augmenting_path(matching: Matching, path: Sequence[int]) -> Matching:
     return result
 
 
+def _reference_augment(m: Matching, allowed: frozenset, pos, applied: list) -> Matching:
+    """One Phase II.B step: apply the first augmenting path of length <= 5
+    in M | allowed until none is left, appending (pos, length, vertices)
+    to `applied` for each. Returns the augmented copy of m."""
+    while (path := find_augmenting_path(m, allowed | m.edges)) is not None:
+        m = apply_augmenting_path(m, path)
+        applied.append((pos, len(path) - 1, path))
+    return m
+
+
 def reference_phase2b(m_h, t, arrivals):
     """Phase II.B by the definition: after each arrival e, apply the first
     augmenting path of length <= 5 in M | T | {e} until none is left. An
     arrival e of None is a pass over M | T alone."""
     m = m_h.copy()
     applied = []
+    t_edges = frozenset(t.edges)
     for pos, e in arrivals:
-        arriving = set() if e is None else {edge_key(*e)}
-        while True:
-            path = find_augmenting_path(m, frozenset(t.edges) | m.edges | arriving)
-            if path is None:
-                break
-            m = apply_augmenting_path(m, path)
-            applied.append((pos, len(path) - 1, path))
+        m = _reference_augment(m, t_edges | ({edge_key(*e)} if e else set()), pos, applied)
     return m, applied
+
+
+def _reference_t_step(t: list[Edge], deg: list[int], matched: Container[int], e, b: int) -> None:
+    """One Phase II.A arrival e: append it to t iff exactly one end is in
+    `matched`, that end has T-degree below 2 and the other below b."""
+    x, y = e
+    x_in = x in matched
+    if x_in == (y in matched):
+        return
+    v, u = (x, y) if x_in else (y, x)
+    if deg[v] < 2 and deg[u] < b:
+        t.append(edge_key(x, y))
+        deg[v] += 1
+        deg[u] += 1
 
 
 def reference_build_t(phase2a, m_h: Matching, b: int, n: int) -> Graph:
@@ -375,16 +395,43 @@ def reference_build_t(phase2a, m_h: Matching, b: int, n: int) -> Graph:
     matched = partner_dict(m_h)
     deg = [0] * n
     chosen: list[Edge] = []
-    for x, y in phase2a:
-        x_in = x in matched
-        if x_in == (y in matched):
-            continue
-        v, u = (x, y) if x_in else (y, x)
-        if deg[v] < 2 and deg[u] < b:
-            chosen.append(edge_key(x, y))
-            deg[v] += 1
-            deg[u] += 1
+    for e in phase2a:
+        _reference_t_step(chosen, deg, matched, e, b)
     return _graph_of_canonical(n, _ends_of(chosen))
+
+
+def _reference_h_step(present: dict[Edge, None], adj: list[set[int]], deg: list[int],
+                      e, params) -> None:
+    """One Phase I arrival e: insert it iff its edge-degree in H is below
+    beta_minus, then evict the lexicographically smallest edge of H above
+    beta_plus until none is left, scanning every edge at e's ends."""
+    u, v = e = edge_key(*e)
+    if e in present:
+        raise ValueError(f"parallel edge {e} in prefix")
+    if deg[u] + deg[v] >= params.beta_minus:
+        return
+    present[e] = None
+    adj[u].add(v)
+    adj[v].add(u)
+    deg[u] += 1
+    deg[v] += 1
+    while True:
+        worst: Edge | None = None
+        for x in (u, v):
+            dx = deg[x]
+            for y in adj[x]:
+                if dx + deg[y] > params.beta_plus:
+                    cand = edge_key(x, y)
+                    if worst is None or cand < worst:
+                        worst = cand
+        if worst is None:
+            return
+        wu, wv = worst
+        del present[worst]
+        adj[wu].discard(wv)
+        adj[wv].discard(wu)
+        deg[wu] -= 1
+        deg[wv] -= 1
 
 
 def reference_phase1_build_h(prefix, n: int, params, bipartition=None) -> Graph:
@@ -393,36 +440,83 @@ def reference_phase1_build_h(prefix, n: int, params, bipartition=None) -> Graph:
     deg = [0] * n
     adj: list[set[int]] = [set() for _ in range(n)]
     present: dict[Edge, None] = {}
-    for a, b in prefix:
-        e = edge_key(a, b)
-        u, v = e
-        if e in present:
-            raise ValueError(f"parallel edge {e} in prefix")
-        if deg[u] + deg[v] >= params.beta_minus:
-            continue
-        present[e] = None
-        adj[u].add(v)
-        adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
-        while True:
-            worst: Edge | None = None
-            for x in (u, v):
-                dx = deg[x]
-                for y in adj[x]:
-                    if dx + deg[y] > params.beta_plus:
-                        cand = edge_key(x, y)
-                        if worst is None or cand < worst:
-                            worst = cand
-            if worst is None:
-                break
-            wu, wv = worst
-            del present[worst]
-            adj[wu].discard(wv)
-            adj[wv].discard(wu)
-            deg[wu] -= 1
-            deg[wv] -= 1
+    for e in prefix:
+        _reference_h_step(present, adj, deg, e, params)
     return Graph(n, list(present), bipartition)
+
+
+def _reference_max_matching(n: int, edges: Iterable[Edge], bipartition) -> Matching:
+    """A maximum matching by `reference_hopcroft_karp` with a bipartition,
+    else by `reference_blossom`, over the sorted rows of `edges`."""
+    adj = reference_fill(n, edges)
+    if bipartition is None:
+        mate = reference_blossom(n, adj)
+    else:
+        mate = reference_hopcroft_karp(n, adj, sorted(bipartition[0]))
+    return Matching(n, [(v, w) for v, w in enumerate(mate) if v < w])
+
+
+class ReferenceRun(NamedTuple):
+    h: list[Edge]  # in arrival order
+    u: list[Edge]  # in arrival order
+    t: list[Edge]  # in admission order
+    m: Matching  # M after Phase II.B
+    applied: list[tuple]  # (arrival position or None, length, vertices)
+    output: Matching  # a maximum matching of M | H | U
+    stored: list[int]  # |H| + |U| + |T| + |M| after each arrival
+
+
+def reference_beats23(stream, params, rng) -> ReferenceRun:
+    """beats23 as one pass over e_1..e_m in order, with one state that
+    every arrival updates. The Phase II.A length tau is drawn from rng as
+    `split_phases` draws it.
+
+    - Phase I (positions up to `phase1_cut`): H takes e, with its
+      evictions. After the last one, M_H is fixed as a maximum matching
+      of H, and M starts as M_H.
+    - Phase II: U takes e when its edge-degree in H is below beta_minus.
+      In Phase II.A, the next tau positions, T takes e by the
+      (2, b)-matching rule over M_H's matched vertices. In Phase II.B,
+      augmenting paths of length <= 5 in M | T | {e} are applied until
+      none is left; with no II.B arrival, the same step runs once over
+      M | T alone after e_m.
+    - The output is a maximum matching of M | H | U.
+
+    The exact matchings come from `reference_hopcroft_karp` on a
+    bipartite input and `reference_blossom` otherwise."""
+    g = stream.graph
+    n = g.n
+    arrivals = stream.arrivals()
+    cut = phase1_cut(len(arrivals), params.eps)
+    tau = int((rng.random(len(arrivals) - cut) < params.gamma).sum())
+    h: dict[Edge, None] = {}
+    h_adj: list[set[int]] = [set() for _ in range(n)]
+    h_deg = [0] * n
+    u: list[Edge] = []
+    t: list[Edge] = []
+    t_deg = [0] * n
+    m = Matching(n)
+    matched: dict[int, int] = {}  # M_H's partner table
+    applied: list[tuple] = []
+    stored: list[int] = []
+    for pos, e in enumerate(arrivals, 1):
+        if pos <= cut:
+            _reference_h_step(h, h_adj, h_deg, e, params)
+            if pos == cut:
+                m = _reference_max_matching(n, h, g.bipartition)
+                matched = partner_dict(m)
+        else:
+            if h_deg[e[0]] + h_deg[e[1]] < params.beta_minus:
+                u.append(e)
+            if pos <= cut + tau:
+                _reference_t_step(t, t_deg, matched, e, params.b)
+            else:
+                m = _reference_augment(m, frozenset(t) | {e}, pos, applied)
+        if pos == len(arrivals) == cut + tau:
+            m = _reference_augment(m, frozenset(t), None, applied)
+        stored.append(len(h) + len(u) + len(t) + len(m))
+    output = _reference_max_matching(n, set(h) | set(u) | m.edges, g.bipartition)
+    return ReferenceRun(list(h), u, t, m, applied, output, stored)
 
 
 def reference_verify_induced(g: Graph, matchings: Sequence[Iterable[tuple[int, int]]]) -> bool:
